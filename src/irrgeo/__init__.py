@@ -10,7 +10,6 @@ descent maps.
 
 from .descent import (
     BadIndex,
-    BadParity,
     ChainResult,
     DegenerateDenominator,
     DescentFamily,
@@ -28,10 +27,8 @@ from .exact_arith import (
     BiForm,
     DegreeOverflow,
     RadicandMismatch,
-    Rational,
     Surd,
     biform_reduce,
-    surd_sign,
 )
 from .geometry import (
     Arrangement,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arrangement",
     "BadIndex",
-    "BadParity",
     "BasisMismatch",
     "BiForm",
     "ChainResult",
@@ -94,7 +90,6 @@ __all__ = [
     "OutOfWindow",
     "RadicandMismatch",
     "RangeCheckResult",
-    "Rational",
     "SquareRadicand",
     "Surd",
     "SvgScene",
@@ -122,7 +117,6 @@ __all__ = [
     "square_density",
     "square_triangular",
     "squarefree_decompose",
-    "surd_sign",
     "symbolic_ratio_check",
     "verify_eq1",
     "verify_figure",

@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_arith import BiForm, Surd
 from .number_theory import triangular
-
-
-class BadParity(ValueError):
-    """A parity-specific family constructor got the wrong parity."""
 
 
 class BadIndex(ValueError):
@@ -32,15 +29,39 @@ class DegenerateDenominator(ValueError):
 class FamilyKind(Enum):
     SQRT2 = "sqrt2"
     HEX6 = "hex6"
-    TRIANGULAR_EVEN = "triangular_even"
-    TRIANGULAR_ODD = "triangular_odd"
+    TRIANGULAR = "triangular"
+
+
+class _Map(NamedTuple):
+    """Radicand N and the integer forms a' = ca*a + cb*b, b' = da*a + db*b."""
+
+    radicand: int
+    numerator: tuple[int, int]
+    denominator: tuple[int, int]
+
+
+def _triangular_map(n: int) -> _Map:
+    """The n-th triangular map; odd n uses the integer (n+1)/2 where even n uses n."""
+    t = triangular(n)
+    if n % 2 == 0:
+        return _Map(t, (n, -t), (-1, n))
+    h = (n + 1) // 2
+    return _Map(t, (-h, t), (1, -h))
+
+
+# kind -> n -> the map; n is the triangular row count and None otherwise
+_MAPS = {
+    FamilyKind.SQRT2: lambda n: _Map(2, (-1, 2), (1, -1)),
+    FamilyKind.HEX6: lambda n: _Map(6, (3, -6), (-1, 3)),
+    FamilyKind.TRIANGULAR: _triangular_map,
+}
 
 
 @dataclass(frozen=True)
 class DescentFamily:
     """One descent map: pair (a, b) -> (a', b') by fixed linear forms.
 
-    kind selects the map; n is the row count for the triangular families
+    kind selects the map; n is the row count for the triangular family
     and None otherwise.
     """
 
@@ -48,16 +69,11 @@ class DescentFamily:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (FamilyKind.SQRT2, FamilyKind.HEX6):
+        if self.kind is not FamilyKind.TRIANGULAR:
             if self.n is not None:
-                raise BadIndex(f"{self.kind.value} takes no index")
-            return
-        if self.n is None or self.n < 2:
-            raise BadIndex(f"triangular family needs n >= 2, got {self.n}")
-        if self.kind is FamilyKind.TRIANGULAR_EVEN and self.n % 2:
-            raise BadParity(f"even-n family got n = {self.n}")
-        if self.kind is FamilyKind.TRIANGULAR_ODD and self.n % 2 == 0:
-            raise BadParity(f"odd-n family got n = {self.n}")
+                raise BadIndex(f"{self.kind.value} takes no index n")
+        elif self.n is None or self.n < 2:
+            raise BadIndex(f"triangular family needs an index n >= 2, got {self.n}")
 
     @classmethod
     def sqrt2(cls) -> "DescentFamily":
@@ -70,16 +86,16 @@ class DescentFamily:
     @classmethod
     def triangular(cls, n: int) -> "DescentFamily":
         """Triangular family for any n >= 2; parity picks the map."""
-        if n < 2:
-            raise BadIndex(f"triangular family needs n >= 2, got {n}")
-        kind = FamilyKind.TRIANGULAR_EVEN if n % 2 == 0 else FamilyKind.TRIANGULAR_ODD
-        return cls(kind, n)
+        return cls(FamilyKind.TRIANGULAR, n)
 
     @property
     def label(self) -> str:
-        if self.kind in (FamilyKind.TRIANGULAR_EVEN, FamilyKind.TRIANGULAR_ODD):
-            return "triangular"
         return self.kind.value
+
+    @property
+    def title(self) -> str:
+        """The label, with the index when there is one: "triangular n=5"."""
+        return self.label if self.n is None else f"{self.label} n={self.n}"
 
     @property
     def radicand(self) -> int:
@@ -89,35 +105,17 @@ class DescentFamily:
         triangular number (which may be a perfect square; range_check is
         what rules such n out).
         """
-        if self.kind is FamilyKind.SQRT2:
-            return 2
-        if self.kind is FamilyKind.HEX6:
-            return 6
-        return triangular(self.n)
+        return _MAPS[self.kind](self.n).radicand
 
     @property
-    def numerator_form(self) -> tuple[Fraction, Fraction]:
-        """(ca, cb) with a' = ca*a + cb*b; coefficients are integers."""
-        if self.kind is FamilyKind.SQRT2:
-            return (Fraction(-1), Fraction(2))
-        if self.kind is FamilyKind.HEX6:
-            return (Fraction(3), Fraction(-6))
-        n = self.n
-        if self.kind is FamilyKind.TRIANGULAR_EVEN:
-            return (Fraction(n), Fraction(-triangular(n)))
-        return (Fraction(-(n + 1), 2), Fraction(triangular(n)))
+    def numerator_form(self) -> tuple[int, int]:
+        """(ca, cb) with a' = ca*a + cb*b."""
+        return _MAPS[self.kind](self.n).numerator
 
     @property
-    def denominator_form(self) -> tuple[Fraction, Fraction]:
-        """(da, db) with b' = da*a + db*b; coefficients are integers."""
-        if self.kind is FamilyKind.SQRT2:
-            return (Fraction(1), Fraction(-1))
-        if self.kind is FamilyKind.HEX6:
-            return (Fraction(-1), Fraction(3))
-        n = self.n
-        if self.kind is FamilyKind.TRIANGULAR_EVEN:
-            return (Fraction(-1), Fraction(n))
-        return (Fraction(1), Fraction(-(n + 1), 2))
+    def denominator_form(self) -> tuple[int, int]:
+        """(da, db) with b' = da*a + db*b."""
+        return _MAPS[self.kind](self.n).denominator
 
 
 @dataclass(frozen=True)
@@ -137,9 +135,9 @@ def _defect(family: DescentFamily, a: int, b: int) -> int:
 def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     """Apply the family map once to a positive pair.
 
-    The output entries are exact integers for every family (the odd-n
-    coefficients (n+1)/2 are integral); the defect a**2 - N*b**2 is
-    multiplied by the family's fixed constant.
+    The forms have integer coefficients, so the output entries are
+    integers; the defect a**2 - N*b**2 is multiplied by the family's fixed
+    constant, which is checked on every step.
     """
     if a < 1 or b < 1:
         raise ValueError(f"need a positive pair, got ({a}, {b})")
@@ -147,12 +145,11 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     da, db = family.denominator_form
     a_out = ca * a + cb * b
     b_out = da * a + db * b
-    assert a_out.denominator == 1 and b_out.denominator == 1
-    a_out, b_out = int(a_out), int(b_out)
     m = defect_multiplier(family)
     d_in = _defect(family, a, b)
     d_out = a_out * a_out - family.radicand * b_out * b_out
-    assert d_out == m * d_in
+    if d_out != m * d_in:
+        raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
     return DescentStep(
         family=family,
         pair_in=(a, b),
@@ -209,20 +206,22 @@ def verify_eq1(n: int) -> Eq1Certificate:
     return Eq1Certificate(n=n, difference=difference, cofactor=cofactor, ok=difference == target)
 
 
+def _image_of_root(family: DescentFamily) -> tuple[Surd, Surd, Surd]:
+    """(a', b') at (a, b) = (sqrt(N), 1), then sqrt(N), as exact surds."""
+    big_n = family.radicand
+    (ca, cb), (da, db) = family.numerator_form, family.denominator_form
+    return Surd.of(cb, ca, big_n), Surd.of(db, da, big_n), Surd.of(0, 1, big_n)
+
+
 def symbolic_ratio_check(family: DescentFamily) -> bool:
     """True iff a'/b' == sqrt(N) whenever a/b == sqrt(N).
 
     Substituting a = sqrt(N)*b and scaling b to 1 turns both output forms
     into surds; the check a' == sqrt(N) * b' is then exact.
     """
-    big_n = family.radicand
-    ca, cb = family.numerator_form
-    da, db = family.denominator_form
-    num = Surd.of(cb, ca, big_n)
-    den = Surd.of(db, da, big_n)
+    num, den, sqrt_n = _image_of_root(family)
     if den == 0:
         raise DegenerateDenominator(f"denominator form of {family} vanishes at the fixed ratio")
-    sqrt_n = Surd.of(0, 1, big_n)
     return num == sqrt_n * den
 
 
@@ -251,12 +250,7 @@ def range_check(family: DescentFamily) -> RangeCheckResult:
     0 < a' < sqrt(N) and 0 < b' < 1; each strict inequality is decided by
     an exact surd sign and returned as a witness.
     """
-    big_n = family.radicand
-    ca, cb = family.numerator_form
-    da, db = family.denominator_form
-    a_out = Surd.of(cb, ca, big_n)
-    b_out = Surd.of(db, da, big_n)
-    sqrt_n = Surd.of(0, 1, big_n)
+    a_out, b_out, sqrt_n = _image_of_root(family)
     conditions = (
         ("a_out_positive", a_out, "> 0"),
         ("a_out_shrinks", a_out - sqrt_n, "< 0"),

@@ -12,10 +12,6 @@ from fractions import Fraction
 
 from .number_theory import squarefree_decompose
 
-# Canonical exact scalar for the whole package.  fractions.Fraction already
-# keeps lowest terms and positive denominators, so equality is canonical.
-Rational = Fraction
-
 
 class RadicandMismatch(ValueError):
     """Arithmetic attempted on surds over different irrational radicands."""
@@ -175,10 +171,6 @@ class Surd:
         return f"Surd({self.rat} + {self.coef}*sqrt({self.radicand}))"
 
 
-def surd_sign(x: Surd) -> int:
-    return x.sign()
-
-
 # Total degree cap for bivariate forms; the identities checked here are
 # quadratic, so anything deeper signals a bug.
 MAX_TOTAL_DEGREE = 4
@@ -237,9 +229,6 @@ class BiForm:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def degree_in_a(self) -> int:
-        return max((i for (i, _), _ in self._terms), default=0)
 
     def __add__(self, other: "BiForm | Fraction | int") -> "BiForm":
         if isinstance(other, (int, Fraction)):
@@ -304,7 +293,8 @@ def biform_reduce(p: BiForm, n: int) -> BiForm:
     """Rewrite p modulo the relation a**2 = (n*(n+1)/2) * b**2.
 
     Every power a**k with k >= 2 folds down two at a time, so the result
-    has degree at most 1 in a.
+    has degree at most 1 in a.  This is the independent Eq1 reduction that
+    test_descent checks verify_eq1's certificates against.
     """
     tn = Fraction(n * (n + 1), 2)
     out: dict[tuple[int, int], Fraction] = {}

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .descent import BadIndex, DescentFamily, FamilyKind
-from .number_theory import is_perfect_square, triangular
+from .descent import DescentFamily, FamilyKind
+from .number_theory import is_perfect_square
 
 ORTHOGONAL = "orthogonal"
 TRIANGULAR = "triangular"
@@ -250,39 +250,6 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
 
 
 @dataclass(frozen=True)
-class WindowInequality:
-    name: str
-    ok: bool
-
-
-def window_inequalities(family: DescentFamily, a: int, b: int) -> tuple[WindowInequality, ...]:
-    """The strict inequalities a pair must satisfy for the family's figure."""
-    if family.kind is FamilyKind.SQRT2:
-        return (
-            WindowInequality("a > b", a > b),
-            WindowInequality("a < 2b", a < 2 * b),
-        )
-    if family.kind is FamilyKind.HEX6:
-        return (
-            WindowInequality("a > 2b", a > 2 * b),
-            WindowInequality("a < 3b", a < 3 * b),
-        )
-    n = family.n
-    return (
-        WindowInequality("2a > (n+1)b", 2 * a > (n + 1) * b),
-        WindowInequality("a < nb", a < n * b),
-    )
-
-
-def _require_window(family: DescentFamily, a: int, b: int) -> None:
-    if a < 1 or b < 1:
-        raise OutOfWindow("a, b > 0", a, b)
-    for ineq in window_inequalities(family, a, b):
-        if not ineq.ok:
-            raise OutOfWindow(ineq.name, a, b)
-
-
-@dataclass(frozen=True)
 class Arrangement:
     """One big figure with its family of small copies placed inside it."""
 
@@ -300,14 +267,13 @@ class Arrangement:
                 raise ValueError(f"small {i} is not inside the big figure")
 
 
-def build_tennenbaum(a: int, b: int) -> Arrangement:
-    """Big a-square with two b-squares in opposite corners; needs b < a < 2b."""
-    family = DescentFamily.sqrt2()
-    _require_window(family, a, b)
+_Shapes = tuple[LatticePolygon, tuple[LatticePolygon, ...]]
+
+
+def _squares(a: int, b: int) -> _Shapes:
     big = LatticePolygon((_pt(0, 0), _pt(a, 0), _pt(a, a), _pt(0, a)), ORTHOGONAL)
     low = LatticePolygon((_pt(0, 0), _pt(b, 0), _pt(b, b), _pt(0, b)), ORTHOGONAL)
-    high = low.translated(a - b, a - b)
-    return Arrangement(big=big, smalls=(low, high), family=family, a=a, b=b)
+    return big, (low, low.translated(a - b, a - b))
 
 
 _HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -320,31 +286,14 @@ def _hexagon(center_u, center_v, radius) -> LatticePolygon:
     return LatticePolygon(pts, TRIANGULAR)
 
 
-def build_hexagon6(a: int, b: int) -> Arrangement:
-    """Big a-hexagon ringed by six b-hexagons, one per vertex; needs 2b < a < 3b.
-
-    Small i is centered at (a-b) times vertex direction i, so it touches
-    big vertex i exactly; neighbouring smalls overlap in a rhombus.
-    """
-    family = DescentFamily.hex6()
-    _require_window(family, a, b)
-    big = _hexagon(0, 0, a)
+def _hexagons(a: int, b: int) -> _Shapes:
     smalls = tuple(
         _hexagon(Fraction(a - b) * du, Fraction(a - b) * dv, b) for du, dv in _HEX_DIRS
     )
-    return Arrangement(big=big, smalls=smalls, family=family, a=a, b=b)
+    return _hexagon(0, 0, a), smalls
 
 
-def build_triangular(n: int, a: int, b: int) -> Arrangement:
-    """Big a-triangle holding n rows of b-triangles; needs (n+1)b/2 < a < nb.
-
-    Row i (from the top, 1-based) holds i smalls; consecutive rows and
-    neighbours within a row overlap in triangles of side t = (nb-a)/(n-1).
-    """
-    if n < 2:
-        raise BadIndex(f"need n >= 2, got {n}")
-    family = DescentFamily.triangular(n)
-    _require_window(family, a, b)
+def _triangle_rows(n: int, a: int, b: int) -> _Shapes:
     pitch = Fraction(a - b, n - 1)
     big = LatticePolygon((_pt(0, 0), _pt(a, 0), _pt(0, a)), TRIANGULAR)
     small0 = LatticePolygon((_pt(0, 0), _pt(b, 0), _pt(0, b)), TRIANGULAR)
@@ -353,15 +302,147 @@ def build_triangular(n: int, a: int, b: int) -> Arrangement:
         v = Fraction(a - b) - (i - 1) * pitch
         for j in range(1, i + 1):
             smalls.append(small0.translated((j - 1) * pitch, v))
-    return Arrangement(big=big, smalls=tuple(smalls), family=family, a=a, b=b)
+    return big, tuple(smalls)
+
+
+@dataclass(frozen=True)
+class _Figure:
+    """What one family's figure fixes beyond its radicand N.
+
+    window holds (name, ka, kb) for ka*a > kb*b, then for ka*a < kb*b.
+    sides(a, b) gives the overlap side t and the blank side s; next_pair
+    reads the smaller pair off (t, s) without the descent map's forms.
+    Lattice areas per side squared: big_unit for the big figure and each
+    small, overlap_unit for one overlap, blank_unit for the whole blank.
+    So the big figure has area big_unit*a**2, the N smalls
+    big_unit*N*b**2, and the two differ by -big_unit*(a**2 - N*b**2).
+    """
+
+    window: tuple[tuple[str, int, int], tuple[str, int, int]]
+    build: Callable[[int, int], _Shapes]
+    overlap_shape: Callable[[LatticePolygon, Fraction], bool]
+    doubly_count: int
+    triple_count: int
+    big_unit: Fraction
+    overlap_unit: Fraction
+    blank_unit: Fraction
+    sides: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
+    next_pair: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
+
+
+_SQUARES = _Figure(
+    window=(("a > b", 1, 1), ("a < 2b", 1, 2)),
+    build=_squares,
+    overlap_shape=is_square,
+    doubly_count=1,
+    triple_count=0,
+    big_unit=Fraction(1),
+    overlap_unit=Fraction(1),
+    blank_unit=Fraction(2),
+    sides=lambda a, b: (2 * b - a, a - b),
+    next_pair=lambda t, s: (t, s),
+)
+
+_HEXAGONS = _Figure(
+    window=(("a > 2b", 1, 2), ("a < 3b", 1, 3)),
+    build=_hexagons,
+    overlap_shape=is_unit_rhombus,
+    doubly_count=6,
+    triple_count=0,
+    big_unit=Fraction(3),
+    overlap_unit=Fraction(1),
+    blank_unit=Fraction(9),
+    sides=lambda a, b: (3 * b - a, a - 2 * b),
+    next_pair=lambda t, s: (3 * s, t),
+)
+
+
+def _triangle_figure(n: int) -> _Figure:
+    def sides(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+        t = (n * b - a) / (n - 1)
+        return t, b - 2 * t
+
+    if n % 2 == 0:
+        next_pair = lambda t, s: (Fraction(n, 2) * (n - 1) * s, (n - 1) * t)
+    else:
+        next_pair = lambda t, s: (Fraction(n + 1, 2) * (n - 1) * t, (n - 1) * s / 2)
+    return _Figure(
+        window=(("2a > (n+1)b", 2, n + 1), ("a < nb", 1, n)),
+        build=lambda a, b: _triangle_rows(n, a, b),
+        overlap_shape=is_equilateral_triangle,
+        doubly_count=3 * (n - 1),
+        triple_count=(n - 2) * (n - 1) // 2,
+        big_unit=Fraction(1, 2),
+        overlap_unit=Fraction(1, 2),
+        blank_unit=Fraction(n * (n - 1), 4),
+        sides=sides,
+        next_pair=next_pair,
+    )
+
+
+# kind -> n -> figure; n is the triangular row count and None otherwise
+_FIGURES = {
+    FamilyKind.SQRT2: lambda n: _SQUARES,
+    FamilyKind.HEX6: lambda n: _HEXAGONS,
+    FamilyKind.TRIANGULAR: _triangle_figure,
+}
+
+
+def _figure(family: DescentFamily) -> _Figure:
+    return _FIGURES[family.kind](family.n)
+
+
+@dataclass(frozen=True)
+class WindowInequality:
+    name: str
+    ok: bool
+
+
+def window_inequalities(family: DescentFamily, a: int, b: int) -> tuple[WindowInequality, ...]:
+    """The strict inequalities a pair must satisfy for the family's figure."""
+    (low, low_a, low_b), (high, high_a, high_b) = _figure(family).window
+    return (
+        WindowInequality(low, low_a * a > low_b * b),
+        WindowInequality(high, high_a * a < high_b * b),
+    )
+
+
+def _require_window(family: DescentFamily, a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise OutOfWindow("a, b > 0", a, b)
+    for ineq in window_inequalities(family, a, b):
+        if not ineq.ok:
+            raise OutOfWindow(ineq.name, a, b)
 
 
 def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:
-    if family.kind is FamilyKind.SQRT2:
-        return build_tennenbaum(a, b)
-    if family.kind is FamilyKind.HEX6:
-        return build_hexagon6(a, b)
-    return build_triangular(family.n, a, b)
+    """The family's figure for the pair; OutOfWindow outside its window."""
+    _require_window(family, a, b)
+    big, smalls = _figure(family).build(a, b)
+    return Arrangement(big=big, smalls=smalls, family=family, a=a, b=b)
+
+
+def build_tennenbaum(a: int, b: int) -> Arrangement:
+    """Big a-square with two b-squares in opposite corners; needs b < a < 2b."""
+    return build_arrangement(DescentFamily.sqrt2(), a, b)
+
+
+def build_hexagon6(a: int, b: int) -> Arrangement:
+    """Big a-hexagon ringed by six b-hexagons, one per vertex; needs 2b < a < 3b.
+
+    Small i is centered at (a-b) times vertex direction i, so it touches
+    big vertex i exactly; neighbouring smalls overlap in a rhombus.
+    """
+    return build_arrangement(DescentFamily.hex6(), a, b)
+
+
+def build_triangular(n: int, a: int, b: int) -> Arrangement:
+    """Big a-triangle holding n rows of b-triangles; needs (n+1)b/2 < a < nb.
+
+    Row i (from the top, 1-based) holds i smalls; consecutive rows and
+    neighbours within a row overlap in triangles of side t = (nb-a)/(n-1).
+    """
+    return build_arrangement(DescentFamily.triangular(n), a, b)
 
 
 @dataclass(frozen=True)
@@ -456,9 +537,8 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     blank = big_area - union
     exactly3 = triple_sum
     exactly2 = pair_sum - 3 * triple_sum
-    assert blank >= 0
-    assert exactly2 >= 0
-    assert total_small - union == exactly2 + 2 * exactly3
+    if blank < 0 or exactly2 < 0:
+        raise AssertionError(f"negative census area: blank {blank}, exactly2 {exactly2}")
     max_depth = 3 if triples else (2 if pairs else 1)
     return CoverageCensus(
         big_area=big_area,
@@ -496,78 +576,6 @@ class FigureReport:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class _Expected:
-    small_count: int
-    doubly_count: int
-    triple_count: int
-    overlap_side: Fraction
-    blank_side: Fraction
-    big_area: Fraction
-    total_small_area: Fraction
-    exactly2: Fraction
-    exactly3: Fraction
-    blank: Fraction
-    balance_factor: Fraction
-    max_depth: int
-
-
-def figure_expectations(arr: Arrangement) -> _Expected:
-    """Closed-form predictions for every census quantity of a figure."""
-    a, b = Fraction(arr.a), Fraction(arr.b)
-    kind = arr.family.kind
-    if kind is FamilyKind.SQRT2:
-        t, s = 2 * b - a, a - b
-        return _Expected(
-            small_count=2,
-            doubly_count=1,
-            triple_count=0,
-            overlap_side=t,
-            blank_side=s,
-            big_area=a * a,
-            total_small_area=2 * b * b,
-            exactly2=t * t,
-            exactly3=Fraction(0),
-            blank=2 * s * s,
-            balance_factor=Fraction(-1),
-            max_depth=2,
-        )
-    if kind is FamilyKind.HEX6:
-        t, s = 3 * b - a, a - 2 * b
-        return _Expected(
-            small_count=6,
-            doubly_count=6,
-            triple_count=0,
-            overlap_side=t,
-            blank_side=s,
-            big_area=3 * a * a,
-            total_small_area=18 * b * b,
-            exactly2=6 * t * t,
-            exactly3=Fraction(0),
-            blank=9 * s * s,
-            balance_factor=Fraction(-3),
-            max_depth=2,
-        )
-    n = arr.family.n
-    t = Fraction(n * b - a, n - 1)
-    s = b - 2 * t
-    n_triple = (n - 2) * (n - 1) // 2
-    return _Expected(
-        small_count=triangular(n),
-        doubly_count=3 * (n - 1),
-        triple_count=n_triple,
-        overlap_side=t,
-        blank_side=s,
-        big_area=a * a / 2,
-        total_small_area=Fraction(triangular(n)) * b * b / 2,
-        exactly2=Fraction(3 * (n - 1)) * t * t / 2,
-        exactly3=Fraction(n_triple) * t * t / 2,
-        blank=Fraction(n * (n - 1)) * s * s / 4,
-        balance_factor=Fraction(-1, 2),
-        max_depth=2 if n == 2 else 3,
-    )
-
-
 def _check(name: str, lhs, rhs) -> IdentityCheck:
     return IdentityCheck(name=name, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs)
 
@@ -578,41 +586,37 @@ def verify_figure(arr: Arrangement, census: CoverageCensus) -> FigureReport:
     Returns the full check list on success; raises MismatchReport (with
     the same report attached) if anything disagrees.
     """
-    exp = figure_expectations(arr)
+    fig = _figure(arr.family)
+    t, s = fig.sides(Fraction(arr.a), Fraction(arr.b))
     overlaps = census.distinct_pair_regions + tuple(
         r for r in census.distinct_triple_regions if r not in set(census.distinct_pair_regions)
     )
-    t2 = exp.overlap_side * exp.overlap_side
     sides_ok = sum(
         1
         for r in overlaps
-        if all(edge_sq_length(r.basis, p, q) == t2 for p, q in r.edges())
+        if all(edge_sq_length(r.basis, p, q) == t * t for p, q in r.edges())
     )
-    kind = arr.family.kind
-    if kind is FamilyKind.SQRT2:
-        shape_ok = sum(1 for r in overlaps if is_square(r, exp.overlap_side))
-    elif kind is FamilyKind.HEX6:
-        shape_ok = sum(1 for r in overlaps if is_unit_rhombus(r, exp.overlap_side))
-    else:
-        shape_ok = sum(1 for r in overlaps if is_equilateral_triangle(r, exp.overlap_side))
-    defect = arr.a * arr.a - arr.family.radicand * arr.b * arr.b
-    balance = exp.balance_factor * defect
+    shape_ok = sum(1 for r in overlaps if fig.overlap_shape(r, t))
+    big_n = arr.family.radicand
+    balance = -fig.big_unit * (arr.a * arr.a - big_n * arr.b * arr.b)
+    exactly2 = fig.overlap_unit * fig.doubly_count * t * t
+    exactly3 = fig.overlap_unit * fig.triple_count * t * t
 
     checks = (
-        _check("small_count", len(arr.smalls), exp.small_count),
-        _check("doubly_region_count", len(census.doubly_covered_regions), exp.doubly_count),
-        _check("triple_region_count", len(census.distinct_triple_regions), exp.triple_count),
+        _check("small_count", len(arr.smalls), big_n),
+        _check("doubly_region_count", len(census.doubly_covered_regions), fig.doubly_count),
+        _check("triple_region_count", len(census.distinct_triple_regions), fig.triple_count),
         _check("overlap_sides_equal_t", sides_ok, len(overlaps)),
         _check("overlap_shapes", shape_ok, len(overlaps)),
-        _check("big_area", census.big_area, exp.big_area),
-        _check("total_small_area", census.total_small_area, exp.total_small_area),
-        _check("exactly2_area", census.exactly2_area, exp.exactly2),
-        _check("exactly3_area", census.exactly3_area, exp.exactly3),
-        _check("excess_area", census.excess_area, exp.exactly2 + 2 * exp.exactly3),
-        _check("blank_area", census.blank_area, exp.blank),
+        _check("big_area", census.big_area, fig.big_unit * arr.a * arr.a),
+        _check("total_small_area", census.total_small_area, fig.big_unit * big_n * arr.b * arr.b),
+        _check("exactly2_area", census.exactly2_area, exactly2),
+        _check("exactly3_area", census.exactly3_area, exactly3),
+        _check("excess_area", census.excess_area, exactly2 + 2 * exactly3),
+        _check("blank_area", census.blank_area, fig.blank_unit * s * s),
         _check("excess_minus_blank", census.excess_area - census.blank_area, balance),
         _check("raw_area_balance", census.total_small_area - census.big_area, balance),
-        _check("max_depth", census.max_depth, exp.max_depth),
+        _check("max_depth", census.max_depth, 3 if fig.triple_count else 2),
     )
     report = FigureReport(
         family_label=arr.family.label, n=arr.family.n, a=arr.a, b=arr.b, checks=checks
@@ -632,23 +636,10 @@ def census_to_descent(arr: Arrangement, census: CoverageCensus) -> tuple[int, in
     """
     if not census.pair_regions:
         raise ValueError("figure has no overlap regions to measure")
+    fig = _figure(arr.family)
     t = polygon_side(census.distinct_pair_regions[0])
-    kind = arr.family.kind
-    if kind is FamilyKind.SQRT2:
-        s = fraction_sqrt(census.blank_area / 2)
-        a_next, b_next = t, s
-    elif kind is FamilyKind.HEX6:
-        s = fraction_sqrt(census.blank_area / 9)
-        a_next, b_next = 3 * s, t
-    else:
-        n = arr.family.n
-        s = fraction_sqrt(4 * census.blank_area / (n * (n - 1)))
-        if kind is FamilyKind.TRIANGULAR_EVEN:
-            a_next = Fraction(n, 2) * (n - 1) * s
-            b_next = (n - 1) * t
-        else:
-            a_next = Fraction(n + 1, 2) * (n - 1) * t
-            b_next = Fraction(n - 1) * s / 2
+    s = fraction_sqrt(census.blank_area / fig.blank_unit)
+    a_next, b_next = fig.next_pair(t, s)
     if a_next.denominator != 1 or b_next.denominator != 1:
         raise ValueError(f"measured pair ({a_next}, {b_next}) is not integral")
     return int(a_next), int(b_next)

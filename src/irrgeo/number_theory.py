@@ -162,14 +162,15 @@ def square_triangular(limit: int) -> list[int]:
     """All n <= limit whose triangular number is a perfect square.
 
     Generated by the second-order recurrence n' = 6n - n_prev + 2 from
-    (0, 1); each emitted index is asserted against the direct definition.
+    (0, 1); each emitted index is checked against the direct definition.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     out: list[int] = []
     prev, cur = 0, 1
     while prev <= limit:
-        assert is_perfect_square(triangular(prev))
+        if not is_perfect_square(triangular(prev)):
+            raise AssertionError(f"recurrence gave {prev}, but T_{prev} is not a square")
         out.append(prev)
         prev, cur = cur, 6 * cur - prev + 2
     return out

@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .descent import (
     BadIndex,
-    BadParity,
-    ChainResult,
     DescentFamily,
     DescentStep,
+    FamilyKind,
     RangeCheckResult,
     descent_chain,
     descent_step,
@@ -102,14 +102,15 @@ def _checks_block(report: FigureReport) -> list[dict]:
     ]
 
 
+def _run_head(mode: str, family: DescentFamily) -> dict:
+    """The keys every run starts with: the mode, then the family."""
+    return {"mode": mode, "family": family.label, "n": family.n, "radicand": family.radicand}
+
+
 def build_verify_run(family: DescentFamily, a: int, b: int) -> dict:
     """Full verification of one pair: window, figure census, identities,
     and the geometric/algebraic descent cross-check."""
-    run: dict = {
-        "mode": "verify",
-        "family": family.label,
-        "n": family.n,
-        "radicand": family.radicand,
+    run = _run_head("verify", family) | {
         "input_pair": [a, b],
         "window": _window_block(family, a, b),
     }
@@ -150,11 +151,7 @@ def build_verify_run(family: DescentFamily, a: int, b: int) -> dict:
 
 
 def build_census_run(family: DescentFamily, a: int, b: int) -> dict:
-    run: dict = {
-        "mode": "census",
-        "family": family.label,
-        "n": family.n,
-        "radicand": family.radicand,
+    run = _run_head("census", family) | {
         "input_pair": [a, b],
         "window": _window_block(family, a, b),
     }
@@ -170,11 +167,7 @@ def build_census_run(family: DescentFamily, a: int, b: int) -> dict:
 
 def build_chain_run(family: DescentFamily, a: int, b: int, max_steps: int) -> dict:
     chain = descent_chain(family, a, b, max_steps)
-    return {
-        "mode": "chain",
-        "family": family.label,
-        "n": family.n,
-        "radicand": family.radicand,
+    return _run_head("chain", family) | {
         "input_pair": [a, b],
         "steps": [
             {
@@ -192,11 +185,7 @@ def build_chain_run(family: DescentFamily, a: int, b: int, max_steps: int) -> di
 
 
 def build_range_run(result: RangeCheckResult) -> dict:
-    return {
-        "mode": "range",
-        "family": result.family.label,
-        "n": result.family.n,
-        "radicand": result.family.radicand,
+    return _run_head("range", result.family) | {
         "works": result.works,
         "witnesses": [
             {
@@ -285,13 +274,26 @@ class _UsageError(Exception):
     pass
 
 
+class _WriteError(Exception):
+    pass
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn a failure to write path into a one-line error for the CLI."""
+    try:
+        yield
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
 
 def _add_family_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", required=True, choices=["sqrt2", "hex6", "triangular"])
+    sub.add_argument("--family", required=True, choices=[k.value for k in FamilyKind])
     sub.add_argument("--n", type=int, default=None, help="row count (triangular only)")
 
 
@@ -346,20 +348,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_family(args) -> DescentFamily:
-    if args.family == "triangular":
-        if args.n is None:
-            raise _UsageError("--family triangular requires --n")
-        try:
-            return DescentFamily.triangular(args.n)
-        except (BadIndex, BadParity) as exc:
-            raise _UsageError(str(exc))
-    if args.n is not None:
-        raise _UsageError(f"--n is only valid with --family triangular")
-    return DescentFamily.sqrt2() if args.family == "sqrt2" else DescentFamily.hex6()
+def _resolve_family(name: str, n: int | None) -> DescentFamily:
+    try:
+        return DescentFamily(FamilyKind(name), n)
+    except BadIndex as exc:
+        raise _UsageError(str(exc))
 
 
-def _resolve_pair(args, family: DescentFamily) -> tuple[int, int]:
+def _resolve_figure(args) -> tuple[DescentFamily, int, int]:
+    """The family named by --family/--n and the pair by --a/--b or --convergent."""
+    family = _resolve_family(args.family, args.n)
     explicit = args.a is not None or args.b is not None
     if explicit and args.convergent is not None:
         raise _UsageError("give either --a/--b or --convergent, not both")
@@ -368,7 +366,7 @@ def _resolve_pair(args, family: DescentFamily) -> tuple[int, int]:
             raise _UsageError("--a and --b must be given together")
         if args.a < 1 or args.b < 1:
             raise _UsageError("--a and --b must be positive")
-        return args.a, args.b
+        return family, args.a, args.b
     if args.convergent is None:
         raise _UsageError("need --a/--b or --convergent")
     if args.convergent < 1:
@@ -377,16 +375,18 @@ def _resolve_pair(args, family: DescentFamily) -> tuple[int, int]:
         conv = convergents(family.radicand, args.convergent)[args.convergent - 1]
     except SquareRadicand as exc:
         raise _UsageError(str(exc))
-    return conv.p, conv.q
+    return family, conv.p, conv.q
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(render_json(report))
+        text = render_json(report)
+        with _writing(path), open(path, "w") as fh:
+            fh.write(text)
 
 
-def _print_window(run: dict) -> None:
+def _print_head(run: dict, family: DescentFamily, a: int, b: int) -> None:
+    print(f"family {family.title}  pair ({a}, {b})  radicand {family.radicand}")
     parts = [
         f"{w['name']} {'ok' if w['ok'] else 'VIOLATED'}"
         for w in run["window"]["inequalities"]
@@ -395,12 +395,9 @@ def _print_window(run: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    family = _resolve_family(args)
-    a, b = _resolve_pair(args, family)
+    family, a, b = _resolve_figure(args)
     run = build_verify_run(family, a, b)
-    label = family.label if family.n is None else f"{family.label} n={family.n}"
-    print(f"family {label}  pair ({a}, {b})  radicand {family.radicand}")
-    _print_window(run)
+    _print_head(run, family, a, b)
     if run["window"]["pass"]:
         d = run["descent"]
         print(
@@ -411,19 +408,15 @@ def _cmd_verify(args) -> int:
         for c in run["identity_checks"]:
             mark = "ok" if c["pass"] else "FAIL"
             print(f"check {c['name']}: {c['lhs']} == {c['rhs']} {mark}")
-    report = report_envelope([run])
-    _write_json(args.json, report)
+    _write_json(args.json, report_envelope([run]))
     print("verify: " + ("PASS" if run["pass"] else "FAIL"))
     return 0 if run["pass"] else 2
 
 
 def _cmd_census(args) -> int:
-    family = _resolve_family(args)
-    a, b = _resolve_pair(args, family)
+    family, a, b = _resolve_figure(args)
     run = build_census_run(family, a, b)
-    label = family.label if family.n is None else f"{family.label} n={family.n}"
-    print(f"family {label}  pair ({a}, {b})  radicand {family.radicand}")
-    _print_window(run)
+    _print_head(run, family, a, b)
     if run["window"]["pass"]:
         c = run["census"]
         for key in (
@@ -441,19 +434,16 @@ def _cmd_census(args) -> int:
             f" ({c['doubly_region_count']} doubly, {c['triple_region_count']} triply)"
             f"  max depth {c['max_depth']}"
         )
-    report = report_envelope([run])
-    _write_json(args.json, report)
+    _write_json(args.json, report_envelope([run]))
     return 0 if run["pass"] else 2
 
 
 def _cmd_chain(args) -> int:
-    family = _resolve_family(args)
-    a, b = _resolve_pair(args, family)
+    family, a, b = _resolve_figure(args)
     if args.max_steps < 0:
         raise _UsageError("--max-steps must be nonnegative")
     run = build_chain_run(family, a, b, args.max_steps)
-    label = family.label if family.n is None else f"{family.label} n={family.n}"
-    print(f"family {label}  start ({a}, {b})")
+    print(f"family {family.title}  start ({a}, {b})")
     for i, s in enumerate(run["steps"], start=1):
         print(
             f"step {i}: ({s['pair_in'][0]}, {s['pair_in'][1]}) ->"
@@ -466,31 +456,23 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_range(args) -> int:
-    family_name = args.family
-    if family_name != "triangular":
-        if args.n is not None or args.n_max is not None:
-            raise _UsageError("--n/--n-max are only valid with --family triangular")
-        family = DescentFamily.sqrt2() if family_name == "sqrt2" else DescentFamily.hex6()
-        result = range_check(family)
-        run = build_range_run(result)
-        print(f"{family.label}: {'works' if result.works else 'fails'}")
-        _write_json(args.json, report_envelope([run]))
-        return 0
     if args.n is not None:
-        raise _UsageError("use --n-max for a range sweep")
-    if args.n_max is None or args.n_max < 2:
+        raise _UsageError("range takes --n-max, not --n")
+    sweep = args.n_max is not None
+    if sweep and args.n_max < 2:
         raise _UsageError("--n-max must be at least 2")
+    indices = range(2, args.n_max + 1) if sweep else [None]
     runs = []
-    works: list[int] = []
-    fails: list[int] = []
-    for n in range(2, args.n_max + 1):
-        result = range_check(DescentFamily.triangular(n))
+    verdicts: dict[str, list[str]] = {"works": [], "fails": []}
+    for n in indices:
+        result = range_check(_resolve_family(args.family, n))
         runs.append(build_range_run(result))
-        (works if result.works else fails).append(n)
         verdict = "works" if result.works else "fails"
-        print(f"n={n}: {verdict}")
-    print("works: " + (",".join(map(str, works)) or "none"))
-    print("fails: " + (",".join(map(str, fails)) or "none"))
+        verdicts[verdict].append(str(n))
+        print(f"n={n}: {verdict}" if sweep else f"{result.family.title}: {verdict}")
+    if sweep:
+        for verdict, ns in verdicts.items():
+            print(f"{verdict}: " + (",".join(ns) or "none"))
     _write_json(args.json, report_envelope(runs))
     return 0
 
@@ -512,8 +494,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_svg(args) -> int:
-    family = _resolve_family(args)
-    a, b = _resolve_pair(args, family)
+    family, a, b = _resolve_figure(args)
     try:
         arr = build_arrangement(family, a, b)
     except OutOfWindow as exc:
@@ -521,7 +502,8 @@ def _cmd_svg(args) -> int:
         return 2
     census = coverage_census(arr)
     scene = scene_from_arrangement(arr, census)
-    emit_svg(scene, args.out)
+    with _writing(args.out):
+        emit_svg(scene, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -544,4 +526,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except _WriteError as exc:
+        print(exc, file=sys.stderr)
         return 1

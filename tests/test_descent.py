@@ -1,12 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import window_convergents
 from irrgeo.descent import (
     BadIndex,
-    BadParity,
     DescentFamily,
     FamilyKind,
     defect_multiplier,
@@ -24,8 +27,8 @@ def test_family_constructors():
     assert DescentFamily.sqrt2().kind is FamilyKind.SQRT2
     assert DescentFamily.sqrt2().radicand == 2
     assert DescentFamily.hex6().radicand == 6
-    assert DescentFamily.triangular(4).kind is FamilyKind.TRIANGULAR_EVEN
-    assert DescentFamily.triangular(5).kind is FamilyKind.TRIANGULAR_ODD
+    assert DescentFamily.triangular(4).kind is FamilyKind.TRIANGULAR
+    assert DescentFamily.triangular(5).kind is FamilyKind.TRIANGULAR
     assert DescentFamily.triangular(5).radicand == 15
     assert DescentFamily.triangular(8).radicand == 36
     assert DescentFamily.sqrt2().label == "sqrt2"
@@ -37,10 +40,6 @@ def test_family_validation():
         DescentFamily.triangular(1)
     with pytest.raises(BadIndex):
         DescentFamily.triangular(0)
-    with pytest.raises(BadParity):
-        DescentFamily(FamilyKind.TRIANGULAR_EVEN, 3)
-    with pytest.raises(BadParity):
-        DescentFamily(FamilyKind.TRIANGULAR_ODD, 4)
     with pytest.raises(BadIndex):
         DescentFamily(FamilyKind.SQRT2, 2)
 
@@ -64,6 +63,24 @@ def test_step_examples():
     assert s.pair_out == (16, 5)
     assert (s.defect_in, s.defect_out) == (1, 6)
     assert s.multiplier == 6
+
+
+def test_step_defect_check_survives_python_O():
+    # a wrong multiplier must still be caught when -O strips asserts
+    code = (
+        "import irrgeo.descent as d\n"
+        "d.defect_multiplier = lambda family: 5\n"
+        "try:\n"
+        "    d.descent_step(d.DescentFamily.sqrt2(), 7, 5)\n"
+        "except AssertionError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "False raised\n", proc.stderr
 
 
 def test_step_accepts_out_of_window_and_non_coprime():

@@ -128,6 +128,19 @@ def test_cli_usage_errors(capsys):
         assert "usage error:" in captured.err, argv
 
 
+def test_cli_write_failure_exits_1(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    pair = ["--family", "sqrt2", "--a", "7", "--b", "5"]
+    for argv in (
+        ["verify", *pair, "--json", str(missing / "x.json")],
+        ["svg", *pair, "--out", str(missing / "x.svg")],
+    ):
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err == f"cannot write {argv[-1]}: No such file or directory\n"
+
+
 def test_cli_census(capsys):
     code = cli_main(["census", "--family", "hex6", "--a", "5", "--b", "2"])
     stdout = capsys.readouterr().out
