@@ -6,13 +6,20 @@ the hexagon and triangle figures.  Lattice coordinates stay rational, so
 intersections, areas, and the full coverage census are exact; converting
 a lattice area to a true area only ever multiplies by 1 or sqrt(3)/2 and
 is never needed inside an identity.
+
+Clipping stays exact without rational arithmetic: both polygons are
+scaled by one common denominator of their coordinates, clipped in
+homogeneous integer coordinates (x, y, w) with w > 0, each point reduced
+by the gcd of its three entries, and only the surviving vertices are
+turned back into Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .descent import DescentFamily, FamilyKind
@@ -188,65 +195,97 @@ def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
     return _diag_sqs(poly) == {s2, 3 * s2}
 
 
-def _tidy(points: list[LatticePoint], basis: str) -> Optional[LatticePolygon]:
+# In a clip over the common denominator den, the homogeneous point
+# (x, y, w) stands for the lattice point (x/(w*den), y/(w*den)); w > 0 and
+# gcd(x, y, w) = 1, so every point has exactly one such triple.
+_Homogeneous = tuple[int, int, int]
+
+
+def _det3(p0: _Homogeneous, p1: _Homogeneous, p2: _Homogeneous) -> int:
+    """The turn at p1: the cross product of p1 - p0 and p2 - p1 times
+    w0*w1*w2 > 0, so it has the cross product's sign."""
+    x0, y0, w0 = p0
+    x1, y1, w1 = p1
+    x2, y2, w2 = p2
+    return x0 * (y1 * w2 - y2 * w1) - y0 * (x1 * w2 - x2 * w1) + w0 * (x1 * y2 - x2 * y1)
+
+
+def _tidy(points: list[_Homogeneous], den: int, basis: str) -> Optional[LatticePolygon]:
     """Canonicalize a clip result: drop duplicates and collinear vertices,
-    return None for anything without positive area."""
-    pts: list[LatticePoint] = []
+    return None for anything without positive area.
+
+    The clip of two convex polygons is convex, so its area is zero exactly
+    when its points are collinear, that is when fewer than three vertices
+    survive the collinear pruning.
+    """
+    pts: list[_Homogeneous] = []
     for p in points:
         if not pts or p != pts[-1]:
             pts.append(p)
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
-    if len(pts) < 3:
-        return None
-    if _shoelace2(tuple(pts)) <= 0:
-        return None
     changed = True
     while changed and len(pts) >= 3:
         changed = False
         for i in range(len(pts)):
-            p0 = pts[i - 1]
-            p1 = pts[i]
-            p2 = pts[(i + 1) % len(pts)]
-            if _cross(p1.u - p0.u, p1.v - p0.v, p2.u - p1.u, p2.v - p1.v) == 0:
+            if _det3(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) == 0:
                 pts.pop(i)
                 changed = True
                 break
     if len(pts) < 3:
         return None
-    return LatticePolygon(tuple(pts), basis)
+    return LatticePolygon(
+        tuple(LatticePoint(Fraction(x, w * den), Fraction(y, w * den)) for x, y, w in pts),
+        basis,
+    )
+
+
+def _scaled(poly: LatticePolygon, den: int) -> list[_Homogeneous]:
+    """poly's vertices times den, which every coordinate denominator divides."""
+    return [
+        (u.numerator * (den // u.denominator), v.numerator * (den // v.denominator), 1)
+        for u, v in poly.vertices
+    ]
 
 
 def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePolygon]:
     """Exact intersection of two convex polygons; None if its area is zero.
 
-    Clips p successively by each half-plane of q; contacts along an edge
-    or at a vertex collapse to None.
+    Clips p successively by each half-plane of q (Sutherland-Hodgman);
+    contacts along an edge or at a vertex collapse to None.  Both polygons
+    are scaled by one common denominator and clipped in gcd-reduced
+    homogeneous integers, so no rational arithmetic runs until the
+    surviving vertices are turned back into Fractions.
     """
     if p.basis != q.basis:
         raise BasisMismatch(f"{p.basis} vs {q.basis}")
-    pts = list(p.vertices)
-    for a0, a1 in q.edges():
+    den = lcm(*(x.denominator for poly in (p, q) for pt in poly.vertices for x in pt))
+    pts = _scaled(p, den)
+    corners = _scaled(q, den)
+    for (a0u, a0v, _), (a1u, a1v, _) in zip(corners, corners[1:] + corners[:1]):
         if not pts:
             break
-        eu, ev = a1.u - a0.u, a1.v - a0.v
-        sides = [_cross(eu, ev, c.u - a0.u, c.v - a0.v) for c in pts]
-        new: list[LatticePoint] = []
+        eu, ev = a1u - a0u, a1v - a0v
+        # w times the cross product of the edge and c - a0
+        off = ev * a0u - eu * a0v
+        sides = [eu * y - ev * x + off * w for x, y, w in pts]
+        new: list[_Homogeneous] = []
         k = len(pts)
         for i in range(k):
             cur, s_cur = pts[i], sides[i]
             prev, s_prev = pts[i - 1], sides[i - 1]
             if (s_cur >= 0) != (s_prev >= 0):
-                t = -s_prev / (s_cur - s_prev)
-                new.append(
-                    LatticePoint(
-                        prev.u + t * (cur.u - prev.u), prev.v + t * (cur.v - prev.v)
-                    )
-                )
+                # the crossing weighs each end by the other end's side value
+                to_prev, to_cur = abs(s_cur), abs(s_prev)
+                x = to_prev * prev[0] + to_cur * cur[0]
+                y = to_prev * prev[1] + to_cur * cur[1]
+                w = to_prev * prev[2] + to_cur * cur[2]
+                g = gcd(x, y, w)
+                new.append((x // g, y // g, w // g))
             if s_cur >= 0:
                 new.append(cur)
         pts = new
-    return _tidy(pts, p.basis)
+    return _tidy(pts, den, p.basis)
 
 
 @dataclass(frozen=True)
@@ -451,7 +490,8 @@ class CoverageCensus:
 
     All areas are lattice areas.  pair_keys/triple_keys index into smalls;
     regions are aligned with their keys.  Depth is capped at 3 by
-    construction (DepthExceeded otherwise).
+    construction (DepthExceeded otherwise).  The distinct and doubly
+    covered regions are deduplicated once, on first use.
     """
 
     big_area: Fraction
@@ -470,21 +510,15 @@ class CoverageCensus:
     def excess_area(self) -> Fraction:
         return self.total_small_area - self.union_area
 
-    @property
+    @cached_property
     def distinct_pair_regions(self) -> tuple[LatticePolygon, ...]:
-        seen: dict[LatticePolygon, None] = {}
-        for r in self.pair_regions:
-            seen.setdefault(r)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.pair_regions))
 
-    @property
+    @cached_property
     def distinct_triple_regions(self) -> tuple[LatticePolygon, ...]:
-        seen: dict[LatticePolygon, None] = {}
-        for r in self.triple_regions:
-            seen.setdefault(r)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.triple_regions))
 
-    @property
+    @cached_property
     def doubly_covered_regions(self) -> tuple[LatticePolygon, ...]:
         triples = set(self.distinct_triple_regions)
         return tuple(r for r in self.distinct_pair_regions if r not in triples)
@@ -588,8 +622,9 @@ def verify_figure(arr: Arrangement, census: CoverageCensus) -> FigureReport:
     """
     fig = _figure(arr.family)
     t, s = fig.sides(Fraction(arr.a), Fraction(arr.b))
+    pair_set = set(census.distinct_pair_regions)
     overlaps = census.distinct_pair_regions + tuple(
-        r for r in census.distinct_triple_regions if r not in set(census.distinct_pair_regions)
+        r for r in census.distinct_triple_regions if r not in pair_set
     )
     sides_ok = sum(
         1

@@ -180,6 +180,167 @@ def test_intersection_commutative_and_monotone():
             assert convex_intersection(r1, b) == r1
 
 
+# Reference clipper: Sutherland-Hodgman and its tidy-up done directly on
+# Fractions, as convex_intersection did before it clipped in integers.
+
+
+def _ref_cross(ox, oy, ax, ay):
+    return ox * ay - oy * ax
+
+
+def _ref_tidy(points, basis):
+    pts = []
+    for p in points:
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 3:
+        return None
+    area2 = sum(
+        (p.u * q.v - q.u * p.v for p, q in zip(pts, pts[1:] + pts[:1])), Fraction(0)
+    )
+    if area2 <= 0:
+        return None
+    changed = True
+    while changed and len(pts) >= 3:
+        changed = False
+        for i in range(len(pts)):
+            p0, p1, p2 = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
+            if _ref_cross(p1.u - p0.u, p1.v - p0.v, p2.u - p1.u, p2.v - p1.v) == 0:
+                pts.pop(i)
+                changed = True
+                break
+    if len(pts) < 3:
+        return None
+    return LatticePolygon(tuple(pts), basis)
+
+
+def _ref_intersection(p, q):
+    pts = list(p.vertices)
+    for a0, a1 in q.edges():
+        if not pts:
+            break
+        eu, ev = a1.u - a0.u, a1.v - a0.v
+        sides = [_ref_cross(eu, ev, c.u - a0.u, c.v - a0.v) for c in pts]
+        new = []
+        for i in range(len(pts)):
+            cur, s_cur = pts[i], sides[i]
+            prev, s_prev = pts[i - 1], sides[i - 1]
+            if (s_cur >= 0) != (s_prev >= 0):
+                t = -s_prev / (s_cur - s_prev)
+                new.append(
+                    LatticePoint(prev.u + t * (cur.u - prev.u), prev.v + t * (cur.v - prev.v))
+                )
+            if s_cur >= 0:
+                new.append(cur)
+        pts = new
+    return _ref_tidy(pts, p.basis)
+
+
+def _oracle_frac(rng: random.Random, bits: int) -> Fraction:
+    """A rational of size about 1 with numerator and denominator of up to bits bits."""
+    den = rng.randrange(1, 2**bits + 1)
+    return Fraction(rng.randrange(-2 * den, 2 * den + 1), den)
+
+
+def _hull(points) -> tuple[LatticePoint, ...]:
+    """Strictly convex counter-clockwise hull (monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return tuple(pts)
+    chain = []
+    for seq in (pts, pts[::-1]):
+        half = []
+        for p in seq:
+            while len(half) >= 2 and _ref_cross(
+                half[-1].u - half[-2].u, half[-1].v - half[-2].v,
+                p.u - half[-1].u, p.v - half[-1].v,
+            ) <= 0:
+                half.pop()
+            half.append(p)
+        chain += half[:-1]
+    return tuple(chain)
+
+
+def _oracle_polygon(rng: random.Random, basis: str, bits: int) -> LatticePolygon:
+    """A square, triangle, hexagon or random hull at a random place."""
+    kind = rng.choice(("square", "triangle", "hexagon", "hull"))
+    x, y = _oracle_frac(rng, bits), _oracle_frac(rng, bits)
+    side = abs(_oracle_frac(rng, bits)) + Fraction(1, 2**bits)
+    if kind == "square":
+        return square(x, y, side, basis)
+    if kind == "triangle":
+        corners = ((0, 0), (1, 0), (0, 1))
+    elif kind == "hexagon":
+        corners = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+    else:
+        while True:
+            pts = _hull(
+                LatticePoint(_oracle_frac(rng, bits), _oracle_frac(rng, bits))
+                for _ in range(rng.randint(3, 9))
+            )
+            if len(pts) >= 3:
+                return LatticePolygon(pts, basis)
+    return LatticePolygon(
+        tuple(LatticePoint(x + side * du, y + side * dv) for du, dv in corners), basis
+    )
+
+
+def _point_reflection(poly: LatticePolygon, cu: Fraction, cv: Fraction) -> LatticePolygon:
+    return LatticePolygon(
+        tuple(LatticePoint(2 * cu - p.u, 2 * cv - p.v) for p in poly.vertices), poly.basis
+    )
+
+
+def _oracle_partner(rng: random.Random, p: LatticePolygon, bits: int) -> tuple[str, LatticePolygon]:
+    """A second polygon in one of the relations the clipper must get right."""
+    relation = rng.choice(
+        ("overlap", "overlap", "identical", "disjoint", "nested", "shared_edge", "vertex_contact")
+    )
+    v = p.vertices
+    i = rng.randrange(len(v))
+    if relation == "identical":
+        return relation, LatticePolygon(v[i:] + v[:i], p.basis)
+    if relation == "disjoint":
+        u0, u1, _, _ = p.bbox()
+        return relation, p.translated(u1 - u0 + abs(_oracle_frac(rng, bits)), _oracle_frac(rng, bits))
+    if relation == "nested":
+        cu = sum((q.u for q in v), Fraction(0)) / len(v)
+        cv = sum((q.v for q in v), Fraction(0)) / len(v)
+        r = Fraction(rng.randrange(1, 2**bits), 2**bits + rng.randrange(1, 2**bits))
+        return relation, LatticePolygon(
+            tuple(LatticePoint(cu + r * (q.u - cu), cv + r * (q.v - cv)) for q in v), p.basis
+        )
+    if relation == "shared_edge":
+        a, b = v[i], v[(i + 1) % len(v)]
+        return relation, _point_reflection(p, (a.u + b.u) / 2, (a.v + b.v) / 2)
+    if relation == "vertex_contact":
+        return relation, _point_reflection(p, v[i].u, v[i].v)
+    return relation, _oracle_polygon(rng, p.basis, rng.choice((2, 8, 64, 200)))
+
+
+def test_intersection_matches_fraction_reference_on_2000_pairs():
+    rng = random.Random(20240601)
+    hits: dict[str, int] = {}
+    misses: dict[str, int] = {}
+    for _ in range(2000):
+        basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+        bits = rng.choice((2, 4, 8, 32, 64, 128, 200))
+        p = _oracle_polygon(rng, basis, bits)
+        relation, q = _oracle_partner(rng, p, bits)
+        if rng.random() < 0.5:
+            p, q = q, p
+        expected = _ref_intersection(p, q)
+        assert convex_intersection(p, q) == expected, (relation, p, q)
+        tally = misses if expected is None else hits
+        tally[relation] = tally.get(relation, 0) + 1
+    # every relation is exercised, and each gives the outcome it must
+    assert set(hits) == {"overlap", "identical", "nested"}
+    assert set(misses) == {"overlap", "disjoint", "shared_edge", "vertex_contact"}
+    assert min(hits.values()) >= 100 and min(misses.values()) >= 100
+
+
 def test_window_inequalities_names():
     fam = DescentFamily.sqrt2()
     assert [w.name for w in window_inequalities(fam, 7, 5)] == ["a > b", "a < 2b"]

@@ -56,6 +56,16 @@ def argv_matrix() -> list[list[str]]:
         [cmd, "--family", "triangular", "--n", "8", "--a", "7", "--b", "1", *out]
         for cmd, out in (("verify", ["--json", OUT]), ("census", []), ("svg", ["--out", OUT]))
     ]
+    # big figures: triangular n = 10, 13, 16 at one mid-window pair with a
+    # 40-bit b (55 to 136 smalls), and the census at the highest in-window
+    # convergent up to 60, where a has 76 (sqrt2) and 99 (hex6) bits
+    big_b = 10**12 + 39
+    big = []
+    for n in (10, 13, 16):
+        pair = ["--family", "triangular", "--n", str(n), "--a", str((3 * n + 1) * big_b // 4)]
+        pair += ["--b", str(big_b)]
+        big += [["verify", *pair, "--json", OUT], ["svg", *pair, "--out", OUT]]
+    big += [["census", *family, "--convergent", "60", "--json", OUT] for family in FIGURE_FAMILIES[:2]]
     ranges = [
         ["range", "--family", "sqrt2", "--json", OUT],
         ["range", "--family", "hex6", "--json", OUT],
@@ -77,7 +87,7 @@ def argv_matrix() -> list[list[str]]:
         ["density", "--x", "0"],
         ["nonsense"],
     ]
-    return readme + figures + ranges + usage_errors
+    return readme + figures + big + ranges + usage_errors
 
 
 def _sha(data: bytes) -> str:

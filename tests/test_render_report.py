@@ -141,6 +141,25 @@ def test_cli_write_failure_exits_1(capsys, tmp_path):
         assert err == f"cannot write {argv[-1]}: No such file or directory\n"
 
 
+def test_cli_figure_size_limit(capsys, tmp_path):
+    # n = 100000 would build about 5e9 smalls; it is refused before anything
+    # is built, while chain, which builds no figure, still runs
+    svg = ["--out", str(tmp_path / "x.svg")]
+    for n in ("65", "100000"):
+        for cmd, extra in (("verify", []), ("census", []), ("svg", svg)):
+            argv = [cmd, "--family", "triangular", "--n", n, "--convergent", "1", *extra]
+            code = cli_main(argv)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err == f"usage error: figures are limited to n <= 64, got {n}\n"
+    # n = 64 is accepted; this pair fails the window, so nothing is built
+    for cmd, extra in (("verify", []), ("census", []), ("svg", svg)):
+        assert cli_main([cmd, "--family", "triangular", "--n", "64", "--a", "9", "--b", "1", *extra]) == 2
+    capsys.readouterr()
+    assert cli_main(["chain", "--family", "triangular", "--n", "100000", "--convergent", "1"]) == 0
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_cli_census(capsys):
     code = cli_main(["census", "--family", "hex6", "--a", "5", "--b", "2"])
     stdout = capsys.readouterr().out
