@@ -3,8 +3,9 @@ rational square root a/b.
 
 Each family sends a pair to a strictly smaller one whenever a/b equals the
 target square root, which is impossible for positive integers; the modules
-here compute the maps, prove their defect identities symbolically, and
-decide exactly for which parameters the shrinking argument is valid.
+here compute the maps, prove their defect identities coefficient by
+coefficient, and decide exactly for which parameters the shrinking
+argument is valid.
 """
 
 from __future__ import annotations
@@ -107,16 +108,6 @@ class DescentFamily:
         """
         return _MAPS[self.kind](self.n).radicand
 
-    @property
-    def numerator_form(self) -> tuple[int, int]:
-        """(ca, cb) with a' = ca*a + cb*b."""
-        return _MAPS[self.kind](self.n).numerator
-
-    @property
-    def denominator_form(self) -> tuple[int, int]:
-        """(da, db) with b' = da*a + db*b."""
-        return _MAPS[self.kind](self.n).denominator
-
 
 @dataclass(frozen=True)
 class DescentStep:
@@ -128,10 +119,6 @@ class DescentStep:
     multiplier: Fraction
 
 
-def _defect(family: DescentFamily, a: int, b: int) -> int:
-    return a * a - family.radicand * b * b
-
-
 def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     """Apply the family map once to a positive pair.
 
@@ -141,13 +128,12 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     """
     if a < 1 or b < 1:
         raise ValueError(f"need a positive pair, got ({a}, {b})")
-    ca, cb = family.numerator_form
-    da, db = family.denominator_form
+    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
     a_out = ca * a + cb * b
     b_out = da * a + db * b
     m = defect_multiplier(family)
-    d_in = _defect(family, a, b)
-    d_out = a_out * a_out - family.radicand * b_out * b_out
+    d_in = a * a - big_n * b * b
+    d_out = a_out * a_out - big_n * b_out * b_out
     if d_out != m * d_in:
         raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
     return DescentStep(
@@ -163,19 +149,16 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
 def defect_multiplier(family: DescentFamily) -> Fraction:
     """The constant m with a'**2 - N*b'**2 == m * (a**2 - N*b**2).
 
-    Derived symbolically: expand both squares as bivariate forms and read
-    m off, checking the cross term cancels and the b**2 coefficient
-    matches -m*N.
+    Read off the integer coefficients: (ca*a + cb*b)**2 - N*(da*a + db*b)**2
+    has a**2 coefficient ca**2 - N*da**2, which is m, a*b coefficient
+    2*(ca*cb - N*da*db), which must vanish, and b**2 coefficient
+    cb**2 - N*db**2, which must be -m*N.
     """
-    ca, cb = family.numerator_form
-    da, db = family.denominator_form
-    num = BiForm.linear(ca, cb)
-    den = BiForm.linear(da, db)
-    out = num * num - family.radicand * (den * den)
-    m = out.coeff(2, 0)
-    if out != BiForm({(2, 0): m, (0, 2): -m * family.radicand}):
+    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    m = ca * ca - big_n * da * da
+    if ca * cb != big_n * da * db or cb * cb - big_n * db * db != -m * big_n:
         raise AssertionError(f"defect of {family} is not a multiple of a^2 - N*b^2")
-    return m
+    return Fraction(m)
 
 
 @dataclass(frozen=True)
@@ -208,8 +191,7 @@ def verify_eq1(n: int) -> Eq1Certificate:
 
 def _image_of_root(family: DescentFamily) -> tuple[Surd, Surd, Surd]:
     """(a', b') at (a, b) = (sqrt(N), 1), then sqrt(N), as exact surds."""
-    big_n = family.radicand
-    (ca, cb), (da, db) = family.numerator_form, family.denominator_form
+    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
     return Surd.of(cb, ca, big_n), Surd.of(db, da, big_n), Surd.of(0, 1, big_n)
 
 

@@ -201,22 +201,14 @@ def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
 _Homogeneous = tuple[int, int, int]
 
 
-def _det3(p0: _Homogeneous, p1: _Homogeneous, p2: _Homogeneous) -> int:
-    """The turn at p1: the cross product of p1 - p0 and p2 - p1 times
-    w0*w1*w2 > 0, so it has the cross product's sign."""
-    x0, y0, w0 = p0
-    x1, y1, w1 = p1
-    x2, y2, w2 = p2
-    return x0 * (y1 * w2 - y2 * w1) - y0 * (x1 * w2 - x2 * w1) + w0 * (x1 * y2 - x2 * y1)
-
-
 def _tidy(points: list[_Homogeneous], den: int, basis: str) -> Optional[LatticePolygon]:
-    """Canonicalize a clip result: drop duplicates and collinear vertices,
-    return None for anything without positive area.
+    """Canonicalize a clip result: drop repeated vertices, return None for
+    anything without positive area.
 
-    The clip of two convex polygons is convex, so its area is zero exactly
-    when its points are collinear, that is when fewer than three vertices
-    survive the collinear pruning.
+    Clipping a convex polygon by a half-plane adds no vertex inside an edge
+    except where the edge crosses the boundary, and a crossing that lands
+    on a vertex repeats it; so once the repeats are gone, three or more
+    points mean positive area.  LatticePolygon checks strict convexity.
     """
     pts: list[_Homogeneous] = []
     for p in points:
@@ -224,14 +216,6 @@ def _tidy(points: list[_Homogeneous], den: int, basis: str) -> Optional[LatticeP
             pts.append(p)
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
-    changed = True
-    while changed and len(pts) >= 3:
-        changed = False
-        for i in range(len(pts)):
-            if _det3(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) == 0:
-                pts.pop(i)
-                changed = True
-                break
     if len(pts) < 3:
         return None
     return LatticePolygon(

@@ -355,20 +355,54 @@ def _resolve_family(name: str, n: int | None) -> DescentFamily:
         raise _UsageError(str(exc))
 
 
+# Input bounds.  Every input is answered, or refused with exit 1 before
+# any work; nothing is cut short halfway.
+#
 # The census scans every pair of the n(n+1)/2 smalls, so its cost grows
 # like n**4; n = 64 (2080 smalls) verifies in about 4 s on one Xeon core
 # under CPython 3.11.
 MAX_FIGURE_N = 64
+# CPython turns no int of more than 4300 decimal digits into a string, and
+# 2**14284 < 10**4300, so every printed integer must stay below 2**14284.
+# With a, b < 2**4096:
+# - verify and census (n <= 64, so N and every map coefficient are below
+#   2**12) print the pair, one descent step (a', b' below 2**4108, the
+#   defects below 2**8229) and census areas, quadratic in a and b with
+#   small rational coefficients: all below 2**(2*4096 + 64);
+# - chain (n <= 2**32, so N = T_n and every coefficient are below 2**64)
+#   prints the pairs and defects of the steps it keeps.  Every map has
+#   b' = da*a + db*b with da = +-1, so a kept step (0 < b' < b) had
+#   a < (1 + |db|)*b and gives a' < (|ca|*(1 + |db|) + |cb|)*b < 2**128*b;
+#   pairs stay below 2**(4096 + 128), defects below 2**(2*(4096 + 128)).
+# Every bound is far below 2**14284.
+MAX_PAIR_BITS = 4096
+MAX_CHAIN_N = 2**32
+# The K-th convergent costs K steps of the recurrence, so K is capped
+# before the work; the pair it gives is then held to MAX_PAIR_BITS.  Of
+# the figure families sqrt(10) (triangular n = 4) grows fastest, 2.6 bits
+# a convergent, so every family fits up to K = 1561.
+MAX_CONVERGENT = 2048
+# The longest chains measured from pairs below 2**4096 end by themselves
+# after about 3200 steps (sqrt2); the cap bounds the work whatever
+# --max-steps asks.
+MAX_CHAIN_STEPS = 10_000
+# SVG coordinates are floats, which overflow past 2**1024; a figure's
+# coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
+MAX_SVG_BITS = 1000
 
 
-def _resolve_figure(args, drawn: bool = True) -> tuple[DescentFamily, int, int]:
+def _resolve_figure(
+    args, drawn: bool = True, max_bits: int = MAX_PAIR_BITS
+) -> tuple[DescentFamily, int, int]:
     """The family named by --family/--n and the pair by --a/--b or --convergent.
 
-    drawn: the command builds the figure, so its row count is bounded.
+    drawn: the command builds the figure, so its row count is bounded by
+    MAX_FIGURE_N rather than MAX_CHAIN_N; a and b must be below 2**max_bits.
     """
     family = _resolve_family(args.family, args.n)
-    if drawn and family.n is not None and family.n > MAX_FIGURE_N:
-        raise _UsageError(f"figures are limited to n <= {MAX_FIGURE_N}, got {family.n}")
+    max_n, what = (MAX_FIGURE_N, "figures") if drawn else (MAX_CHAIN_N, "chains")
+    if family.n is not None and family.n > max_n:
+        raise _UsageError(f"{what} are limited to n <= {max_n}, got {family.n}")
     explicit = args.a is not None or args.b is not None
     if explicit and args.convergent is not None:
         raise _UsageError("give either --a/--b or --convergent, not both")
@@ -377,16 +411,21 @@ def _resolve_figure(args, drawn: bool = True) -> tuple[DescentFamily, int, int]:
             raise _UsageError("--a and --b must be given together")
         if args.a < 1 or args.b < 1:
             raise _UsageError("--a and --b must be positive")
-        return family, args.a, args.b
-    if args.convergent is None:
-        raise _UsageError("need --a/--b or --convergent")
-    if args.convergent < 1:
-        raise _UsageError("--convergent counts from 1")
-    try:
-        conv = convergents(family.radicand, args.convergent)[args.convergent - 1]
-    except SquareRadicand as exc:
-        raise _UsageError(str(exc))
-    return family, conv.p, conv.q
+        a, b = args.a, args.b
+    else:
+        if args.convergent is None:
+            raise _UsageError("need --a/--b or --convergent")
+        if not 1 <= args.convergent <= MAX_CONVERGENT:
+            raise _UsageError(f"--convergent counts from 1 to {MAX_CONVERGENT}, got {args.convergent}")
+        try:
+            conv = convergents(family.radicand, args.convergent)[args.convergent - 1]
+        except SquareRadicand as exc:
+            raise _UsageError(str(exc))
+        a, b = conv.p, conv.q
+    bits = max(a, b).bit_length()
+    if bits > max_bits:
+        raise _UsageError(f"pairs are limited to {max_bits} bits, got {bits}")
+    return family, a, b
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
@@ -451,8 +490,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_chain(args) -> int:
     family, a, b = _resolve_figure(args, drawn=False)
-    if args.max_steps < 0:
-        raise _UsageError("--max-steps must be nonnegative")
+    if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
+        raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     run = build_chain_run(family, a, b, args.max_steps)
     print(f"family {family.title}  start ({a}, {b})")
     for i, s in enumerate(run["steps"], start=1):
@@ -505,7 +544,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_svg(args) -> int:
-    family, a, b = _resolve_figure(args)
+    family, a, b = _resolve_figure(args, max_bits=MAX_SVG_BITS)
     try:
         arr = build_arrangement(family, a, b)
     except OutOfWindow as exc:

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import window_convergents
 from irrgeo.descent import (
+    _MAPS,
+    _Map,
     BadIndex,
     DescentFamily,
     FamilyKind,
@@ -65,6 +67,15 @@ def test_step_examples():
     assert s.multiplier == 6
 
 
+def _stdout_under_python_O(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    return proc.stdout, proc.stderr
+
+
 def test_step_defect_check_survives_python_O():
     # a wrong multiplier must still be caught when -O strips asserts
     code = (
@@ -75,12 +86,8 @@ def test_step_defect_check_survives_python_O():
         "except AssertionError:\n"
         "    print(__debug__, 'raised')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.stdout == "False raised\n", proc.stderr
+    out, err = _stdout_under_python_O(code)
+    assert out == "False raised\n", err
 
 
 def test_step_accepts_out_of_window_and_non_coprime():
@@ -105,6 +112,59 @@ def test_defect_multiplier_closed_forms():
         assert defect_multiplier(DescentFamily.triangular(n)) == Fraction(n * (n - 1), 2)
     for n in range(3, 22, 2):
         assert defect_multiplier(DescentFamily.triangular(n)) == Fraction((1 - n) * (n + 1), 4)
+
+
+def _reference_multiplier(family):
+    """The multiplier derived symbolically, as defect_multiplier once did:
+    expand both squares as bivariate forms and read m off, checking that
+    the cross term cancels and the b**2 coefficient matches -m*N."""
+    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    num = BiForm.linear(ca, cb)
+    den = BiForm.linear(da, db)
+    out = num * num - big_n * (den * den)
+    m = out.coeff(2, 0)
+    assert out == BiForm({(2, 0): m, (0, 2): -m * big_n}), family
+    return m
+
+
+def test_defect_multiplier_matches_symbolic_reference():
+    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+        DescentFamily.triangular(n) for n in range(2, 301)
+    ]
+    for family in families:
+        m = defect_multiplier(family)
+        assert type(m) is Fraction
+        assert m == _reference_multiplier(family), family
+
+
+# sqrt2 forms whose defect is no multiple of a**2 - 2*b**2, each failing
+# one check: a' = a + 4b, b' = 3b gives a**2 + 8ab - 2b**2, whose b**2
+# term fits m = 1 but whose cross term does not vanish; a' = 2a, b' = b
+# gives 4a**2 - 2b**2, whose b**2 term is not -4*2
+_BAD_SQRT2_FORMS = (((1, 4), (0, 3)), ((2, 0), (0, 1)))
+
+
+def test_defect_multiplier_rejects_non_multiple_forms(monkeypatch):
+    for num, den in _BAD_SQRT2_FORMS:
+        monkeypatch.setitem(_MAPS, FamilyKind.SQRT2, lambda n, m=_Map(2, num, den): m)
+        with pytest.raises(AssertionError, match="not a multiple"):
+            defect_multiplier(DescentFamily.sqrt2())
+        with pytest.raises(AssertionError):
+            descent_step(DescentFamily.sqrt2(), 7, 5)
+
+
+def test_defect_multiplier_rejection_survives_python_O():
+    code = (
+        "import irrgeo.descent as d\n"
+        f"for num, den in {_BAD_SQRT2_FORMS!r}:\n"
+        "    d._MAPS[d.FamilyKind.SQRT2] = lambda n, m=d._Map(2, num, den): m\n"
+        "    try:\n"
+        "        d.defect_multiplier(d.DescentFamily.sqrt2())\n"
+        "    except AssertionError:\n"
+        "        print(__debug__, 'raised')\n"
+    )
+    out, err = _stdout_under_python_O(code)
+    assert out == "False raised\n" * 2, err
 
 
 def test_defect_multiplier_random_pairs():

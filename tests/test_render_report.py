@@ -160,6 +160,53 @@ def test_cli_figure_size_limit(capsys, tmp_path):
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_cli_rejects_oversized_integers(capsys, tmp_path):
+    # CPython prints no int of more than 4300 digits; each of these once
+    # ended in that ValueError, or in a float overflow for the SVG
+    big = ["--a", str(10**4000 + 7), "--b", str(7 * 10**3999 + 1)]
+    svg = ["--out", str(tmp_path / "x.svg")]
+    refused = {
+        "--convergent counts from 1 to 2048, got 12000": [
+            ["verify", "--family", "sqrt2", "--convergent", "12000"],
+        ],
+        "--convergent counts from 1 to 2048, got 6000": [
+            ["chain", "--family", "triangular", "--n", "5", "--convergent", "6000", "--max-steps", "20000"],
+        ],
+        "pairs are limited to 4096 bits, got 13288": [
+            ["census", "--family", "sqrt2", *big],
+            ["verify", "--family", "sqrt2", *big],
+            ["chain", "--family", "sqrt2", *big, "--max-steps", "3"],
+        ],
+        # convergent 1562 of sqrt(10) is the first with 4097 bits
+        "pairs are limited to 4096 bits, got 4097": [
+            ["chain", "--family", "triangular", "--n", "4", "--convergent", "1562"],
+        ],
+        "pairs are limited to 1000 bits, got 1001": [["svg", "--family", "sqrt2", "--convergent", "788", *svg]],
+        "chains are limited to n <= 4294967296, got 4294967297": [
+            ["chain", "--family", "triangular", "--n", "4294967297", "--a", "3", "--b", "2"],
+        ],
+        "--max-steps must be in 0..10000, got 10001": [
+            ["chain", "--family", "sqrt2", "--a", "3", "--b", "2", "--max-steps", "10001"],
+        ],
+    }
+    for message, argvs in refused.items():
+        for argv in argvs:
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert (captured.out, captured.err) == ("", f"usage error: {message}\n"), argv
+    assert not (tmp_path / "x.svg").exists()
+    # the largest accepted inputs still run
+    accepted = [
+        ["chain", "--family", "triangular", "--n", "4", "--convergent", "1561", "--max-steps", "10000"],
+        ["chain", "--family", "triangular", "--n", "4294967296", "--a", "3", "--b", "2"],
+        ["svg", "--family", "sqrt2", "--convergent", "787", *svg],
+    ]
+    for argv in accepted:
+        assert cli_main(argv) == 0, argv
+    assert "stop: no_decrease after 2644 steps" in capsys.readouterr().out
+
+
 def test_cli_census(capsys):
     code = cli_main(["census", "--family", "hex6", "--a", "5", "--b", "2"])
     stdout = capsys.readouterr().out
