@@ -134,7 +134,8 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     m = defect_multiplier(family)
     d_in = a * a - big_n * b * b
     d_out = a_out * a_out - big_n * b_out * b_out
-    if d_out != m * d_in:
+    # m must be integral; multiplying by its numerator skips a Fraction product
+    if m.denominator != 1 or d_out != m.numerator * d_in:
         raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
     return DescentStep(
         family=family,

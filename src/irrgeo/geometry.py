@@ -7,11 +7,16 @@ intersections, areas, and the full coverage census are exact; converting
 a lattice area to a true area only ever multiplies by 1 or sqrt(3)/2 and
 is never needed inside an identity.
 
+Every polygon carries its coordinates as integers over one least common
+denominator (den and ints), and all geometry reads those integers:
+convexity, areas, bounding boxes, containment, edge lengths, equality and
+clipping.  Fractions are only the public face: vertices turns the
+integers back into Fractions when it is first read.
+
 Clipping stays exact without rational arithmetic: both polygons are
-scaled by one common denominator of their coordinates, clipped in
+scaled to the least common multiple of their denominators and clipped in
 homogeneous integer coordinates (x, y, w) with w > 0, each point reduced
-by the gcd of its three entries, and only the surviving vertices are
-turned back into Fractions.
+by the gcd of its three entries.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .descent import DescentFamily, FamilyKind
 from .number_theory import is_perfect_square
@@ -66,83 +71,138 @@ def _pt(u, v) -> LatticePoint:
     return LatticePoint(Fraction(u), Fraction(v))
 
 
-def _cross(ox: Fraction, oy: Fraction, ax: Fraction, ay: Fraction) -> Fraction:
-    return ox * ay - oy * ax
+_IntPoint = tuple[int, int]
 
 
-@dataclass(frozen=True)
+def _times(x: Fraction, den: int) -> int:
+    """x * den, for a den that x's denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def _sq_length(basis: str, du, dv):
+    """Squared Euclidean length of the lattice vector (du, dv)."""
+    if basis == ORTHOGONAL:
+        return du * du + dv * dv
+    return du * du + du * dv + dv * dv
+
+
+@dataclass(frozen=True, init=False)
 class LatticePolygon:
     """Strictly convex counter-clockwise polygon in lattice coordinates.
 
-    Vertices are canonicalized to start at the lexicographically smallest
-    point, so structural equality is equality of point sets.
+    den is the least common denominator of the coordinates and ints the
+    vertices times den, starting at the lexicographically smallest point.
+    Both are canonical, so structural equality is equality of point sets.
+    vertices gives the same points as Fractions.
     """
 
-    vertices: tuple[LatticePoint, ...]
     basis: str
+    den: int
+    ints: tuple[_IntPoint, ...]
 
-    def __post_init__(self) -> None:
-        if self.basis not in (ORTHOGONAL, TRIANGULAR):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        pts = tuple(LatticePoint(Fraction(p[0]), Fraction(p[1])) for p in self.vertices)
-        if len(pts) < 3:
-            raise ValueError(f"need at least 3 vertices, got {len(pts)}")
-        k = len(pts)
-        for i in range(k):
-            p0, p1, p2 = pts[i], pts[(i + 1) % k], pts[(i + 2) % k]
-            turn = _cross(p1.u - p0.u, p1.v - p0.v, p2.u - p1.u, p2.v - p1.v)
-            if turn <= 0:
+    def __init__(self, vertices: Iterable, basis: str) -> None:
+        pts = [(Fraction(u), Fraction(v)) for u, v in vertices]
+        den = lcm(*(x.denominator for p in pts for x in p))
+        self._settle([(_times(u, den), _times(v, den)) for u, v in pts], den, basis)
+
+    @classmethod
+    def _of_ints(cls, ints: list[_IntPoint], den: int, basis: str) -> "LatticePolygon":
+        """The polygon with vertices ints/den (den > 0), reduced to the
+        least common denominator and validated like any other."""
+        g = gcd(den, *(c for p in ints for c in p))
+        poly = cls.__new__(cls)
+        poly._settle([(x // g, y // g) for x, y in ints], den // g, basis)
+        return poly
+
+    def _settle(self, ints: list[_IntPoint], den: int, basis: str) -> None:
+        if basis not in (ORTHOGONAL, TRIANGULAR):
+            raise ValueError(f"unknown basis {basis!r}")
+        if len(ints) < 3:
+            raise ValueError(f"need at least 3 vertices, got {len(ints)}")
+        for (x0, y0), (x1, y1), (x2, y2) in zip(ints[-2:] + ints[:-2], ints[-1:] + ints[:-1], ints):
+            if (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1) <= 0:
                 raise ValueError("vertices must be strictly convex counter-clockwise")
-        start = min(range(k), key=lambda i: pts[i])
-        object.__setattr__(self, "vertices", pts[start:] + pts[:start])
+        start = ints.index(min(ints))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", tuple(ints[start:] + ints[:start]))
+
+    @cached_property
+    def vertices(self) -> tuple[LatticePoint, ...]:
+        den = self.den
+        return tuple(LatticePoint(Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
 
     def edges(self) -> Iterator[tuple[LatticePoint, LatticePoint]]:
         k = len(self.vertices)
         for i in range(k):
             yield self.vertices[i], self.vertices[(i + 1) % k]
 
+    def _shoelace(self) -> int:
+        """Twice the area times den**2."""
+        pts = self.ints
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+
     @property
     def lattice_area(self) -> Fraction:
-        return _shoelace2(self.vertices) / 2
+        return Fraction(self._shoelace(), 2 * self.den * self.den)
+
+    def _box(self) -> tuple[int, int, int, int]:
+        """The bounding box times den."""
+        xs = [x for x, _ in self.ints]
+        ys = [y for _, y in self.ints]
+        return (min(xs), max(xs), min(ys), max(ys))
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        us = [p.u for p in self.vertices]
-        vs = [p.v for p in self.vertices]
-        return (min(us), max(us), min(vs), max(vs))
+        return tuple(Fraction(c, self.den) for c in self._box())
+
+    def _covers(self, points: list[_IntPoint], den: int) -> bool:
+        """Closed containment of points/den; self.den divides den."""
+        k = den // self.den
+        corners = [(x * k, y * k) for x, y in self.ints]
+        for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+            ex, ey = bx - ax, by - ay
+            if any(ex * (y - ay) - ey * (x - ax) < 0 for x, y in points):
+                return False
+        return True
 
     def contains_point(self, p: LatticePoint) -> bool:
         """Closed containment: boundary counts as inside."""
-        return all(
-            _cross(b.u - a.u, b.v - a.v, p.u - a.u, p.v - a.v) >= 0 for a, b in self.edges()
-        )
+        u, v = Fraction(p.u), Fraction(p.v)
+        den = lcm(self.den, u.denominator, v.denominator)
+        return self._covers([(_times(u, den), _times(v, den))], den)
 
     def contains_polygon(self, other: "LatticePolygon") -> bool:
         if other.basis != self.basis:
             raise BasisMismatch(f"{self.basis} vs {other.basis}")
-        return all(self.contains_point(p) for p in other.vertices)
+        den = lcm(self.den, other.den)
+        k = den // other.den
+        return self._covers([(x * k, y * k) for x, y in other.ints], den)
 
     def translated(self, du, dv) -> "LatticePolygon":
         du, dv = Fraction(du), Fraction(dv)
-        return LatticePolygon(
-            tuple(LatticePoint(p.u + du, p.v + dv) for p in self.vertices), self.basis
+        den = lcm(self.den, du.denominator, dv.denominator)
+        k = den // self.den
+        su, sv = _times(du, den), _times(dv, den)
+        return LatticePolygon._of_ints(
+            [(x * k + su, y * k + sv) for x, y in self.ints], den, self.basis
         )
 
+    def _sq(self, i: int, j: int) -> int:
+        """den**2 times the squared length from vertex i to vertex j."""
+        (x0, y0), (x1, y1) = self.ints[i], self.ints[j]
+        return _sq_length(self.basis, x1 - x0, y1 - y0)
 
-def _shoelace2(pts: tuple[LatticePoint, ...]) -> Fraction:
-    total = Fraction(0)
-    k = len(pts)
-    for i in range(k):
-        p, q = pts[i], pts[(i + 1) % k]
-        total += p.u * q.v - q.u * p.v
-    return total
+    def _edge_sqs(self) -> list[int]:
+        """den**2 times each edge's squared length, edge i leaving vertex i."""
+        k = len(self.ints)
+        return [self._sq(i, (i + 1) % k) for i in range(k)]
 
 
-def edge_sq_length(basis: str, p: LatticePoint, q: LatticePoint) -> Fraction:
-    """Squared Euclidean length of the segment p-q under the basis metric."""
-    du, dv = q.u - p.u, q.v - p.v
-    if basis == ORTHOGONAL:
-        return du * du + dv * dv
-    return du * du + du * dv + dv * dv
+def _area_sum(polys: Iterable[LatticePolygon]) -> Fraction:
+    """Total lattice area, summed in integers over one common denominator."""
+    polys = list(polys)
+    den = lcm(*(p.den for p in polys))
+    return Fraction(sum(p._shoelace() * (den // p.den) ** 2 for p in polys), 2 * den * den)
 
 
 def fraction_sqrt(x: Fraction) -> Fraction:
@@ -157,42 +217,48 @@ def fraction_sqrt(x: Fraction) -> Fraction:
 
 def polygon_side(poly: LatticePolygon) -> Fraction:
     """Common side length of an equilateral polygon; ValueError otherwise."""
-    qs = {edge_sq_length(poly.basis, a, b) for a, b in poly.edges()}
+    d2 = poly.den * poly.den
+    qs = set(poly._edge_sqs())
     if len(qs) != 1:
-        raise ValueError(f"edges have unequal lengths: {sorted(qs)}")
-    return fraction_sqrt(qs.pop())
+        raise ValueError(f"edges have unequal lengths: {sorted(Fraction(q, d2) for q in qs)}")
+    return fraction_sqrt(Fraction(qs.pop(), d2))
 
 
-def _diag_sqs(poly: LatticePolygon) -> set[Fraction]:
-    v = poly.vertices
-    return {
-        edge_sq_length(poly.basis, v[0], v[2]),
-        edge_sq_length(poly.basis, v[1], v[3]),
-    }
+def _side_sq(poly: LatticePolygon, side: Fraction) -> Optional[int]:
+    """den**2 * side**2, or None when side*den is not an integer: a
+    segment between two of poly's vertices has length side only if it is."""
+    scaled = side * poly.den
+    return scaled.numerator**2 if scaled.denominator == 1 else None
+
+
+def _sides_are(poly: LatticePolygon, s2: Optional[int]) -> bool:
+    """Every edge of poly squares to s2 over den**2."""
+    return s2 is not None and all(q == s2 for q in poly._edge_sqs())
+
+
+def _diag_sqs(poly: LatticePolygon) -> list[int]:
+    return sorted((poly._sq(0, 2), poly._sq(1, 3)))
 
 
 def is_equilateral_triangle(poly: LatticePolygon, side: Fraction) -> bool:
-    if len(poly.vertices) != 3 or poly.basis != TRIANGULAR:
+    if len(poly.ints) != 3 or poly.basis != TRIANGULAR:
         return False
-    return all(edge_sq_length(poly.basis, a, b) == side * side for a, b in poly.edges())
+    return _sides_are(poly, _side_sq(poly, side))
 
 
 def is_square(poly: LatticePolygon, side: Fraction) -> bool:
-    if len(poly.vertices) != 4 or poly.basis != ORTHOGONAL:
+    if len(poly.ints) != 4 or poly.basis != ORTHOGONAL:
         return False
-    if any(edge_sq_length(poly.basis, a, b) != side * side for a, b in poly.edges()):
-        return False
-    return _diag_sqs(poly) == {2 * side * side}
+    s2 = _side_sq(poly, side)
+    return _sides_are(poly, s2) and _diag_sqs(poly) == [2 * s2, 2 * s2]
 
 
 def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
     """60-degree rhombus: four equal sides, diagonals side and side*sqrt(3)."""
-    if len(poly.vertices) != 4 or poly.basis != TRIANGULAR:
+    if len(poly.ints) != 4 or poly.basis != TRIANGULAR:
         return False
-    s2 = side * side
-    if any(edge_sq_length(poly.basis, a, b) != s2 for a, b in poly.edges()):
-        return False
-    return _diag_sqs(poly) == {s2, 3 * s2}
+    s2 = _side_sq(poly, side)
+    return _sides_are(poly, s2) and _diag_sqs(poly) == [s2, 3 * s2]
 
 
 # In a clip over the common denominator den, the homogeneous point
@@ -218,18 +284,16 @@ def _tidy(points: list[_Homogeneous], den: int, basis: str) -> Optional[LatticeP
         pts.pop()
     if len(pts) < 3:
         return None
-    return LatticePolygon(
-        tuple(LatticePoint(Fraction(x, w * den), Fraction(y, w * den)) for x, y, w in pts),
-        basis,
+    w_all = lcm(*(w for _, _, w in pts))
+    return LatticePolygon._of_ints(
+        [(x * (w_all // w), y * (w_all // w)) for x, y, w in pts], den * w_all, basis
     )
 
 
 def _scaled(poly: LatticePolygon, den: int) -> list[_Homogeneous]:
-    """poly's vertices times den, which every coordinate denominator divides."""
-    return [
-        (u.numerator * (den // u.denominator), v.numerator * (den // v.denominator), 1)
-        for u, v in poly.vertices
-    ]
+    """poly's vertices times den, which poly.den divides."""
+    k = den // poly.den
+    return [(x * k, y * k, 1) for x, y in poly.ints]
 
 
 def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePolygon]:
@@ -237,13 +301,12 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
 
     Clips p successively by each half-plane of q (Sutherland-Hodgman);
     contacts along an edge or at a vertex collapse to None.  Both polygons
-    are scaled by one common denominator and clipped in gcd-reduced
-    homogeneous integers, so no rational arithmetic runs until the
-    surviving vertices are turned back into Fractions.
+    are scaled to the least common multiple of their denominators and
+    clipped in gcd-reduced homogeneous integers.
     """
     if p.basis != q.basis:
         raise BasisMismatch(f"{p.basis} vs {q.basis}")
-    den = lcm(*(x.denominator for poly in (p, q) for pt in poly.vertices for x in pt))
+    den = lcm(p.den, q.den)
     pts = _scaled(p, den)
     corners = _scaled(q, den)
     for (a0u, a0v, _), (a1u, a1v, _) in zip(corners, corners[1:] + corners[:1]):
@@ -520,7 +583,8 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     sub-triples are all present is clipped and must come out empty.
     """
     smalls = arr.smalls
-    boxes = [s.bbox() for s in smalls]
+    den = lcm(*(s.den for s in smalls))
+    boxes = [tuple(c * (den // s.den) for c in s._box()) for s in smalls]
     k = len(smalls)
 
     pairs: dict[tuple[int, int], LatticePolygon] = {}
@@ -548,9 +612,9 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
                     raise DepthExceeded(f"smalls {i}, {j}, {m}, {w} share interior points")
 
     big_area = arr.big.lattice_area
-    total_small = sum((s.lattice_area for s in smalls), Fraction(0))
-    pair_sum = sum((r.lattice_area for r in pairs.values()), Fraction(0))
-    triple_sum = sum((r.lattice_area for r in triples.values()), Fraction(0))
+    total_small = _area_sum(smalls)
+    pair_sum = _area_sum(pairs.values())
+    triple_sum = _area_sum(triples.values())
     union = total_small - pair_sum + triple_sum
     blank = big_area - union
     exactly3 = triple_sum
@@ -610,11 +674,7 @@ def verify_figure(arr: Arrangement, census: CoverageCensus) -> FigureReport:
     overlaps = census.distinct_pair_regions + tuple(
         r for r in census.distinct_triple_regions if r not in pair_set
     )
-    sides_ok = sum(
-        1
-        for r in overlaps
-        if all(edge_sq_length(r.basis, p, q) == t * t for p, q in r.edges())
-    )
+    sides_ok = sum(1 for r in overlaps if _sides_are(r, _side_sq(r, t)))
     shape_ok = sum(1 for r in overlaps if fig.overlap_shape(r, t))
     big_n = arr.family.radicand
     balance = -fig.big_unit * (arr.a * arr.a - big_n * arr.b * arr.b)

@@ -389,6 +389,10 @@ MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
 MAX_SVG_BITS = 1000
+# range --n-max checks every n from 2 up, factoring each T_n; n-max =
+# 10000 takes about 3 s (4 s and 92 MB peak with --json) on one Xeon core
+# under CPython 3.11.
+MAX_RANGE_N = 10_000
 
 
 def _resolve_figure(
@@ -509,8 +513,8 @@ def _cmd_range(args) -> int:
     if args.n is not None:
         raise _UsageError("range takes --n-max, not --n")
     sweep = args.n_max is not None
-    if sweep and args.n_max < 2:
-        raise _UsageError("--n-max must be at least 2")
+    if sweep and not 2 <= args.n_max <= MAX_RANGE_N:
+        raise _UsageError(f"--n-max must be in 2..{MAX_RANGE_N}, got {args.n_max}")
     indices = range(2, args.n_max + 1) if sweep else [None]
     runs = []
     verdicts: dict[str, list[str]] = {"works": [], "fails": []}

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,7 +24,6 @@ from irrgeo.geometry import (
     census_to_descent,
     convex_intersection,
     coverage_census,
-    edge_sq_length,
     fraction_sqrt,
     is_equilateral_triangle,
     is_square,
@@ -31,6 +31,7 @@ from irrgeo.geometry import (
     polygon_side,
     verify_figure,
     window_inequalities,
+    _sq_length,
 )
 
 
@@ -71,11 +72,15 @@ def test_calibration_unit_shapes():
 
 def test_edge_metric():
     p0 = LatticePoint(Fraction(0), Fraction(0))
-    assert edge_sq_length(TRIANGULAR, p0, LatticePoint(Fraction(1), Fraction(0))) == 1
-    assert edge_sq_length(TRIANGULAR, p0, LatticePoint(Fraction(0), Fraction(1))) == 1
-    assert edge_sq_length(TRIANGULAR, p0, LatticePoint(Fraction(1), Fraction(-1))) == 1
-    assert edge_sq_length(TRIANGULAR, p0, LatticePoint(Fraction(1), Fraction(1))) == 3
-    assert edge_sq_length(ORTHOGONAL, p0, LatticePoint(Fraction(3), Fraction(4))) == 25
+    for basis, u, v, expected in (
+        (TRIANGULAR, 1, 0, 1),
+        (TRIANGULAR, 0, 1, 1),
+        (TRIANGULAR, 1, -1, 1),
+        (TRIANGULAR, 1, 1, 3),
+        (ORTHOGONAL, 3, 4, 25),
+    ):
+        assert _sq_length(basis, u, v) == expected
+        assert _ref_edge_sq(basis, p0, LatticePoint(Fraction(u), Fraction(v))) == expected
 
 
 def test_polygon_validation():
@@ -101,6 +106,23 @@ def test_polygon_validation():
         )
     with pytest.raises(ValueError):
         LatticePolygon(tri(0, 0, 1).vertices, "polar")
+    with pytest.raises(ValueError):
+        LatticePolygon(tri(0, 0, 1).vertices[:2], TRIANGULAR)
+    # the from-integers constructor behind clips and translations rejects
+    # the same inputs, also after reducing them to their least denominator
+    for den in (1, 6):
+        for ints in (
+            [(0, 0)],
+            [(0, 0), (2, 0)],
+            [(0, 0), (2, 0), (4, 0)],  # collinear
+            [(0, 0), (0, 2), (2, 0)],  # clockwise
+            [(0, 0), (2, 0), (2, 0), (0, 2)],  # repeated vertex
+            [(0, 0), (2, 0), (2, 2), (4, 2), (0, 2)],  # reflex vertex
+        ):
+            with pytest.raises(ValueError):
+                LatticePolygon._of_ints(ints, den, ORTHOGONAL)
+    with pytest.raises(ValueError):
+        LatticePolygon._of_ints([(0, 0), (2, 0), (0, 2)], 6, "polar")
 
 
 def test_polygon_canonical_rotation():
@@ -332,13 +354,120 @@ def test_intersection_matches_fraction_reference_on_2000_pairs():
         if rng.random() < 0.5:
             p, q = q, p
         expected = _ref_intersection(p, q)
-        assert convex_intersection(p, q) == expected, (relation, p, q)
+        got = convex_intersection(p, q)
+        assert got == expected, (relation, p, q)
+        if got is not None:
+            # a clip result is the canonical polygon of its own vertices
+            again = LatticePolygon(got.vertices, basis)
+            assert got == again and hash(got) == hash(again), (relation, p, q)
         tally = misses if expected is None else hits
         tally[relation] = tally.get(relation, 0) + 1
     # every relation is exercised, and each gives the outcome it must
     assert set(hits) == {"overlap", "identical", "nested"}
     assert set(misses) == {"overlap", "disjoint", "shared_edge", "vertex_contact"}
     assert min(hits.values()) >= 100 and min(misses.values()) >= 100
+
+
+# Reference geometry: the Fraction formulas LatticePolygon computed with
+# before it kept integer coordinates over one denominator.
+
+
+def _ref_turns(pts):
+    k = len(pts)
+    for i in range(k):
+        p0, p1, p2 = pts[i], pts[(i + 1) % k], pts[(i + 2) % k]
+        yield _ref_cross(p1.u - p0.u, p1.v - p0.v, p2.u - p1.u, p2.v - p1.v)
+
+
+def _ref_is_convex(pts) -> bool:
+    return len(pts) >= 3 and all(turn > 0 for turn in _ref_turns(pts))
+
+
+def _ref_area(pts) -> Fraction:
+    return sum((p.u * q.v - q.u * p.v for p, q in zip(pts, pts[1:] + pts[:1])), Fraction(0)) / 2
+
+
+def _ref_bbox(pts):
+    us = [p.u for p in pts]
+    vs = [p.v for p in pts]
+    return (min(us), max(us), min(vs), max(vs))
+
+
+def _ref_contains_point(pts, p) -> bool:
+    return all(
+        _ref_cross(b.u - a.u, b.v - a.v, p.u - a.u, p.v - a.v) >= 0
+        for a, b in zip(pts, pts[1:] + pts[:1])
+    )
+
+
+def _ref_edge_sq(basis, p, q) -> Fraction:
+    du, dv = q.u - p.u, q.v - p.v
+    if basis == ORTHOGONAL:
+        return du * du + dv * dv
+    return du * du + du * dv + dv * dv
+
+
+def test_integer_core_matches_fraction_reference():
+    rng = random.Random(20241018)
+    inside = {True: 0, False: 0}
+    for _ in range(600):
+        basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+        bits = rng.choice((2, 4, 8, 32, 64, 128, 200))
+        p = _oracle_polygon(rng, basis, bits)
+        relation, q = _oracle_partner(rng, p, bits)
+        for poly in (p, q):
+            v = poly.vertices
+            assert poly.den == lcm(*(x.denominator for pt in v for x in pt))
+            assert poly.lattice_area == _ref_area(v)
+            assert poly.bbox() == _ref_bbox(v)
+            d2 = poly.den * poly.den
+            assert [Fraction(q2, d2) for q2 in poly._edge_sqs()] == [
+                _ref_edge_sq(basis, a, b) for a, b in zip(v, v[1:] + v[:1])
+            ]
+        pv = p.vertices
+        expected = all(_ref_contains_point(pv, c) for c in q.vertices)
+        assert p.contains_polygon(q) == expected, (relation, p, q)
+        inside[expected] += 1
+        edge_mids = [
+            LatticePoint((a.u + b.u) / 2, (a.v + b.v) / 2) for a, b in zip(pv, pv[1:] + pv[:1])
+        ]
+        near = [LatticePoint(_oracle_frac(rng, bits), _oracle_frac(rng, bits)) for _ in range(4)]
+        for c in q.vertices + pv + tuple(edge_mids + near):
+            assert p.contains_point(c) == _ref_contains_point(pv, c), (p, c)
+        # validation: a reversed or shuffled polygon is refused exactly
+        # when the reference finds a turn that is not strictly left
+        for pts in (pv[::-1], tuple(rng.sample(pv, len(pv)))):
+            if _ref_is_convex(pts):
+                LatticePolygon(pts, basis)
+            else:
+                with pytest.raises(ValueError):
+                    LatticePolygon(pts, basis)
+    assert min(inside.values()) >= 100
+
+
+def test_one_point_set_is_one_polygon():
+    rng = random.Random(11)
+    for _ in range(400):
+        basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+        bits = rng.choice((2, 8, 64, 200))
+        p = _oracle_polygon(rng, basis, bits)
+        v, k = p.vertices, rng.randrange(2, 2**bits + 2)
+        i = rng.randrange(len(v))
+        assert LatticePolygon(v, basis).vertices == v
+        scaled = [(x * k, y * k) for x, y in p.ints[i:] + p.ints[:i]]
+        forms = (
+            LatticePolygon(v[i:] + v[:i], basis),
+            LatticePolygon([(Fraction(x, p.den * k), Fraction(y, p.den * k)) for x, y in scaled], basis),
+            LatticePolygon._of_ints(scaled, p.den * k, basis),
+            p.translated(0, 0),
+        )
+        for form in forms:
+            assert form == p and hash(form) == hash(p) and form.vertices == v
+        # with integer coordinates, plain ints give the same polygon
+        whole = LatticePolygon(p.ints[i:] + p.ints[:i], basis)
+        as_fractions = LatticePolygon([(Fraction(x), Fraction(y)) for x, y in p.ints], basis)
+        assert whole == as_fractions and hash(whole) == hash(as_fractions) and whole.den == 1
+        assert whole == LatticePolygon._of_ints(scaled, k, basis)
 
 
 def test_window_inequalities_names():

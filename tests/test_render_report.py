@@ -188,6 +188,13 @@ def test_cli_rejects_oversized_integers(capsys, tmp_path):
         "--max-steps must be in 0..10000, got 10001": [
             ["chain", "--family", "sqrt2", "--a", "3", "--b", "2", "--max-steps", "10001"],
         ],
+        # range used to run every n up to any --n-max
+        "--n-max must be in 2..10000, got 10001": [
+            ["range", "--family", "triangular", "--n-max", "10001"],
+        ],
+        f"--n-max must be in 2..10000, got {10**40}": [
+            ["range", "--family", "triangular", "--n-max", str(10**40)],
+        ],
     }
     for message, argvs in refused.items():
         for argv in argvs:
