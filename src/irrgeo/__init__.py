@@ -23,13 +23,7 @@ from .descent import (
     symbolic_ratio_check,
     verify_eq1,
 )
-from .exact_arith import (
-    BiForm,
-    DegreeOverflow,
-    RadicandMismatch,
-    Surd,
-    biform_reduce,
-)
+from .exact_arith import RadicandMismatch, Surd
 from .geometry import (
     Arrangement,
     BasisMismatch,
@@ -71,12 +65,10 @@ __all__ = [
     "Arrangement",
     "BadIndex",
     "BasisMismatch",
-    "BiForm",
     "ChainResult",
     "Convergent",
     "CoverageCensus",
     "DegenerateDenominator",
-    "DegreeOverflow",
     "DepthExceeded",
     "DescentFamily",
     "DescentStep",
@@ -94,7 +86,6 @@ __all__ = [
     "Surd",
     "SvgScene",
     "TRIANGULAR",
-    "biform_reduce",
     "build_arrangement",
     "build_hexagon6",
     "build_tennenbaum",

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_arith import BiForm, Surd
+from .exact_arith import Surd
 from .number_theory import triangular
 
 
@@ -116,7 +116,7 @@ class DescentStep:
     pair_out: tuple[int, int]
     defect_in: int
     defect_out: int
-    multiplier: Fraction
+    multiplier: int
 
 
 def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
@@ -134,8 +134,7 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     m = defect_multiplier(family)
     d_in = a * a - big_n * b * b
     d_out = a_out * a_out - big_n * b_out * b_out
-    # m must be integral; multiplying by its numerator skips a Fraction product
-    if m.denominator != 1 or d_out != m.numerator * d_in:
+    if d_out != m * d_in:
         raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
     return DescentStep(
         family=family,
@@ -147,33 +146,40 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     )
 
 
-def defect_multiplier(family: DescentFamily) -> Fraction:
+def _square_difference(c, p, q, d, r, s) -> tuple:
+    """The coefficients of a**2, a*b and b**2 in
+    c*(p*a + q*b)**2 - d*(r*a + s*b)**2."""
+    return c * p * p - d * r * r, 2 * (c * p * q - d * r * s), c * q * q - d * s * s
+
+
+def defect_multiplier(family: DescentFamily) -> int:
     """The constant m with a'**2 - N*b'**2 == m * (a**2 - N*b**2).
 
-    Read off the integer coefficients: (ca*a + cb*b)**2 - N*(da*a + db*b)**2
-    has a**2 coefficient ca**2 - N*da**2, which is m, a*b coefficient
-    2*(ca*cb - N*da*db), which must vanish, and b**2 coefficient
-    cb**2 - N*db**2, which must be -m*N.
+    Read off the integer coefficients of (ca*a + cb*b)**2 - N*(da*a + db*b)**2:
+    its a**2 coefficient is m, its a*b coefficient must vanish and its
+    b**2 coefficient must be -m*N.
     """
     big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
-    m = ca * ca - big_n * da * da
-    if ca * cb != big_n * da * db or cb * cb - big_n * db * db != -m * big_n:
+    m, ab, bb = _square_difference(1, ca, cb, big_n, da, db)
+    if ab != 0 or bb != -m * big_n:
         raise AssertionError(f"defect of {family} is not a multiple of a^2 - N*b^2")
-    return Fraction(m)
+    return m
 
 
 @dataclass(frozen=True)
 class Eq1Certificate:
     """Symbolic witness for the area identity behind the triangular figure.
 
-    difference holds (n+1)*(n*b - a)**2 - (n/2)*(2*a - (n+1)*b)**2 as a
-    bivariate form; ok records that it equals cofactor * (a**2 - T_n*b**2),
-    so the identity holds exactly when a**2 == T_n * b**2.
+    difference holds the coefficients of a**2, a*b and b**2 in
+    (n+1)*(n*b - a)**2 - (n/2)*(2*a - (n+1)*b)**2; ok records that they
+    are cofactor * (1, 0, -T_n), the coefficients of
+    cofactor * (a**2 - T_n*b**2), so the identity holds exactly when
+    a**2 == T_n * b**2.
     """
 
     n: int
-    difference: BiForm
-    cofactor: Fraction
+    difference: tuple[Fraction, Fraction, Fraction]
+    cofactor: int
     ok: bool
 
 
@@ -181,13 +187,10 @@ def verify_eq1(n: int) -> Eq1Certificate:
     """Prove (n+1)*(n*b-a)**2 - (n/2)*(2*a-(n+1)*b)**2 == (1-n)*(a**2 - T_n*b**2)."""
     if n < 2:
         raise BadIndex(f"need n >= 2, got {n}")
-    a, b = BiForm.sym_a(), BiForm.sym_b()
-    lhs = (n + 1) * (n * b - a) * (n * b - a)
-    rhs = Fraction(n, 2) * (2 * a - (n + 1) * b) * (2 * a - (n + 1) * b)
-    difference = lhs - rhs
-    cofactor = Fraction(1 - n)
-    target = cofactor * (a * a - triangular(n) * (b * b))
-    return Eq1Certificate(n=n, difference=difference, cofactor=cofactor, ok=difference == target)
+    difference = _square_difference(n + 1, -1, n, Fraction(n, 2), 2, -(n + 1))
+    cofactor = 1 - n
+    ok = difference == (cofactor, 0, -cofactor * triangular(n))
+    return Eq1Certificate(n=n, difference=difference, cofactor=cofactor, ok=ok)
 
 
 def _image_of_root(family: DescentFamily) -> tuple[Surd, Surd, Surd]:

@@ -1,6 +1,5 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals, quadratic surds
-rat + coef*sqrt(radicand) with exact sign decisions, and small bivariate
-polynomial forms used for symbolic identity checks.
+"""Exact scalar arithmetic: quadratic surds rat + coef*sqrt(radicand) over
+arbitrary-precision rationals, with exact sign decisions.
 
 No floating point anywhere; every comparison reduces to integer arithmetic.
 """
@@ -15,10 +14,6 @@ from .number_theory import squarefree_decompose
 
 class RadicandMismatch(ValueError):
     """Arithmetic attempted on surds over different irrational radicands."""
-
-
-class DegreeOverflow(ValueError):
-    """A bivariate form exceeded the supported total degree."""
 
 
 def _sign(x: Fraction) -> int:
@@ -169,139 +164,3 @@ class Surd:
         if self.coef == 0:
             return f"Surd({self.rat})"
         return f"Surd({self.rat} + {self.coef}*sqrt({self.radicand}))"
-
-
-# Total degree cap for bivariate forms; the identities checked here are
-# quadratic, so anything deeper signals a bug.
-MAX_TOTAL_DEGREE = 4
-
-
-class BiForm:
-    """Polynomial in two formal symbols a, b with Fraction coefficients.
-
-    Immutable, sparse, total degree at most MAX_TOTAL_DEGREE.  Equality is
-    coefficient-wise, so identities are proved by subtracting and comparing
-    with zero.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], Fraction | int]):
-        terms = {}
-        for (i, j), c in coeffs.items():
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in {(i, j)}")
-            if i + j > MAX_TOTAL_DEGREE:
-                raise DegreeOverflow(f"total degree {i + j} exceeds {MAX_TOTAL_DEGREE}")
-            c = Fraction(c)
-            if c != 0:
-                terms[(i, j)] = c
-        self._terms = tuple(sorted(terms.items()))
-
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "BiForm":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def zero(cls) -> "BiForm":
-        return cls({})
-
-    @classmethod
-    def sym_a(cls) -> "BiForm":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def sym_b(cls) -> "BiForm":
-        return cls({(0, 1): Fraction(1)})
-
-    @classmethod
-    def linear(cls, ca: Fraction | int, cb: Fraction | int) -> "BiForm":
-        """The form ca*a + cb*b."""
-        return cls({(1, 0): Fraction(ca), (0, 1): Fraction(cb)})
-
-    @property
-    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-        return self._terms
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return dict(self._terms).get((i, j), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "BiForm | Fraction | int") -> "BiForm":
-        if isinstance(other, (int, Fraction)):
-            other = BiForm.constant(other)
-        if not isinstance(other, BiForm):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms:
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiForm(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiForm":
-        return BiForm({key: -c for key, c in self._terms})
-
-    def __sub__(self, other: "BiForm | Fraction | int") -> "BiForm":
-        if isinstance(other, (int, Fraction)):
-            other = BiForm.constant(other)
-        return self.__add__(-other)
-
-    def __rsub__(self, other: "Fraction | int") -> "BiForm":
-        return BiForm.constant(other).__sub__(self)
-
-    def __mul__(self, other: "BiForm | Fraction | int") -> "BiForm":
-        if isinstance(other, (int, Fraction)):
-            return BiForm({key: c * other for key, c in self._terms})
-        if not isinstance(other, BiForm):
-            return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._terms:
-            for (i2, j2), c2 in other._terms:
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiForm(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiForm):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == BiForm.constant(other)._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "BiForm(0)"
-        parts = []
-        for (i, j), c in self._terms:
-            sym = ("a" if i == 1 else f"a^{i}" if i else "") + (
-                "b" if j == 1 else f"b^{j}" if j else ""
-            )
-            parts.append(f"{c}{'*' if sym else ''}{sym}")
-        return "BiForm(" + " + ".join(parts) + ")"
-
-
-def biform_reduce(p: BiForm, n: int) -> BiForm:
-    """Rewrite p modulo the relation a**2 = (n*(n+1)/2) * b**2.
-
-    Every power a**k with k >= 2 folds down two at a time, so the result
-    has degree at most 1 in a.  This is the independent Eq1 reduction that
-    test_descent checks verify_eq1's certificates against.
-    """
-    tn = Fraction(n * (n + 1), 2)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in p.terms:
-        while i >= 2:
-            i -= 2
-            j += 2
-            c = c * tn
-        out[(i, j)] = out.get((i, j), Fraction(0)) + c
-    return BiForm(out)

@@ -119,9 +119,16 @@ class LatticePolygon:
             raise ValueError(f"unknown basis {basis!r}")
         if len(ints) < 3:
             raise ValueError(f"need at least 3 vertices, got {len(ints)}")
-        for (x0, y0), (x1, y1), (x2, y2) in zip(ints[-2:] + ints[:-2], ints[-1:] + ints[:-1], ints):
-            if (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1) <= 0:
+        edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(ints[-1:] + ints[:-1], ints)]
+        wraps = 0
+        for (dx0, dy0), (dx1, dy1) in zip(edges[-1:] + edges[:-1], edges):
+            if dx0 * dy1 - dy0 * dx1 <= 0:
                 raise ValueError("vertices must be strictly convex counter-clockwise")
+            # every turn is left and under a half turn, so the edge direction
+            # crosses from below the u-axis to above it once per winding
+            wraps += (dy0 < 0 or (dy0 == 0 and dx0 < 0)) and (dy1 > 0 or (dy1 == 0 and dx1 > 0))
+        if wraps != 1:
+            raise ValueError(f"vertices must wind once around, not {wraps} times")
         start = ints.index(min(ints))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "den", den)

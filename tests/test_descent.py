@@ -21,7 +21,6 @@ from irrgeo.descent import (
     symbolic_ratio_check,
     verify_eq1,
 )
-from irrgeo.exact_arith import BiForm, biform_reduce
 from irrgeo.number_theory import triangular
 
 
@@ -114,16 +113,30 @@ def test_defect_multiplier_closed_forms():
         assert defect_multiplier(DescentFamily.triangular(n)) == Fraction((1 - n) * (n + 1), 4)
 
 
+# A binary quadratic form A*a**2 + B*a*b + C*b**2 takes the values A, C
+# and A + B + C at these points, so it is zero exactly when it vanishes at
+# all three; two quadratic forms are equal exactly when they agree there.
+_FORM_POINTS = ((1, 0), (0, 1), (1, 1))
+
+
+def _form_at(coeffs, a, b):
+    """A*a**2 + B*a*b + C*b**2 for coeffs (A, B, C)."""
+    big_a, big_b, big_c = coeffs
+    return big_a * a * a + big_b * a * b + big_c * b * b
+
+
 def _reference_multiplier(family):
-    """The multiplier derived symbolically, as defect_multiplier once did:
-    expand both squares as bivariate forms and read m off, checking that
-    the cross term cancels and the b**2 coefficient matches -m*N."""
+    """The multiplier by evaluation: m is the defect of the image of (1, 0),
+    and the identity a'**2 - N*b'**2 == m*(a**2 - N*b**2) must then hold
+    at every point of _FORM_POINTS."""
     big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
-    num = BiForm.linear(ca, cb)
-    den = BiForm.linear(da, db)
-    out = num * num - big_n * (den * den)
-    m = out.coeff(2, 0)
-    assert out == BiForm({(2, 0): m, (0, 2): -m * big_n}), family
+
+    def image_defect(a, b):
+        return (ca * a + cb * b) ** 2 - big_n * (da * a + db * b) ** 2
+
+    m = image_defect(1, 0)
+    for a, b in _FORM_POINTS:
+        assert image_defect(a, b) == m * (a * a - big_n * b * b), (family, a, b)
     return m
 
 
@@ -133,7 +146,7 @@ def test_defect_multiplier_matches_symbolic_reference():
     ]
     for family in families:
         m = defect_multiplier(family)
-        assert type(m) is Fraction
+        assert type(m) is int
         assert m == _reference_multiplier(family), family
 
 
@@ -194,29 +207,49 @@ def test_multiplier_magnitude_one_pin():
     assert units == {DescentFamily.sqrt2(), DescentFamily.triangular(2)}
 
 
-def test_verify_eq1_small_cases():
-    a, b = BiForm.sym_a(), BiForm.sym_b()
-    cert = verify_eq1(3)
-    assert cert.ok
-    assert cert.cofactor == -2
-    assert cert.difference == -2 * (a * a - 6 * (b * b))
-    assert biform_reduce(cert.difference, 3).is_zero
+def _eq1_sides_at(n, a, b):
+    """Both sides of Eq1 evaluated at one point, in Fractions."""
+    lhs = (n + 1) * (n * b - a) ** 2 - Fraction(n, 2) * (2 * a - (n + 1) * b) ** 2
+    rhs = (1 - n) * (a * a - Fraction(n * (n + 1), 2) * b * b)
+    return lhs, rhs
 
-    cert = verify_eq1(2)
-    assert cert.ok and cert.cofactor == -1
-    cert = verify_eq1(5)
-    assert cert.ok and cert.cofactor == -4
-    assert cert.difference == -4 * (a * a - 15 * (b * b))
+
+def _check_eq1_certificate(n):
+    """The certificate's triple is the expanded left side of Eq1, checked
+    by evaluation at _FORM_POINTS, and Eq1 holds there."""
+    cert = verify_eq1(n)
+    assert cert.n == n and cert.ok
+    assert type(cert.cofactor) is int and cert.cofactor == 1 - n
+    assert len(cert.difference) == 3
+    assert all(type(c) is Fraction for c in cert.difference)
+    for a, b in _FORM_POINTS:
+        lhs, rhs = _eq1_sides_at(n, a, b)
+        assert _form_at(cert.difference, a, b) == lhs == rhs, (n, a, b)
+    return cert
+
+
+def test_verify_eq1_small_cases():
+    cert = _check_eq1_certificate(3)
+    assert cert.cofactor == -2
+    assert cert.difference == (-2, 0, 12)
+    assert _check_eq1_certificate(2).cofactor == -1
+    cert = _check_eq1_certificate(5)
+    assert cert.cofactor == -4
+    assert cert.difference == (-4, 0, 60)
 
 
 def test_verify_eq1_range():
     for n in range(2, 51):
-        cert = verify_eq1(n)
-        assert cert.ok
-        assert cert.cofactor == 1 - n
-        assert biform_reduce(cert.difference, n).is_zero
+        _check_eq1_certificate(n)
     with pytest.raises(BadIndex):
         verify_eq1(1)
+
+
+def test_verify_eq1_can_fail(monkeypatch):
+    # with a wrong T_n the certificate must say no
+    monkeypatch.setattr("irrgeo.descent.triangular", lambda n: triangular(n) + 1)
+    for n in range(2, 51):
+        assert verify_eq1(n).ok is False, n
 
 
 def test_symbolic_ratio_check():

@@ -4,13 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from irrgeo.exact_arith import (
-    BiForm,
-    DegreeOverflow,
-    RadicandMismatch,
-    Surd,
-    biform_reduce,
-)
+from irrgeo.exact_arith import RadicandMismatch, Surd
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 105]
 
@@ -95,63 +89,3 @@ def test_surd_sign_against_high_precision_oracle():
         approx = dec(rat) + dec(coef) * Decimal(radicand).sqrt()
         expected = 0 if rat == 0 and coef == 0 else (1 if approx > 0 else -1)
         assert x.sign() == expected
-
-
-def test_biform_basics():
-    a, b = BiForm.sym_a(), BiForm.sym_b()
-    p = a * a - 6 * (b * b)
-    assert p.coeff(2, 0) == 1
-    assert p.coeff(0, 2) == -6
-    assert p.coeff(1, 1) == 0
-    assert BiForm.linear(2, -3) == 2 * a - 3 * b
-    assert BiForm.zero().is_zero
-    assert BiForm.constant(5) == 5
-    assert p - p == BiForm.zero()
-
-
-def _random_form(rng: random.Random) -> BiForm:
-    # total degree <= 1 so triple products stay under the cap
-    coeffs = {}
-    for key in ((0, 0), (1, 0), (0, 1)):
-        if rng.random() < 0.7:
-            coeffs[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return BiForm(coeffs)
-
-
-def test_biform_ring_identities():
-    rng = random.Random(11)
-    for _ in range(100):
-        p, q, r = (_random_form(rng) for _ in range(3))
-        assert (p + q) * r == p * r + q * r
-        assert p * q == q * p
-        assert (p * q) * r == p * (q * r)
-        assert p * BiForm.constant(1) == p
-        assert p * 0 == BiForm.zero()
-
-
-def test_biform_degree_cap():
-    a = BiForm.sym_a()
-    a2 = a * a
-    a4 = a2 * a2
-    with pytest.raises(DegreeOverflow):
-        a4 * a
-    with pytest.raises(DegreeOverflow):
-        BiForm({(5, 0): 1})
-    with pytest.raises(DegreeOverflow):
-        BiForm({(2, 3): 1})
-
-
-def test_biform_reduce():
-    a, b = BiForm.sym_a(), BiForm.sym_b()
-    # T_2 = 3: a^2 folds to 3 b^2
-    assert biform_reduce(a * a, 2) == 3 * (b * b)
-    assert biform_reduce(a * b, 5) == a * b
-    assert biform_reduce(a * a - 3 * (b * b), 2).is_zero
-    # degree 4 in a folds twice
-    assert biform_reduce(a * a * a * a, 2) == 9 * (b * b * b * b)
-    # the n=3 area-identity difference reduces to zero
-    lhs = 4 * (3 * b - a) * (3 * b - a)
-    rhs = Fraction(3, 2) * (2 * a - 4 * b) * (2 * a - 4 * b)
-    diff = lhs - rhs
-    assert diff == -2 * (a * a - 6 * (b * b))
-    assert biform_reduce(diff, 3).is_zero

@@ -83,6 +83,9 @@ def test_edge_metric():
         assert _ref_edge_sq(basis, p0, LatticePoint(Fraction(u), Fraction(v))) == expected
 
 
+_TWICE_WOUND_HEXAGON = [(1, 0), (-1, 1), (0, -1), (0, 1), (-1, 0), (1, -1)]
+
+
 def test_polygon_validation():
     with pytest.raises(ValueError):
         LatticePolygon((LatticePoint(Fraction(0), Fraction(0)),), ORTHOGONAL)
@@ -108,6 +111,14 @@ def test_polygon_validation():
         LatticePolygon(tri(0, 0, 1).vertices, "polar")
     with pytest.raises(ValueError):
         LatticePolygon(tri(0, 0, 1).vertices[:2], TRIANGULAR)
+    # alternate corners of a hexagon: every turn is left, but the list
+    # winds twice (its shoelace area would be 5/2)
+    with pytest.raises(ValueError, match="wind once"):
+        LatticePolygon(_TWICE_WOUND_HEXAGON, TRIANGULAR)
+    for den in (1, 6):
+        with pytest.raises(ValueError, match="wind once"):
+            LatticePolygon._of_ints([(x * den, y * den) for x, y in _TWICE_WOUND_HEXAGON], den, TRIANGULAR)
+    assert not _ref_is_convex([LatticePoint(Fraction(u), Fraction(v)) for u, v in _TWICE_WOUND_HEXAGON])
     # the from-integers constructor behind clips and translations rejects
     # the same inputs, also after reducing them to their least denominator
     for den in (1, 6):
@@ -372,15 +383,17 @@ def test_intersection_matches_fraction_reference_on_2000_pairs():
 # before it kept integer coordinates over one denominator.
 
 
-def _ref_turns(pts):
-    k = len(pts)
-    for i in range(k):
-        p0, p1, p2 = pts[i], pts[(i + 1) % k], pts[(i + 2) % k]
-        yield _ref_cross(p1.u - p0.u, p1.v - p0.v, p2.u - p1.u, p2.v - p1.v)
-
-
 def _ref_is_convex(pts) -> bool:
-    return len(pts) >= 3 and all(turn > 0 for turn in _ref_turns(pts))
+    """Every vertex lies strictly left of every edge it is not on: strictly
+    convex, counter-clockwise and wound once (a list that winds twice puts
+    some vertex right of some edge)."""
+    k = len(pts)
+    return k >= 3 and all(
+        _ref_cross(b.u - a.u, b.v - a.v, c.u - a.u, c.v - a.v) > 0
+        for i, (a, b) in enumerate(zip(pts, pts[1:] + pts[:1]))
+        for j, c in enumerate(pts)
+        if j not in (i, (i + 1) % k)
+    )
 
 
 def _ref_area(pts) -> Fraction:
@@ -435,7 +448,7 @@ def test_integer_core_matches_fraction_reference():
         for c in q.vertices + pv + tuple(edge_mids + near):
             assert p.contains_point(c) == _ref_contains_point(pv, c), (p, c)
         # validation: a reversed or shuffled polygon is refused exactly
-        # when the reference finds a turn that is not strictly left
+        # when the reference finds it not strictly convex or winding twice
         for pts in (pv[::-1], tuple(rng.sample(pv, len(pv)))):
             if _ref_is_convex(pts):
                 LatticePolygon(pts, basis)
