@@ -37,9 +37,6 @@ from .geometry import (
     OutOfWindow,
     TRIANGULAR,
     build_arrangement,
-    build_hexagon6,
-    build_tennenbaum,
-    build_triangular,
     census_to_descent,
     convex_intersection,
     coverage_census,
@@ -87,9 +84,6 @@ __all__ = [
     "SvgScene",
     "TRIANGULAR",
     "build_arrangement",
-    "build_hexagon6",
-    "build_tennenbaum",
-    "build_triangular",
     "census_to_descent",
     "cli_main",
     "convergents",

@@ -9,14 +9,15 @@ is never needed inside an identity.
 
 Every polygon carries its coordinates as integers over one least common
 denominator (den and ints), and all geometry reads those integers:
-convexity, areas, bounding boxes, containment, edge lengths, equality and
-clipping.  Fractions are only the public face: vertices turns the
+convexity, areas, bounds, containment, edge lengths, equality and
+intersection.  Fractions are only the public face: vertices turns the
 integers back into Fractions when it is first read.
 
-Clipping stays exact without rational arithmetic: both polygons are
-scaled to the least common multiple of their denominators and clipped in
-homogeneous integer coordinates (x, y, w) with w > 0, each point reduced
-by the gcd of its three entries.
+Every polygon the figures draw, and every overlap of two of them, has
+edges along (1, 0), (0, 1) and (1, -1) only: it is an alcoved polygon,
+exactly the set cut out by its bounds on u, v and u + v.  Two of them
+intersect by taking the larger lower and the smaller upper bounds;
+convex_intersection refuses any other polygon.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .descent import DescentFamily, FamilyKind
 from .number_theory import is_perfect_square
@@ -139,11 +140,6 @@ class LatticePolygon:
         den = self.den
         return tuple(LatticePoint(Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
 
-    def edges(self) -> Iterator[tuple[LatticePoint, LatticePoint]]:
-        k = len(self.vertices)
-        for i in range(k):
-            yield self.vertices[i], self.vertices[(i + 1) % k]
-
     def _shoelace(self) -> int:
         """Twice the area times den**2."""
         pts = self.ints
@@ -153,14 +149,25 @@ class LatticePolygon:
     def lattice_area(self) -> Fraction:
         return Fraction(self._shoelace(), 2 * self.den * self.den)
 
-    def _box(self) -> tuple[int, int, int, int]:
-        """The bounding box times den."""
-        xs = [x for x, _ in self.ints]
-        ys = [y for _, y in self.ints]
-        return (min(xs), max(xs), min(ys), max(ys))
+    @cached_property
+    def _bounds(self) -> tuple[int, int, int, int, int, int]:
+        """The least and greatest u, v and u + v over the vertices, times den."""
+        us = [x for x, _ in self.ints]
+        vs = [y for _, y in self.ints]
+        ws = [x + y for x, y in self.ints]
+        return (min(us), max(us), min(vs), max(vs), min(ws), max(ws))
+
+    @cached_property
+    def _alcoved(self) -> bool:
+        """Every edge runs along (1, 0), (0, 1) or (1, -1)."""
+        pts = self.ints
+        return all(
+            (x1 - x0) * (y1 - y0) * (x1 - x0 + y1 - y0) == 0
+            for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
+        )
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(Fraction(c, self.den) for c in self._box())
+        return tuple(Fraction(c, self.den) for c in self._bounds[:4])
 
     def _covers(self, points: list[_IntPoint], den: int) -> bool:
         """Closed containment of points/den; self.den divides den."""
@@ -268,78 +275,36 @@ def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
     return _sides_are(poly, s2) and _diag_sqs(poly) == [s2, 3 * s2]
 
 
-# In a clip over the common denominator den, the homogeneous point
-# (x, y, w) stands for the lattice point (x/(w*den), y/(w*den)); w > 0 and
-# gcd(x, y, w) = 1, so every point has exactly one such triple.
-_Homogeneous = tuple[int, int, int]
-
-
-def _tidy(points: list[_Homogeneous], den: int, basis: str) -> Optional[LatticePolygon]:
-    """Canonicalize a clip result: drop repeated vertices, return None for
-    anything without positive area.
-
-    Clipping a convex polygon by a half-plane adds no vertex inside an edge
-    except where the edge crosses the boundary, and a crossing that lands
-    on a vertex repeats it; so once the repeats are gone, three or more
-    points mean positive area.  LatticePolygon checks strict convexity.
-    """
-    pts: list[_Homogeneous] = []
-    for p in points:
-        if not pts or p != pts[-1]:
-            pts.append(p)
-    if len(pts) > 1 and pts[0] == pts[-1]:
-        pts.pop()
-    if len(pts) < 3:
-        return None
-    w_all = lcm(*(w for _, _, w in pts))
-    return LatticePolygon._of_ints(
-        [(x * (w_all // w), y * (w_all // w)) for x, y, w in pts], den * w_all, basis
-    )
-
-
-def _scaled(poly: LatticePolygon, den: int) -> list[_Homogeneous]:
-    """poly's vertices times den, which poly.den divides."""
-    k = den // poly.den
-    return [(x * k, y * k, 1) for x, y in poly.ints]
-
-
 def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePolygon]:
-    """Exact intersection of two convex polygons; None if its area is zero.
+    """Exact intersection of two alcoved polygons; None if its area is zero.
 
-    Clips p successively by each half-plane of q (Sutherland-Hodgman);
-    contacts along an edge or at a vertex collapse to None.  Both polygons
-    are scaled to the least common multiple of their denominators and
-    clipped in gcd-reduced homogeneous integers.
+    Both bound vectors are scaled to the least common multiple of the
+    denominators, each lower bound raised and each upper bound lowered to
+    the other polygon's; ValueError if either polygon is not alcoved.
     """
     if p.basis != q.basis:
         raise BasisMismatch(f"{p.basis} vs {q.basis}")
+    if not (p._alcoved and q._alcoved):
+        raise ValueError("only polygons with edges along (1, 0), (0, 1) and (1, -1) intersect")
     den = lcm(p.den, q.den)
-    pts = _scaled(p, den)
-    corners = _scaled(q, den)
-    for (a0u, a0v, _), (a1u, a1v, _) in zip(corners, corners[1:] + corners[:1]):
-        if not pts:
-            break
-        eu, ev = a1u - a0u, a1v - a0v
-        # w times the cross product of the edge and c - a0
-        off = ev * a0u - eu * a0v
-        sides = [eu * y - ev * x + off * w for x, y, w in pts]
-        new: list[_Homogeneous] = []
-        k = len(pts)
-        for i in range(k):
-            cur, s_cur = pts[i], sides[i]
-            prev, s_prev = pts[i - 1], sides[i - 1]
-            if (s_cur >= 0) != (s_prev >= 0):
-                # the crossing weighs each end by the other end's side value
-                to_prev, to_cur = abs(s_cur), abs(s_prev)
-                x = to_prev * prev[0] + to_cur * cur[0]
-                y = to_prev * prev[1] + to_cur * cur[1]
-                w = to_prev * prev[2] + to_cur * cur[2]
-                g = gcd(x, y, w)
-                new.append((x // g, y // g, w // g))
-            if s_cur >= 0:
-                new.append(cur)
-        pts = new
-    return _tidy(pts, den, p.basis)
+    bp = [c * (den // p.den) for c in p._bounds]
+    bq = [c * (den // q.den) for c in q._bounds]
+    lu, lv, lw = (max(bp[i], bq[i]) for i in (0, 2, 4))
+    hu, hv, hw = (min(bp[i], bq[i]) for i in (1, 3, 5))
+    # three difference constraints: each tight bound is the direct one or
+    # the path through the third
+    lu, hu, lv, hv, lw, hw = (
+        max(lu, lw - hv), min(hu, hw - lv),
+        max(lv, lw - hu), min(hv, hw - lu),
+        max(lw, lu + lv), min(hw, hu + hv),
+    )
+    if not (lu < hu and lv < hv and lw < hw):
+        return None
+    # counter-clockwise from the bottom edge, where each bound line meets the next
+    corners = [(lw - lv, lv), (hu, lv), (hu, hw - hu), (hw - hv, hv), (lu, hv), (lu, lw - lu)]
+    return LatticePolygon._of_ints(
+        [c for c, before in zip(corners, corners[-1:] + corners[:-1]) if c != before], den, p.basis
+    )
 
 
 @dataclass(frozen=True)
@@ -364,6 +329,7 @@ _Shapes = tuple[LatticePolygon, tuple[LatticePolygon, ...]]
 
 
 def _squares(a: int, b: int) -> _Shapes:
+    """Big a-square with two b-squares in opposite corners."""
     big = LatticePolygon((_pt(0, 0), _pt(a, 0), _pt(a, a), _pt(0, a)), ORTHOGONAL)
     low = LatticePolygon((_pt(0, 0), _pt(b, 0), _pt(b, b), _pt(0, b)), ORTHOGONAL)
     return big, (low, low.translated(a - b, a - b))
@@ -380,6 +346,11 @@ def _hexagon(center_u, center_v, radius) -> LatticePolygon:
 
 
 def _hexagons(a: int, b: int) -> _Shapes:
+    """Big a-hexagon ringed by six b-hexagons.
+
+    Small i is centered at (a-b) times vertex direction i, so it touches
+    big vertex i exactly; neighbouring smalls overlap in a rhombus.
+    """
     smalls = tuple(
         _hexagon(Fraction(a - b) * du, Fraction(a - b) * dv, b) for du, dv in _HEX_DIRS
     )
@@ -387,6 +358,11 @@ def _hexagons(a: int, b: int) -> _Shapes:
 
 
 def _triangle_rows(n: int, a: int, b: int) -> _Shapes:
+    """Big a-triangle holding n rows of b-triangles.
+
+    Row i (from the top, 1-based) holds i smalls; consecutive rows and
+    neighbours within a row overlap in triangles of side t = (nb-a)/(n-1).
+    """
     pitch = Fraction(a - b, n - 1)
     big = LatticePolygon((_pt(0, 0), _pt(a, 0), _pt(0, a)), TRIANGULAR)
     small0 = LatticePolygon((_pt(0, 0), _pt(b, 0), _pt(0, b)), TRIANGULAR)
@@ -515,29 +491,6 @@ def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:
     return Arrangement(big=big, smalls=smalls, family=family, a=a, b=b)
 
 
-def build_tennenbaum(a: int, b: int) -> Arrangement:
-    """Big a-square with two b-squares in opposite corners; needs b < a < 2b."""
-    return build_arrangement(DescentFamily.sqrt2(), a, b)
-
-
-def build_hexagon6(a: int, b: int) -> Arrangement:
-    """Big a-hexagon ringed by six b-hexagons, one per vertex; needs 2b < a < 3b.
-
-    Small i is centered at (a-b) times vertex direction i, so it touches
-    big vertex i exactly; neighbouring smalls overlap in a rhombus.
-    """
-    return build_arrangement(DescentFamily.hex6(), a, b)
-
-
-def build_triangular(n: int, a: int, b: int) -> Arrangement:
-    """Big a-triangle holding n rows of b-triangles; needs (n+1)b/2 < a < nb.
-
-    Row i (from the top, 1-based) holds i smalls; consecutive rows and
-    neighbours within a row overlap in triangles of side t = (nb-a)/(n-1).
-    """
-    return build_arrangement(DescentFamily.triangular(n), a, b)
-
-
 @dataclass(frozen=True)
 class CoverageCensus:
     """Complete exact accounting of how the smalls cover the big figure.
@@ -591,7 +544,7 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     """
     smalls = arr.smalls
     den = lcm(*(s.den for s in smalls))
-    boxes = [tuple(c * (den // s.den) for c in s._box()) for s in smalls]
+    boxes = [tuple(c * (den // s.den) for c in s._bounds[:4]) for s in smalls]
     k = len(smalls)
 
     pairs: dict[tuple[int, int], LatticePolygon] = {}

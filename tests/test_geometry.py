@@ -18,9 +18,6 @@ from irrgeo.geometry import (
     OutOfWindow,
     TRIANGULAR,
     build_arrangement,
-    build_hexagon6,
-    build_tennenbaum,
-    build_triangular,
     census_to_descent,
     convex_intersection,
     coverage_census,
@@ -63,7 +60,7 @@ def tri(x0, y0, side) -> LatticePolygon:
 def test_calibration_unit_shapes():
     assert tri(0, 0, 1).lattice_area == Fraction(1, 2)
     assert tri(0, 0, 5).lattice_area == Fraction(25, 2)
-    hexagon = build_hexagon6(5, 2).smalls[0]
+    hexagon = build_arrangement(DescentFamily.hex6(), 5, 2).smalls[0]
     assert hexagon.lattice_area == 3 * 4  # side 2 hexagon
     assert square(0, 0, 3).lattice_area == 9
     assert polygon_side(tri(0, 0, 5)) == 5
@@ -168,6 +165,20 @@ def test_intersection_triangles():
     assert r == tri(0, 3, 1)
 
 
+def test_intersection_hand_cases():
+    cases = (
+        # the larger lower bounds alone give u + v >= 0, but no point with
+        # u >= 1 and v >= 0 lies below u + v = 1
+        (tri(0, 0, 4), square(1, -1, 2, TRIANGULAR), ((1, 0), (3, 0), (3, 1), (1, 1))),
+        # u + v <= 3 cuts the square's corner (2, 2) off: a pentagon
+        (square(0, 0, 2, TRIANGULAR), tri(0, 0, 3), ((0, 0), (2, 0), (2, 1), (1, 2), (0, 2))),
+    )
+    for p, q, corners in cases:
+        want = tuple(LatticePoint(Fraction(u), Fraction(v)) for u, v in corners)
+        assert convex_intersection(p, q).vertices == want
+        assert convex_intersection(q, p).vertices == want
+
+
 def test_intersection_basis_mismatch():
     with pytest.raises(BasisMismatch):
         convex_intersection(square(0, 0, 1), tri(0, 0, 1))
@@ -213,8 +224,9 @@ def test_intersection_commutative_and_monotone():
             assert convex_intersection(r1, b) == r1
 
 
-# Reference clipper: Sutherland-Hodgman and its tidy-up done directly on
-# Fractions, as convex_intersection did before it clipped in integers.
+# Reference clipper: general Sutherland-Hodgman and its tidy-up done
+# directly on Fractions, as convex_intersection did before it intersected
+# bounds on u, v and u + v.
 
 
 def _ref_cross(ox, oy, ax, ay):
@@ -251,7 +263,8 @@ def _ref_tidy(points, basis):
 
 def _ref_intersection(p, q):
     pts = list(p.vertices)
-    for a0, a1 in q.edges():
+    corners = q.vertices
+    for a0, a1 in zip(corners, corners[1:] + corners[:1]):
         if not pts:
             break
         eu, ev = a1.u - a0.u, a1.v - a0.v
@@ -296,9 +309,15 @@ def _hull(points) -> tuple[LatticePoint, ...]:
     return tuple(chain)
 
 
-def _oracle_polygon(rng: random.Random, basis: str, bits: int) -> LatticePolygon:
-    """A square, triangle, hexagon or random hull at a random place."""
-    kind = rng.choice(("square", "triangle", "hexagon", "hull"))
+_ALL_KINDS = ("square", "triangle", "hexagon", "hull")
+# the kinds with edges along (1, 0), (0, 1) and (1, -1) only
+_ALCOVED_KINDS = ("square", "triangle", "hexagon")
+
+
+def _oracle_polygon(rng: random.Random, basis: str, bits: int, kinds=_ALL_KINDS) -> LatticePolygon:
+    """A polygon of one of kinds (square, triangle, hexagon or random hull)
+    at a random place."""
+    kind = rng.choice(kinds)
     x, y = _oracle_frac(rng, bits), _oracle_frac(rng, bits)
     side = abs(_oracle_frac(rng, bits)) + Fraction(1, 2**bits)
     if kind == "square":
@@ -326,8 +345,11 @@ def _point_reflection(poly: LatticePolygon, cu: Fraction, cv: Fraction) -> Latti
     )
 
 
-def _oracle_partner(rng: random.Random, p: LatticePolygon, bits: int) -> tuple[str, LatticePolygon]:
-    """A second polygon in one of the relations the clipper must get right."""
+def _oracle_partner(
+    rng: random.Random, p: LatticePolygon, bits: int, kinds=_ALL_KINDS
+) -> tuple[str, LatticePolygon]:
+    """A second polygon in one of the relations the intersection must get
+    right; an overlapping partner is one of kinds."""
     relation = rng.choice(
         ("overlap", "overlap", "identical", "disjoint", "nested", "shared_edge", "vertex_contact")
     )
@@ -350,7 +372,7 @@ def _oracle_partner(rng: random.Random, p: LatticePolygon, bits: int) -> tuple[s
         return relation, _point_reflection(p, (a.u + b.u) / 2, (a.v + b.v) / 2)
     if relation == "vertex_contact":
         return relation, _point_reflection(p, v[i].u, v[i].v)
-    return relation, _oracle_polygon(rng, p.basis, rng.choice((2, 8, 64, 200)))
+    return relation, _oracle_polygon(rng, p.basis, rng.choice((2, 8, 64, 200)), kinds)
 
 
 def test_intersection_matches_fraction_reference_on_2000_pairs():
@@ -360,8 +382,8 @@ def test_intersection_matches_fraction_reference_on_2000_pairs():
     for _ in range(2000):
         basis = rng.choice((ORTHOGONAL, TRIANGULAR))
         bits = rng.choice((2, 4, 8, 32, 64, 128, 200))
-        p = _oracle_polygon(rng, basis, bits)
-        relation, q = _oracle_partner(rng, p, bits)
+        p = _oracle_polygon(rng, basis, bits, _ALCOVED_KINDS)
+        relation, q = _oracle_partner(rng, p, bits, _ALCOVED_KINDS)
         if rng.random() < 0.5:
             p, q = q, p
         expected = _ref_intersection(p, q)
@@ -377,6 +399,28 @@ def test_intersection_matches_fraction_reference_on_2000_pairs():
     assert set(hits) == {"overlap", "identical", "nested"}
     assert set(misses) == {"overlap", "disjoint", "shared_edge", "vertex_contact"}
     assert min(hits.values()) >= 100 and min(misses.values()) >= 100
+
+
+def _is_alcoved(poly: LatticePolygon) -> bool:
+    v = poly.vertices
+    return all((b.u - a.u) * (b.v - a.v) * (b.u - a.u + b.v - a.v) == 0 for a, b in zip(v, v[1:] + v[:1]))
+
+
+def test_intersection_refuses_non_alcoved():
+    rng = random.Random(7)
+    refused = 0
+    for _ in range(200):
+        basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+        bits = rng.choice((2, 8, 64))
+        hull = _oracle_polygon(rng, basis, bits, ("hull",))
+        if _is_alcoved(hull):
+            continue
+        for other in (_oracle_polygon(rng, basis, bits, _ALCOVED_KINDS), hull):
+            for p, q in ((hull, other), (other, hull)):
+                with pytest.raises(ValueError, match=r"\(1, -1\)"):
+                    convex_intersection(p, q)
+        refused += 1
+    assert refused >= 100
 
 
 # Reference geometry: the Fraction formulas LatticePolygon computed with
@@ -494,52 +538,52 @@ def test_window_inequalities_names():
 
 
 def test_build_tennenbaum():
-    arr = build_tennenbaum(7, 5)
+    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     assert arr.big == square(0, 0, 7)
     assert arr.smalls == (square(0, 0, 5), square(2, 2, 5))
     # boundary a = 2b is out: the overlap square would vanish
     with pytest.raises(OutOfWindow) as exc:
-        build_tennenbaum(4, 2)
+        build_arrangement(DescentFamily.sqrt2(), 4, 2)
     assert exc.value.inequality == "a < 2b"
     with pytest.raises(OutOfWindow) as exc:
-        build_tennenbaum(2, 3)
+        build_arrangement(DescentFamily.sqrt2(), 2, 3)
     assert exc.value.inequality == "a > b"
     with pytest.raises(OutOfWindow):
-        build_tennenbaum(3, 3)
+        build_arrangement(DescentFamily.sqrt2(), 3, 3)
 
 
 def test_build_hexagon6():
-    arr = build_hexagon6(5, 2)
+    arr = build_arrangement(DescentFamily.hex6(), 5, 2)
     assert len(arr.smalls) == 6
     big_vertices = set(arr.big.vertices)
     for small in arr.smalls:
         shared = set(small.vertices) & big_vertices
         assert len(shared) == 1  # each small pins one big vertex
     with pytest.raises(OutOfWindow) as exc:
-        build_hexagon6(7, 2)
+        build_arrangement(DescentFamily.hex6(), 7, 2)
     assert exc.value.inequality == "a < 3b"
     with pytest.raises(OutOfWindow) as exc:
-        build_hexagon6(4, 2)
+        build_arrangement(DescentFamily.hex6(), 4, 2)
     assert exc.value.inequality == "a > 2b"
 
 
 def test_build_triangular():
-    arr = build_triangular(2, 7, 4)
+    arr = build_arrangement(DescentFamily.triangular(2), 7, 4)
     assert len(arr.smalls) == 3
     apex = LatticePoint(Fraction(0), Fraction(7))
     assert apex in arr.smalls[0].vertices
-    arr = build_triangular(5, 27, 7)
+    arr = build_arrangement(DescentFamily.triangular(5), 27, 7)
     assert len(arr.smalls) == 15
     bottom = [s for s in arr.smalls if any(p.v == 0 for p in s.vertices)]
     assert len(bottom) == 5
     with pytest.raises(OutOfWindow) as exc:
-        build_triangular(3, 12, 4)
+        build_arrangement(DescentFamily.triangular(3), 12, 4)
     assert exc.value.inequality == "a < nb"
     with pytest.raises(OutOfWindow) as exc:
-        build_triangular(3, 8, 4)
+        build_arrangement(DescentFamily.triangular(3), 8, 4)
     assert exc.value.inequality == "2a > (n+1)b"
     with pytest.raises(BadIndex):
-        build_triangular(1, 3, 2)
+        build_arrangement(DescentFamily.triangular(1), 3, 2)
 
 
 def test_arrangement_rejects_escapees():
@@ -550,7 +594,7 @@ def test_arrangement_rejects_escapees():
 
 
 def test_census_tennenbaum_7_5():
-    arr = build_tennenbaum(7, 5)
+    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     census = coverage_census(arr)
     assert census.big_area == 49
     assert census.total_small_area == 50
@@ -567,7 +611,7 @@ def test_census_tennenbaum_7_5():
 
 
 def test_census_tennenbaum_3_2():
-    arr = build_tennenbaum(3, 2)
+    arr = build_arrangement(DescentFamily.sqrt2(), 3, 2)
     census = coverage_census(arr)
     assert len(census.distinct_pair_regions) == 1
     assert polygon_side(census.distinct_pair_regions[0]) == 1
@@ -575,7 +619,7 @@ def test_census_tennenbaum_3_2():
 
 
 def test_census_hexagon6_5_2():
-    arr = build_hexagon6(5, 2)
+    arr = build_arrangement(DescentFamily.hex6(), 5, 2)
     census = coverage_census(arr)
     assert census.big_area == 75
     assert census.total_small_area == 72
@@ -592,7 +636,7 @@ def test_census_hexagon6_5_2():
 
 
 def test_census_triangular_2_7_4():
-    arr = build_triangular(2, 7, 4)
+    arr = build_arrangement(DescentFamily.triangular(2), 7, 4)
     census = coverage_census(arr)
     assert census.big_area == Fraction(49, 2)
     assert census.total_small_area == 24
@@ -606,7 +650,7 @@ def test_census_triangular_2_7_4():
 
 
 def test_census_triangular_3_5_2():
-    arr = build_triangular(3, 5, 2)
+    arr = build_arrangement(DescentFamily.triangular(3), 5, 2)
     census = coverage_census(arr)
     t = Fraction(1, 2)
     assert census.exactly2_area == 6 * t * t / 2
@@ -618,7 +662,7 @@ def test_census_triangular_3_5_2():
 
 
 def test_census_triangular_5_27_7():
-    arr = build_triangular(5, 27, 7)
+    arr = build_arrangement(DescentFamily.triangular(5), 27, 7)
     census = coverage_census(arr)
     assert len(census.doubly_covered_regions) == 12
     assert len(census.distinct_triple_regions) == 6
@@ -651,7 +695,7 @@ def test_verify_figure_passes():
 
 
 def test_verify_figure_mismatch():
-    arr = build_tennenbaum(7, 5)
+    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     census = coverage_census(arr)
     corrupted = replace(census, blank_area=census.blank_area + 1)
     with pytest.raises(MismatchReport) as exc:
@@ -664,13 +708,13 @@ def test_verify_figure_mismatch():
 
 
 def test_census_to_descent_examples():
-    arr = build_tennenbaum(7, 5)
+    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     assert census_to_descent(arr, coverage_census(arr)) == (3, 2)
-    arr = build_hexagon6(22, 9)
+    arr = build_arrangement(DescentFamily.hex6(), 22, 9)
     assert census_to_descent(arr, coverage_census(arr)) == (12, 5)
-    arr = build_triangular(3, 5, 2)
+    arr = build_arrangement(DescentFamily.triangular(3), 5, 2)
     assert census_to_descent(arr, coverage_census(arr)) == (2, 1)
-    arr = build_triangular(4, 19, 6)
+    arr = build_arrangement(DescentFamily.triangular(4), 19, 6)
     assert census_to_descent(arr, coverage_census(arr)) == (16, 5)
 
 
