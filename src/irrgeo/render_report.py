@@ -9,11 +9,12 @@ in SVG coordinates, where it is formatting, not arithmetic.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .descent import (
@@ -200,8 +201,68 @@ def build_range_run(result: RangeCheckResult) -> dict:
     }
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+def _decimal(x: int, decimals: dict[int, str]) -> str:
+    """x in decimal, converted once per decimals dict: a chain prints and
+    writes each of its big integers more than once."""
+    s = decimals.get(x)
+    if s is None:
+        s = decimals[x] = int.__repr__(x)
+    return s
+
+
+def render_json(report: dict, decimals: Optional[dict[int, str]] = None) -> str:
+    """The report as the json module writes it with indent=2, plus a final
+    newline, byte for byte, for the types reports hold: dicts with str
+    keys, lists, str, int, bool and None; anything else raises TypeError.
+
+    With an indent the json module falls back to its pure-Python encoder;
+    this writer does the same work without its generality.  decimals holds
+    the decimal strings already made for this report, e.g. for stdout.
+    """
+    out: list[str] = []
+    _write_value(report, "\n", {} if decimals is None else decimals, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_value(x, newline: str, decimals: dict[int, str], out: list[str]) -> None:
+    """Append x's JSON text to out; newline starts each line at x's depth."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, bool):  # before int: bool is an int
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(_decimal(x, decimals))
+    elif x is None:
+        out.append("null")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys are str, got {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_value(value, inner, decimals, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, list):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _write_value(value, inner, decimals, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"reports hold no {type(x).__name__}")
 
 
 # SVG rendering: fixed projection, fixed color per coverage depth, fixed
@@ -309,8 +370,13 @@ def _add_pair_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="irrgeo", description=__doc__.splitlines()[0])
+    """The one parser of this process; parse_args keeps no state in it."""
+    # a literal, not the module docstring, which python -OO strips
+    parser = _Parser(
+        prog="irrgeo", description="Reports, SVG rendering, and the command-line front end."
+    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("verify", help="verify one figure end to end")
@@ -432,9 +498,9 @@ def _resolve_figure(
     return family, a, b
 
 
-def _write_json(path: Optional[str], report: dict) -> None:
+def _write_json(path: Optional[str], report: dict, decimals: Optional[dict[int, str]] = None) -> None:
     if path:
-        text = render_json(report)
+        text = render_json(report, decimals)
         with _writing(path), open(path, "w") as fh:
             fh.write(text)
 
@@ -497,15 +563,19 @@ def _cmd_chain(args) -> int:
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     run = build_chain_run(family, a, b, args.max_steps)
-    print(f"family {family.title}  start ({a}, {b})")
+    # each step's pair_out and defect_out are the next step's pair_in and
+    # defect_in; the JSON writer reuses these strings too
+    decimals: dict[int, str] = {}
+    dec = functools.partial(_decimal, decimals=decimals)
+    print(f"family {family.title}  start ({dec(a)}, {dec(b)})")
     for i, s in enumerate(run["steps"], start=1):
+        (a_in, b_in), (a_out, b_out) = s["pair_in"], s["pair_out"]
         print(
-            f"step {i}: ({s['pair_in'][0]}, {s['pair_in'][1]}) ->"
-            f" ({s['pair_out'][0]}, {s['pair_out'][1]})"
-            f"  defect {s['defect_in']} -> {s['defect_out']}"
+            f"step {i}: ({dec(a_in)}, {dec(b_in)}) -> ({dec(a_out)}, {dec(b_out)})"
+            f"  defect {dec(s['defect_in'])} -> {dec(s['defect_out'])}"
         )
     print(f"stop: {run['stop_reason']} after {len(run['steps'])} steps")
-    _write_json(args.json, report_envelope([run]))
+    _write_json(args.json, report_envelope([run]), decimals)
     return 0
 
 

@@ -1,10 +1,23 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
-from irrgeo.descent import DescentFamily
+import pytest
+
+from conftest import all_figure_families
+from irrgeo.descent import DescentFamily, range_check
 from irrgeo.exact_arith import Surd
+from irrgeo.number_theory import convergents
 from irrgeo.render_report import (
+    MAX_CHAIN_STEPS,
+    build_census_run,
+    build_chain_run,
+    build_range_run,
     build_verify_run,
     cli_main,
     frac_str,
@@ -12,6 +25,8 @@ from irrgeo.render_report import (
     report_envelope,
     surd_str,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_frac_str():
@@ -325,3 +340,141 @@ def test_cli_json_byte_determinism(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     parsed = json.loads(first.read_text())
     assert parsed["runs"][0]["census"]["exactly3_area"] == "1/8"
+
+
+def _reference_json(x) -> str:
+    return json.dumps(x, indent=2) + "\n"
+
+
+def _report_corpus() -> list[dict]:
+    """verify and census of every figure family at convergents 1..6,
+    chain at convergent 999 of each, and range --n-max 40."""
+    reports = []
+    for family in all_figure_families():
+        for c in convergents(family.radicand, 6):
+            reports.append(report_envelope([build_verify_run(family, c.p, c.q)]))
+            reports.append(report_envelope([build_census_run(family, c.p, c.q)]))
+        c = convergents(family.radicand, 999)[-1]
+        reports.append(report_envelope([build_chain_run(family, c.p, c.q, MAX_CHAIN_STEPS)]))
+    ranges = [build_range_run(range_check(DescentFamily.triangular(n))) for n in range(2, 41)]
+    reports.append(report_envelope(ranges))
+    return reports
+
+
+def test_render_json_matches_json_module_on_reports():
+    decimals: dict[int, str] = {}
+    for report in _report_corpus():
+        expected = _reference_json(report)
+        assert render_json(report) == expected
+        # strings made for an earlier report are still the right ones
+        assert render_json(report, decimals) == expected
+
+
+_AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "√", "\u2028", "\U0001f600", "/", " "]
+
+
+def _random_str(rng: random.Random) -> str:
+    alphabet = _AWKWARD + list("abcxyz019 _-:,{}[]")
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+
+
+def _random_tree(rng: random.Random, depth: int):
+    roll = rng.randrange(6, 10) if depth == 0 else rng.randrange(10 if depth < 4 else 6)
+    if roll == 0:
+        return rng.choice([True, False, None])
+    if roll == 1:
+        return rng.choice([0, 1, -1, True, False])  # 1 and True side by side
+    if roll == 2:
+        return rng.randrange(-(2 ** 8000), 2 ** 8000) >> rng.randrange(8000)
+    if roll == 3:
+        return rng.randrange(-1000, 1000)
+    if roll in (4, 5):
+        return _random_str(rng)
+    if roll in (6, 7):
+        return [_random_tree(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 3, 6]))]
+    return {_random_str(rng): _random_tree(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 3, 6]))}
+
+
+def test_render_json_matches_json_module_on_random_trees():
+    rng = random.Random(8)
+    shared: dict[int, str] = {}
+    nested_empties = big_ints = 0
+    for _ in range(600):
+        tree = _random_tree(rng, 0)
+        expected = _reference_json(tree)
+        assert render_json(tree) == expected
+        assert render_json(tree, shared) == expected
+        nested_empties += expected.count(": []") + expected.count(": {}")
+        big_ints += any(len(word) > 1000 for word in expected.split())
+    assert nested_empties >= 100 and big_ints >= 100
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {3}, [1, 2.0], {"x": (1,)}, {"y": [{"z": {4}}]}, {1: 2}])
+def test_render_json_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        render_json(bad)
+
+
+def test_chain_stdout_matches_json_report(capsys, tmp_path):
+    # the golden digests reach convergent 6; this pins the long chains'
+    # stdout against the lines rebuilt from their own JSON report
+    out = tmp_path / "chain.json"
+    for family in all_figure_families():
+        argv = ["chain", "--family", family.kind.value, "--convergent", "999"]
+        if family.n is not None:
+            argv += ["--n", str(family.n)]
+        argv += ["--max-steps", str(MAX_CHAIN_STEPS), "--json", str(out)]
+        assert cli_main(argv) == 0
+        run = json.loads(out.read_text())["runs"][0]
+        a, b = run["input_pair"]
+        lines = [f"family {family.title}  start ({a}, {b})"]
+        for i, s in enumerate(run["steps"], start=1):
+            lines.append(
+                f"step {i}: ({str(s['pair_in'][0])}, {str(s['pair_in'][1])}) ->"
+                f" ({str(s['pair_out'][0])}, {str(s['pair_out'][1])})"
+                f"  defect {str(s['defect_in'])} -> {str(s['defect_out'])}"
+            )
+        lines.append(f"stop: {run['stop_reason']} after {len(run['steps'])} steps")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n", family.title
+        assert len(run["steps"]) >= 400
+
+
+def _run_alone(argv: list[str], *flags: str) -> tuple[int, str, str]:
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "irrgeo", *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    # each argv would pass or fail differently if an option of the call
+    # before it leaked through the one shared parser
+    sequence = [
+        ["verify", "--family", "sqrt2", "--a", "7", "--b", "5", "--convergent", "3"],
+        ["verify", "--family", "sqrt2", "--a", "7", "--b", "5"],
+        ["verify", "--family", "hex6", "--convergent", "3"],
+        ["verify", "--family", "sqrt2", "--a", "7"],
+        ["verify", "--family", "pentagon", "--convergent", "3"],
+    ]
+    in_process = []
+    for argv in sequence:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [r[0] for r in in_process] == [1, 0, 0, 1, 1]
+    assert in_process == [_run_alone(argv) for argv in sequence]
+
+
+def test_cli_runs_under_python_OO():
+    # -OO strips docstrings; the CLI must not read one
+    for argv in (
+        ["sequence", "--limit", "10"],
+        ["verify", "--family", "triangular", "--n", "5", "--a", "27", "--b", "7"],
+    ):
+        code, out, err = _run_alone(argv, "-OO")
+        assert (code, err) == (0, ""), argv
+        assert out == _run_alone(argv)[1], argv
