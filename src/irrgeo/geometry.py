@@ -15,9 +15,10 @@ integers back into Fractions when it is first read.
 
 Every polygon the figures draw, and every overlap of two of them, has
 edges along (1, 0), (0, 1) and (1, -1) only: it is an alcoved polygon,
-exactly the set cut out by its bounds on u, v and u + v.  Two of them
-intersect by taking the larger lower and the smaller upper bounds;
-convex_intersection refuses any other polygon.
+exactly the set cut out by its bounds on u, v and u + v.  The figure
+builders and the intersection both make one from its bounds with
+_alcove.  Two of them intersect by taking the larger lower and the
+smaller upper bounds; convex_intersection refuses any other polygon.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ class MismatchReport(Exception):
 class LatticePoint(NamedTuple):
     u: Fraction
     v: Fraction
-
-
-def _pt(u, v) -> LatticePoint:
-    return LatticePoint(Fraction(u), Fraction(v))
 
 
 _IntPoint = tuple[int, int]
@@ -192,15 +189,6 @@ class LatticePolygon:
         k = den // other.den
         return self._covers([(x * k, y * k) for x, y in other.ints], den)
 
-    def translated(self, du, dv) -> "LatticePolygon":
-        du, dv = Fraction(du), Fraction(dv)
-        den = lcm(self.den, du.denominator, dv.denominator)
-        k = den // self.den
-        su, sv = _times(du, den), _times(dv, den)
-        return LatticePolygon._of_ints(
-            [(x * k + su, y * k + sv) for x, y in self.ints], den, self.basis
-        )
-
     def _sq(self, i: int, j: int) -> int:
         """den**2 times the squared length from vertex i to vertex j."""
         (x0, y0), (x1, y1) = self.ints[i], self.ints[j]
@@ -275,6 +263,16 @@ def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
     return _sides_are(poly, s2) and _diag_sqs(poly) == [s2, 3 * s2]
 
 
+def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> LatticePolygon:
+    """The alcoved polygon lu <= u <= hu, lv <= v <= hv, lw <= u + v <= hw,
+    all over den; every bound must be tight and the area positive."""
+    # counter-clockwise from the bottom edge, where each bound line meets the next
+    corners = [(lw - lv, lv), (hu, lv), (hu, hw - hu), (hw - hv, hv), (lu, hv), (lu, lw - lu)]
+    return LatticePolygon._of_ints(
+        [c for c, before in zip(corners, corners[-1:] + corners[:-1]) if c != before], den, basis
+    )
+
+
 def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePolygon]:
     """Exact intersection of two alcoved polygons; None if its area is zero.
 
@@ -300,11 +298,7 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
     )
     if not (lu < hu and lv < hv and lw < hw):
         return None
-    # counter-clockwise from the bottom edge, where each bound line meets the next
-    corners = [(lw - lv, lv), (hu, lv), (hu, hw - hu), (hw - hv, hv), (lu, hv), (lu, lw - lu)]
-    return LatticePolygon._of_ints(
-        [c for c, before in zip(corners, corners[-1:] + corners[:-1]) if c != before], den, p.basis
-    )
+    return _alcove(p.basis, den, lu, hu, lv, hv, lw, hw)
 
 
 @dataclass(frozen=True)
@@ -330,19 +324,15 @@ _Shapes = tuple[LatticePolygon, tuple[LatticePolygon, ...]]
 
 def _squares(a: int, b: int) -> _Shapes:
     """Big a-square with two b-squares in opposite corners."""
-    big = LatticePolygon((_pt(0, 0), _pt(a, 0), _pt(a, a), _pt(0, a)), ORTHOGONAL)
-    low = LatticePolygon((_pt(0, 0), _pt(b, 0), _pt(b, b), _pt(0, b)), ORTHOGONAL)
-    return big, (low, low.translated(a - b, a - b))
+
+    def square(low: int, side: int) -> LatticePolygon:
+        high = low + side
+        return _alcove(ORTHOGONAL, 1, low, high, low, high, 2 * low, 2 * high)
+
+    return square(0, a), (square(0, b), square(a - b, b))
 
 
 _HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
-def _hexagon(center_u, center_v, radius) -> LatticePolygon:
-    pts = tuple(
-        _pt(center_u + radius * du, center_v + radius * dv) for du, dv in _HEX_DIRS
-    )
-    return LatticePolygon(pts, TRIANGULAR)
 
 
 def _hexagons(a: int, b: int) -> _Shapes:
@@ -351,10 +341,11 @@ def _hexagons(a: int, b: int) -> _Shapes:
     Small i is centered at (a-b) times vertex direction i, so it touches
     big vertex i exactly; neighbouring smalls overlap in a rhombus.
     """
-    smalls = tuple(
-        _hexagon(Fraction(a - b) * du, Fraction(a - b) * dv, b) for du, dv in _HEX_DIRS
-    )
-    return _hexagon(0, 0, a), smalls
+
+    def hexagon(cu: int, cv: int, r: int) -> LatticePolygon:
+        return _alcove(TRIANGULAR, 1, cu - r, cu + r, cv - r, cv + r, cu + cv - r, cu + cv + r)
+
+    return hexagon(0, 0, a), tuple(hexagon((a - b) * du, (a - b) * dv, b) for du, dv in _HEX_DIRS)
 
 
 def _triangle_rows(n: int, a: int, b: int) -> _Shapes:
@@ -362,16 +353,19 @@ def _triangle_rows(n: int, a: int, b: int) -> _Shapes:
 
     Row i (from the top, 1-based) holds i smalls; consecutive rows and
     neighbours within a row overlap in triangles of side t = (nb-a)/(n-1).
+    Coordinates are over n - 1, where the row pitch (a-b)/(n-1) is a - b.
     """
-    pitch = Fraction(a - b, n - 1)
-    big = LatticePolygon((_pt(0, 0), _pt(a, 0), _pt(0, a)), TRIANGULAR)
-    small0 = LatticePolygon((_pt(0, 0), _pt(b, 0), _pt(0, b)), TRIANGULAR)
-    smalls = []
-    for i in range(1, n + 1):
-        v = Fraction(a - b) - (i - 1) * pitch
-        for j in range(1, i + 1):
-            smalls.append(small0.translated((j - 1) * pitch, v))
-    return big, tuple(smalls)
+    den, pitch = n - 1, a - b
+
+    def triangle(u: int, v: int, side: int) -> LatticePolygon:
+        return _alcove(TRIANGULAR, den, u, u + side, v, v + side, u + v, u + v + side)
+
+    smalls = tuple(
+        triangle((j - 1) * pitch, (n - i) * pitch, b * den)
+        for i in range(1, n + 1)
+        for j in range(1, i + 1)
+    )
+    return triangle(0, 0, a * den), smalls
 
 
 @dataclass(frozen=True)

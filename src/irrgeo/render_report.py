@@ -586,6 +586,10 @@ def _cmd_range(args) -> int:
     if sweep and not 2 <= args.n_max <= MAX_RANGE_N:
         raise _UsageError(f"--n-max must be in 2..{MAX_RANGE_N}, got {args.n_max}")
     indices = range(2, args.n_max + 1) if sweep else [None]
+    try:
+        DescentFamily(FamilyKind(args.family), indices[0])
+    except BadIndex:  # range reads the index from --n-max, not from --n
+        raise _UsageError(f"range --family {args.family} {'takes no' if sweep else 'needs'} --n-max")
     runs = []
     verdicts: dict[str, list[str]] = {"works": [], "fails": []}
     for n in indices:

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from conftest import all_figure_families, window_convergents
-from irrgeo.descent import BadIndex, DescentFamily, descent_step
+from irrgeo.descent import BadIndex, DescentFamily, FamilyKind, descent_step
 from irrgeo.geometry import (
     Arrangement,
     BasisMismatch,
@@ -28,8 +28,10 @@ from irrgeo.geometry import (
     polygon_side,
     verify_figure,
     window_inequalities,
+    _figure,
     _sq_length,
 )
+from irrgeo.number_theory import SquareRadicand
 
 
 def square(x0, y0, side, basis=ORTHOGONAL) -> LatticePolygon:
@@ -345,6 +347,10 @@ def _point_reflection(poly: LatticePolygon, cu: Fraction, cv: Fraction) -> Latti
     )
 
 
+def _shift(corners, du, dv) -> tuple[LatticePoint, ...]:
+    return tuple(LatticePoint(p.u + du, p.v + dv) for p in corners)
+
+
 def _oracle_partner(
     rng: random.Random, p: LatticePolygon, bits: int, kinds=_ALL_KINDS
 ) -> tuple[str, LatticePolygon]:
@@ -359,7 +365,8 @@ def _oracle_partner(
         return relation, LatticePolygon(v[i:] + v[:i], p.basis)
     if relation == "disjoint":
         u0, u1, _, _ = p.bbox()
-        return relation, p.translated(u1 - u0 + abs(_oracle_frac(rng, bits)), _oracle_frac(rng, bits))
+        du, dv = u1 - u0 + abs(_oracle_frac(rng, bits)), _oracle_frac(rng, bits)
+        return relation, LatticePolygon(_shift(v, du, dv), p.basis)
     if relation == "nested":
         cu = sum((q.u for q in v), Fraction(0)) / len(v)
         cv = sum((q.v for q in v), Fraction(0)) / len(v)
@@ -516,7 +523,6 @@ def test_one_point_set_is_one_polygon():
             LatticePolygon(v[i:] + v[:i], basis),
             LatticePolygon([(Fraction(x, p.den * k), Fraction(y, p.den * k)) for x, y in scaled], basis),
             LatticePolygon._of_ints(scaled, p.den * k, basis),
-            p.translated(0, 0),
         )
         for form in forms:
             assert form == p and hash(form) == hash(p) and form.vertices == v
@@ -535,6 +541,23 @@ def test_window_inequalities_names():
     assert [w.name for w in window_inequalities(fam, 22, 9)] == ["a > 2b", "a < 3b"]
     fam = DescentFamily.triangular(5)
     assert [w.name for w in window_inequalities(fam, 27, 7)] == ["2a > (n+1)b", "a < nb"]
+
+
+# every family with a figure: sqrt2, hex6 and triangular up to the CLI's n <= 64
+_FIGURE_FAMILIES = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    DescentFamily.triangular(n) for n in range(2, 65)
+]
+
+
+def test_window_is_where_descent_stays_positive():
+    # the figure table's window and the map table's forms are written down
+    # apart; a pair fits the figure exactly when the map sends it to a
+    # positive pair
+    for family in _FIGURE_FAMILIES:
+        for b in range(1, 7):
+            for a in range(1, 65 * b + 1):
+                fits = all(w.ok for w in window_inequalities(family, a, b))
+                assert fits == (min(descent_step(family, a, b).pair_out) >= 1), (family, a, b)
 
 
 def test_build_tennenbaum():
@@ -584,6 +607,75 @@ def test_build_triangular():
     assert exc.value.inequality == "2a > (n+1)b"
     with pytest.raises(BadIndex):
         build_arrangement(DescentFamily.triangular(1), 3, 2)
+
+
+# Reference builders: the figures' corners as the builders listed them
+# before every polygon came from its integer bounds, as Fractions, each
+# small a shifted copy of the first.
+
+_REF_HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def _at(*points) -> tuple[LatticePoint, ...]:
+    return tuple(LatticePoint(Fraction(u), Fraction(v)) for u, v in points)
+
+
+def _ref_corners(family: DescentFamily, a: int, b: int):
+    """The basis and the corner lists of the big figure and every small."""
+    if family.kind is FamilyKind.SQRT2:
+        low = _at((0, 0), (b, 0), (b, b), (0, b))
+        return ORTHOGONAL, (_at((0, 0), (a, 0), (a, a), (0, a)), low, _shift(low, a - b, a - b))
+    if family.kind is FamilyKind.HEX6:
+        def hexagon(cu, cv, r):
+            return _at(*((cu + r * du, cv + r * dv) for du, dv in _REF_HEX_DIRS))
+
+        smalls = tuple(hexagon((a - b) * du, (a - b) * dv, b) for du, dv in _REF_HEX_DIRS)
+        return TRIANGULAR, (hexagon(0, 0, a),) + smalls
+    n = family.n
+    pitch = Fraction(a - b, n - 1)
+    small0 = _at((0, 0), (b, 0), (0, b))
+    smalls = tuple(
+        _shift(small0, (j - 1) * pitch, (a - b) - (i - 1) * pitch)
+        for i in range(1, n + 1)
+        for j in range(1, i + 1)
+    )
+    return TRIANGULAR, (_at((0, 0), (a, 0), (0, a)),) + smalls
+
+
+def _random_window_pair(rng: random.Random, family: DescentFamily) -> tuple[int, int]:
+    while True:
+        bits = rng.randint(2, 200)
+        b = rng.randrange(2 ** (bits - 1), 2**bits)
+        a = rng.randrange(b, 65 * b)
+        if all(w.ok for w in window_inequalities(family, a, b)):
+            return a, b
+
+
+def test_builders_match_fraction_reference():
+    # five pairs for every n up to 24 and one for six n up to the CLI's 64;
+    # five pairs at every n up to 64 would be 228k smalls, ten times as many
+    rng = random.Random(9)
+    for family in _FIGURE_FAMILIES:
+        if (family.n or 0) <= 24:
+            try:
+                pairs = window_convergents(family, 2)
+            except SquareRadicand:  # T_8 is a square and has no convergents
+                pairs = []
+            pairs += [_random_window_pair(rng, family) for _ in range(3)]
+        elif family.n in (32, 41, 48, 57, 63, 64):
+            pairs = [_random_window_pair(rng, family)]
+        else:
+            continue
+        for a, b in pairs:
+            big, smalls = _figure(family).build(a, b)
+            basis, corner_lists = _ref_corners(family, a, b)
+            assert len(smalls) + 1 == len(corner_lists), (family, a, b)
+            for got, corners in zip((big,) + smalls, corner_lists):
+                ref = LatticePolygon(corners, basis)
+                assert got == ref and hash(got) == hash(ref), (family, a, b, corners)
+                # the same corners in the same order, from the smallest
+                start = corners.index(min(corners))
+                assert got.vertices == corners[start:] + corners[:start], (family, a, b, corners)
 
 
 def test_arrangement_rejects_escapees():

@@ -210,6 +210,9 @@ def test_cli_rejects_oversized_integers(capsys, tmp_path):
         f"--n-max must be in 2..10000, got {10**40}": [
             ["range", "--family", "triangular", "--n-max", str(10**40)],
         ],
+        # range reads the triangular index from --n-max; it refuses --n
+        "range --family triangular needs --n-max": [["range", "--family", "triangular"]],
+        "range --family sqrt2 takes no --n-max": [["range", "--family", "sqrt2", "--n-max", "5"]],
     }
     for message, argvs in refused.items():
         for argv in argvs:
