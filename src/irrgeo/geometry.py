@@ -17,8 +17,10 @@ Every polygon the figures draw, and every overlap of two of them, has
 edges along (1, 0), (0, 1) and (1, -1) only: it is an alcoved polygon,
 exactly the set cut out by its bounds on u, v and u + v.  The figure
 builders and the intersection both make one from its bounds with
-_alcove.  Two of them intersect by taking the larger lower and the
-smaller upper bounds; convex_intersection refuses any other polygon.
+_alcove, which keeps the bounds.  Two of them intersect by taking the
+larger lower and the smaller upper bounds; convex_intersection refuses
+any other polygon.  The census reads the bounds too: to find the pairs
+worth clipping, to check containment, and for each area in closed form.
 """
 
 from __future__ import annotations
@@ -119,49 +121,44 @@ class LatticePolygon:
             raise ValueError(f"need at least 3 vertices, got {len(ints)}")
         edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(ints[-1:] + ints[:-1], ints)]
         wraps = 0
+        alcoved = True
         for (dx0, dy0), (dx1, dy1) in zip(edges[-1:] + edges[:-1], edges):
             if dx0 * dy1 - dy0 * dx1 <= 0:
                 raise ValueError("vertices must be strictly convex counter-clockwise")
             # every turn is left and under a half turn, so the edge direction
             # crosses from below the u-axis to above it once per winding
             wraps += (dy0 < 0 or (dy0 == 0 and dx0 < 0)) and (dy1 > 0 or (dy1 == 0 and dx1 > 0))
+            if dx1 * dy1 * (dx1 + dy1):
+                alcoved = False
         if wraps != 1:
             raise ValueError(f"vertices must wind once around, not {wraps} times")
         start = ints.index(min(ints))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "ints", tuple(ints[start:] + ints[:start]))
+        # every edge runs along (1, 0), (0, 1) or (1, -1)
+        object.__setattr__(self, "_alcoved", alcoved)
 
     @cached_property
     def vertices(self) -> tuple[LatticePoint, ...]:
         den = self.den
         return tuple(LatticePoint(Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
 
-    def _shoelace(self) -> int:
-        """Twice the area times den**2."""
-        pts = self.ints
-        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-
     @property
     def lattice_area(self) -> Fraction:
-        return Fraction(self._shoelace(), 2 * self.den * self.den)
+        """The shoelace sum over the vertices."""
+        pts = self.ints
+        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+        return Fraction(twice, 2 * self.den * self.den)
 
     @cached_property
     def _bounds(self) -> tuple[int, int, int, int, int, int]:
-        """The least and greatest u, v and u + v over the vertices, times den."""
+        """The least and greatest u, v and u + v over the vertices, times
+        den; _alcove stores them instead."""
         us = [x for x, _ in self.ints]
         vs = [y for _, y in self.ints]
         ws = [x + y for x, y in self.ints]
         return (min(us), max(us), min(vs), max(vs), min(ws), max(ws))
-
-    @cached_property
-    def _alcoved(self) -> bool:
-        """Every edge runs along (1, 0), (0, 1) or (1, -1)."""
-        pts = self.ints
-        return all(
-            (x1 - x0) * (y1 - y0) * (x1 - x0 + y1 - y0) == 0
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
-        )
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(c, self.den) for c in self._bounds[:4])
@@ -198,13 +195,6 @@ class LatticePolygon:
         """den**2 times each edge's squared length, edge i leaving vertex i."""
         k = len(self.ints)
         return [self._sq(i, (i + 1) % k) for i in range(k)]
-
-
-def _area_sum(polys: Iterable[LatticePolygon]) -> Fraction:
-    """Total lattice area, summed in integers over one common denominator."""
-    polys = list(polys)
-    den = lcm(*(p.den for p in polys))
-    return Fraction(sum(p._shoelace() * (den // p.den) ** 2 for p in polys), 2 * den * den)
 
 
 def fraction_sqrt(x: Fraction) -> Fraction:
@@ -263,14 +253,24 @@ def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
     return _sides_are(poly, s2) and _diag_sqs(poly) == [s2, 3 * s2]
 
 
+def _twice_area(lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> int:
+    """Twice the lattice area, times den**2, of the alcoved polygon with
+    these tight bounds: its u, v box less the two corners that u + v cuts."""
+    return 2 * (hu - lu) * (hv - lv) - (lw - lu - lv) ** 2 - (hu + hv - hw) ** 2
+
+
 def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> LatticePolygon:
     """The alcoved polygon lu <= u <= hu, lv <= v <= hv, lw <= u + v <= hw,
-    all over den; every bound must be tight and the area positive."""
+    all over den; every bound must be tight and the area positive.  The
+    bounds, reduced with den, are kept as the polygon's _bounds."""
+    g = gcd(den, lu, hu, lv, hv, lw, hw)
+    den, lu, hu, lv, hv, lw, hw = den // g, lu // g, hu // g, lv // g, hv // g, lw // g, hw // g
     # counter-clockwise from the bottom edge, where each bound line meets the next
     corners = [(lw - lv, lv), (hu, lv), (hu, hw - hu), (hw - hv, hv), (lu, hv), (lu, lw - lu)]
-    return LatticePolygon._of_ints(
-        [c for c, before in zip(corners, corners[-1:] + corners[:-1]) if c != before], den, basis
-    )
+    poly = LatticePolygon.__new__(LatticePolygon)
+    poly._settle([c for c, before in zip(corners, corners[-1:] + corners[:-1]) if c != before], den, basis)
+    object.__setattr__(poly, "_bounds", (lu, hu, lv, hv, lw, hw))
+    return poly
 
 
 def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePolygon]:
@@ -284,11 +284,18 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
         raise BasisMismatch(f"{p.basis} vs {q.basis}")
     if not (p._alcoved and q._alcoved):
         raise ValueError("only polygons with edges along (1, 0), (0, 1) and (1, -1) intersect")
-    den = lcm(p.den, q.den)
-    bp = [c * (den // p.den) for c in p._bounds]
-    bq = [c * (den // q.den) for c in q._bounds]
-    lu, lv, lw = (max(bp[i], bq[i]) for i in (0, 2, 4))
-    hu, hv, hw = (min(bp[i], bq[i]) for i in (1, 3, 5))
+    plu, phu, plv, phv, plw, phw = p._bounds
+    qlu, qhu, qlv, qhv, qlw, qhw = q._bounds
+    den = p.den
+    if q.den != den:
+        den = lcm(den, q.den)
+        k = den // p.den
+        plu, phu, plv, phv, plw, phw = plu * k, phu * k, plv * k, phv * k, plw * k, phw * k
+        k = den // q.den
+        qlu, qhu, qlv, qhv, qlw, qhw = qlu * k, qhu * k, qlv * k, qhv * k, qlw * k, qhw * k
+    lu, hu = max(plu, qlu), min(phu, qhu)
+    lv, hv = max(plv, qlv), min(phv, qhv)
+    lw, hw = max(plw, qlw), min(phw, qhw)
     # three difference constraints: each tight bound is the direct one or
     # the path through the third
     lu, hu, lv, hv, lw, hw = (
@@ -303,7 +310,11 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
 
 @dataclass(frozen=True)
 class Arrangement:
-    """One big figure with its family of small copies placed inside it."""
+    """One big figure with its family of small copies placed inside it.
+
+    The big figure and every small must be alcoved, so containment is six
+    bound comparisons.
+    """
 
     big: LatticePolygon
     smalls: tuple[LatticePolygon, ...]
@@ -312,10 +323,22 @@ class Arrangement:
     b: int
 
     def __post_init__(self) -> None:
+        big = self.big
+        if not big._alcoved:
+            raise ValueError("the big figure has edges off (1, 0), (0, 1) and (1, -1)")
+        lu, hu, lv, hv, lw, hw = big._bounds
         for i, s in enumerate(self.smalls):
-            if s.basis != self.big.basis:
-                raise BasisMismatch(f"small {i} on {s.basis}, big on {self.big.basis}")
-            if not self.big.contains_polygon(s):
+            if s.basis != big.basis:
+                raise BasisMismatch(f"small {i} on {s.basis}, big on {big.basis}")
+            if not s._alcoved:
+                raise ValueError(f"small {i} has edges off (1, 0), (0, 1) and (1, -1)")
+            slu, shu, slv, shv, slw, shw = s._bounds
+            k, m = s.den, big.den  # compare s's bounds times m with big's times k
+            if not (
+                lu * k <= slu * m and shu * m <= hu * k
+                and lv * k <= slv * m and shv * m <= hv * k
+                and lw * k <= slw * m and shw * m <= hw * k
+            ):
                 raise ValueError(f"small {i} is not inside the big figure")
 
 
@@ -525,50 +548,68 @@ class CoverageCensus:
         return tuple(r for r in self.distinct_pair_regions if r not in triples)
 
 
-def _bbox_disjoint(b1, b2) -> bool:
-    return b1[1] <= b2[0] or b2[1] <= b1[0] or b1[3] <= b2[2] or b2[3] <= b1[2]
+def _area_of_bounds(polys: Iterable[LatticePolygon]) -> Fraction:
+    """Total lattice area of alcoved polygons, read off their bounds and
+    summed in integers over one common denominator."""
+    polys = list(polys)
+    den = lcm(*(p.den for p in polys))
+    return Fraction(sum(_twice_area(*p._bounds) * (den // p.den) ** 2 for p in polys), 2 * den * den)
 
 
 def coverage_census(arr: Arrangement) -> CoverageCensus:
     """Intersect all smalls pairwise and triple-wise, then apply
     inclusion-exclusion.
 
-    Depth 4 is asserted impossible: every candidate quadruple whose
-    sub-triples are all present is clipped and must come out empty.
+    Candidate pairs come from a sweep over the smalls sorted by lower u
+    bound, kept when their u and v ranges overlap; they are clipped in
+    lexicographic order.  Triples (i, j, m) are clipped for the common
+    neighbours m > j of i and j in the overlap graph.  Depth 4 is asserted
+    impossible: every candidate quadruple whose sub-triples are all
+    present is clipped and must come out empty.
     """
     smalls = arr.smalls
     den = lcm(*(s.den for s in smalls))
     boxes = [tuple(c * (den // s.den) for c in s._bounds[:4]) for s in smalls]
     k = len(smalls)
 
+    order = sorted(range(k), key=lambda i: boxes[i][0])
+    candidates = []
+    for x, i in enumerate(order):
+        _, hu, lv, hv = boxes[i]
+        for y in range(x + 1, k):
+            j = order[y]
+            lu_j, _, lv_j, hv_j = boxes[j]
+            if lu_j >= hu:
+                break
+            if lv < hv_j and lv_j < hv:
+                candidates.append((i, j) if i < j else (j, i))
+    candidates.sort()
+
     pairs: dict[tuple[int, int], LatticePolygon] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _bbox_disjoint(boxes[i], boxes[j]):
-                continue
-            region = convex_intersection(smalls[i], smalls[j])
-            if region is not None:
-                pairs[(i, j)] = region
+    above: list[set[int]] = [set() for _ in range(k)]  # j > i overlapping small i
+    for i, j in candidates:
+        region = convex_intersection(smalls[i], smalls[j])
+        if region is not None:
+            pairs[(i, j)] = region
+            above[i].add(j)
 
     triples: dict[tuple[int, int, int], LatticePolygon] = {}
     for (i, j), region in pairs.items():
-        for m in range(j + 1, k):
-            if (i, m) not in pairs or (j, m) not in pairs:
-                continue
+        for m in sorted(above[i] & above[j]):
             deep = convex_intersection(region, smalls[m])
             if deep is not None:
                 triples[(i, j, m)] = deep
 
     for (i, j, m), region in triples.items():
-        for w in range(m + 1, k):
+        for w in sorted(above[i] & above[j] & above[m]):
             if (i, j, w) in triples and (i, m, w) in triples and (j, m, w) in triples:
                 if convex_intersection(region, smalls[w]) is not None:
                     raise DepthExceeded(f"smalls {i}, {j}, {m}, {w} share interior points")
 
     big_area = arr.big.lattice_area
-    total_small = _area_sum(smalls)
-    pair_sum = _area_sum(pairs.values())
-    triple_sum = _area_sum(triples.values())
+    total_small = _area_of_bounds(smalls)
+    pair_sum = _area_of_bounds(pairs.values())
+    triple_sum = _area_of_bounds(triples.values())
     union = total_small - pair_sum + triple_sum
     blank = big_area - union
     exactly3 = triple_sum

@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+import irrgeo.geometry as geometry
 from conftest import all_figure_families, window_convergents
 from irrgeo.descent import BadIndex, DescentFamily, FamilyKind, descent_step
 from irrgeo.geometry import (
@@ -30,6 +31,7 @@ from irrgeo.geometry import (
     window_inequalities,
     _figure,
     _sq_length,
+    _twice_area,
 )
 from irrgeo.number_theory import SquareRadicand
 
@@ -772,6 +774,274 @@ def test_depth_exceeded_on_artificial_stack():
     arr = Arrangement(big=big, smalls=smalls, family=DescentFamily.sqrt2(), a=10, b=3)
     with pytest.raises(DepthExceeded):
         coverage_census(arr)
+
+
+def _stack() -> Arrangement:
+    """Four squares over denominators 1 and 2, each pushed half a unit up
+    and right of the last: smalls 0..3 share a point set of positive area."""
+    smalls = tuple(square(Fraction(i, 2), Fraction(i, 2), 3) for i in range(4))
+    return Arrangement(big=square(0, 0, 10), smalls=smalls, family=DescentFamily.sqrt2(), a=10, b=3)
+
+
+def test_arrangement_containment_matches_contains_polygon():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+        bits = rng.choice((2, 8, 64))
+        big = _oracle_polygon(rng, basis, bits, _ALCOVED_KINDS)
+        _, small = _oracle_partner(rng, big, bits, _ALCOVED_KINDS)
+        inside = big.contains_polygon(small)
+        outcomes[inside] += 1
+        try:
+            Arrangement(big=big, smalls=(big, small), family=DescentFamily.sqrt2(), a=2, b=1)
+        except ValueError as exc:
+            assert not inside and str(exc) == "small 1 is not inside the big figure", (big, small)
+        else:
+            assert inside, (big, small)
+    assert min(outcomes.values()) >= 150
+
+
+def test_arrangement_refuses_non_alcoved():
+    hull = LatticePolygon([(0, 0), (4, 1), (1, 4)], ORTHOGONAL)
+    fine = square(0, 0, 1)
+    with pytest.raises(ValueError, match=r"^small 1 has edges off \(1, 0\), \(0, 1\) and \(1, -1\)$"):
+        Arrangement(big=square(0, 0, 8), smalls=(fine, hull), family=DescentFamily.sqrt2(), a=8, b=1)
+    with pytest.raises(ValueError, match=r"^the big figure has edges off"):
+        Arrangement(big=hull, smalls=(fine,), family=DescentFamily.sqrt2(), a=8, b=1)
+
+
+# Reference census scan: every pair's bounding boxes tested, and every
+# later small tried for each pair and each triple, as the census ran
+# before it swept and took its triples from the overlap graph.
+
+
+def _ref_bounds(poly: LatticePolygon) -> tuple[int, ...]:
+    """The least and greatest u, v and u + v over the vertices, times den."""
+    us, vs = [x for x, _ in poly.ints], [y for _, y in poly.ints]
+    ws = [x + y for x, y in poly.ints]
+    return (min(us), max(us), min(vs), max(vs), min(ws), max(ws))
+
+
+def _ref_bbox_disjoint(b1, b2) -> bool:
+    return b1[1] <= b2[0] or b2[1] <= b1[0] or b1[3] <= b2[2] or b2[3] <= b1[2]
+
+
+def _ref_census_clips(smalls) -> list:
+    """Every clip of the quadratic scan, in its order, as (the small indices
+    intersected, the result); it stops after a depth-4 clip with area."""
+    den = lcm(*(s.den for s in smalls))
+    boxes = [tuple(c * (den // s.den) for c in _ref_bounds(s)[:4]) for s in smalls]
+    k = len(smalls)
+    log = []
+    pairs, triples = {}, {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            if not _ref_bbox_disjoint(boxes[i], boxes[j]):
+                region = convex_intersection(smalls[i], smalls[j])
+                log.append(((i, j), region))
+                if region is not None:
+                    pairs[(i, j)] = region
+    for (i, j), region in pairs.items():
+        for m in range(j + 1, k):
+            if (i, m) in pairs and (j, m) in pairs:
+                deep = convex_intersection(region, smalls[m])
+                log.append(((i, j, m), deep))
+                if deep is not None:
+                    triples[(i, j, m)] = deep
+    for (i, j, m), region in triples.items():
+        for w in range(m + 1, k):
+            if (i, j, w) in triples and (i, m, w) in triples and (j, m, w) in triples:
+                deep = convex_intersection(region, smalls[w])
+                log.append(((i, j, m, w), deep))
+                if deep is not None:
+                    return log
+    return log
+
+
+def _census_logging(arr: Arrangement, log: list):
+    """coverage_census(arr), appending each of its convex_intersection calls
+    to log as (the small indices intersected, the result)."""
+    keys = {id(s): (i,) for i, s in enumerate(arr.smalls)}
+    real = geometry.convex_intersection
+
+    def clip(p, q):
+        key = keys[id(p)] + keys[id(q)]
+        region = real(p, q)
+        log.append((key, region))  # keeps region alive, so its id stays its own
+        if region is not None:
+            keys[id(region)] = key
+        return region
+
+    geometry.convex_intersection = clip
+    try:
+        return coverage_census(arr)
+    finally:
+        geometry.convex_intersection = real
+
+
+def _census_against_reference(arr: Arrangement):
+    """The census of arr, or None if it found four smalls sharing area;
+    either way it clipped what the reference scan clips, in its order, and
+    kept the same keys and regions.  Every polygon's kept bounds are the
+    ones its vertices give, and its closed-form area is its shoelace area."""
+    log: list = []
+    try:
+        census = _census_logging(arr, log)
+    except DepthExceeded:
+        census = None
+    expected = _ref_census_clips(arr.smalls)
+    assert log == expected
+    if census is None:
+        assert len(expected[-1][0]) == 4 and expected[-1][1] is not None
+        return None
+    hits = [(key, r) for key, r in expected if r is not None]
+    assert census.pair_keys == tuple(key for key, _ in hits if len(key) == 2)
+    assert census.pair_regions == tuple(r for key, r in hits if len(key) == 2)
+    assert census.triple_keys == tuple(key for key, _ in hits if len(key) == 3)
+    assert census.triple_regions == tuple(r for key, r in hits if len(key) == 3)
+    for poly in arr.smalls + census.pair_regions + census.triple_regions:
+        assert poly._bounds == _ref_bounds(poly), poly
+        assert Fraction(_twice_area(*poly._bounds), 2 * poly.den**2) == poly.lattice_area, poly
+    assert census.total_small_area == sum(s.lattice_area for s in arr.smalls)
+    return census
+
+
+def test_census_matches_all_pairs_reference_on_figures():
+    rng = random.Random(23)
+    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+        DescentFamily.triangular(n) for n in range(2, 25)
+    ]
+    figures = 0
+    for family in families:
+        try:
+            pairs = window_convergents(family, 2)
+        except SquareRadicand:  # T_8 is a square and has no convergents
+            pairs = []
+        pairs += [_random_window_pair(rng, family) for _ in range(2)]
+        for a, b in pairs:
+            census = _census_against_reference(build_arrangement(family, a, b))
+            assert census is not None, (family, a, b)
+            figures += 1
+    assert figures == 4 * len(families) - 2
+    # the artificial stack mixes denominators 1 and 2 and ends in DepthExceeded
+    with pytest.raises(DepthExceeded, match="smalls 0, 1, 2, 3 share"):
+        coverage_census(_stack())
+    assert _census_against_reference(_stack()) is None
+
+
+_SHAPE_CORNERS = {
+    "square": ((0, 0), (1, 0), (1, 1), (0, 1)),
+    "triangle": ((0, 0), (1, 0), (0, 1)),
+    "hexagon": ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
+}
+
+
+def _random_arrangement(rng: random.Random) -> Arrangement:
+    """Three to twelve squares, triangles and hexagons on the half-integer
+    grid inside a 12-square: unlike the figures, their bounds often touch
+    and many smalls can meet in one triple."""
+    basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+    big = square(0, 0, 12, basis)
+    smalls: list[LatticePolygon] = []
+    count = rng.randint(3, 12)
+    while len(smalls) < count:
+        den = rng.choice((1, 2))
+        x, y = Fraction(rng.randrange(24 // den), den), Fraction(rng.randrange(24 // den), den)
+        side = Fraction(rng.randint(1, 8 // den), den)
+        corners = _SHAPE_CORNERS[rng.choice(tuple(_SHAPE_CORNERS))]
+        poly = LatticePolygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
+        if big.contains_polygon(poly):
+            smalls.append(poly)
+    return Arrangement(big=big, smalls=tuple(smalls), family=DescentFamily.sqrt2(), a=12, b=1)
+
+
+def test_census_matches_all_pairs_reference_on_random_arrangements():
+    rng = random.Random(29)
+    outcomes = {"depth 4": 0, "triples": 0, "pairs only": 0}
+    for _ in range(400):
+        census = _census_against_reference(_random_arrangement(rng))
+        if census is None:
+            outcomes["depth 4"] += 1
+        else:
+            outcomes["triples" if census.triple_keys else "pairs only"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def _cell_depths(arr: Arrangement) -> list[int]:
+    """The coverage depth of every unit cell of the big figure scaled by
+    the common denominator: unit squares on the orthogonal lattice, the
+    two lattice triangles of each unit rhombus on the 60-degree one.  A
+    cell's depth is the number of smalls holding its centroid, each tested
+    against every edge in integers; no centroid lies on an edge line."""
+    polys = (arr.big,) + arr.smalls
+    den = lcm(*(p.den for p in polys))
+    # centroids of the cell at (x, y), over scale * den
+    scale, offsets = (2, ((1, 1),)) if arr.big.basis == ORTHOGONAL else (3, ((1, 1), (2, 2)))
+
+    def cells(poly):
+        k = den // poly.den
+        pts = [(x * k, y * k) for x, y in poly.ints]
+        edges = [(ax * scale, ay * scale, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        for x in range(min(xs), max(xs)):
+            for y in range(min(ys), max(ys)):
+                for ox, oy in offsets:
+                    cx, cy = scale * x + ox, scale * y + oy
+                    if all(ex * (cy - ay) - ey * (cx - ax) > 0 for ax, ay, ex, ey in edges):
+                        yield (x, y, ox)
+
+    depth = dict.fromkeys(cells(arr.big), 0)
+    for small in arr.smalls:
+        for cell in cells(small):
+            depth[cell] += 1  # KeyError: a small reaches outside the big figure
+    return list(depth.values())
+
+
+def _small_window_pairs(family: DescentFamily, a_max: int) -> list[tuple[int, int]]:
+    return [
+        (a, b)
+        for a in range(1, a_max + 1)
+        for b in range(1, a)
+        if all(w.ok for w in window_inequalities(family, a, b))
+    ]
+
+
+def test_census_matches_cell_count_oracle():
+    rng = random.Random(41)
+    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+        DescentFamily.triangular(n) for n in range(2, 7)
+    ]
+    for family in families:
+        # scaled figures up to about 40 cells across the sides
+        a_max = 40 if family.n is None else 80 // (family.n - 1)
+        pairs = _small_window_pairs(family, a_max)
+        for a, b in rng.sample(pairs, min(5, len(pairs))):
+            arr = build_arrangement(family, a, b)
+            census = coverage_census(arr)
+            den = lcm(*(p.den for p in (arr.big,) + arr.smalls))
+            cell = Fraction(1, den * den) if arr.big.basis == ORTHOGONAL else Fraction(1, 2 * den * den)
+            depths = _cell_depths(arr)
+            count = {d: depths.count(d) for d in range(5)}
+            assert count[4] == 0 and max(depths) <= 3, (family, a, b)
+            assert census.blank_area == count[0] * cell, (family, a, b)
+            assert census.exactly2_area == count[2] * cell, (family, a, b)
+            assert census.exactly3_area == count[3] * cell, (family, a, b)
+            assert census.union_area == (len(depths) - count[0]) * cell, (family, a, b)
+            assert census.max_depth == max(depths), (family, a, b)
+
+
+def test_triangular_figures_verify_for_every_n_up_to_50():
+    # the geometric twin of acceptance criterion 1: every figure the area
+    # identity covers is built, censused, verified and read back
+    rng = random.Random(50)
+    for n in range(2, 51):
+        family = DescentFamily.triangular(n)
+        a, b = _random_window_pair(rng, family)
+        arr = build_arrangement(family, a, b)
+        census = coverage_census(arr)
+        assert verify_figure(arr, census).all_pass
+        assert census_to_descent(arr, census) == descent_step(family, a, b).pair_out, (n, a, b)
 
 
 def test_verify_figure_passes():
