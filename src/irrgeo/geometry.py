@@ -7,20 +7,19 @@ intersections, areas, and the full coverage census are exact; converting
 a lattice area to a true area only ever multiplies by 1 or sqrt(3)/2 and
 is never needed inside an identity.
 
-Every polygon carries its coordinates as integers over one least common
-denominator (den and ints), and all geometry reads those integers:
-convexity, areas, bounds, containment, edge lengths, equality and
-intersection.  Fractions are only the public face: vertices turns the
-integers back into Fractions when it is first read.
-
-Every polygon the figures draw, and every overlap of two of them, has
-edges along (1, 0), (0, 1) and (1, -1) only: it is an alcoved polygon,
-exactly the set cut out by its bounds on u, v and u + v.  The figure
-builders and the intersection both make one from its bounds with
-_alcove, which keeps the bounds.  Two of them intersect by taking the
-larger lower and the smaller upper bounds; convex_intersection refuses
-any other polygon.  The census reads the bounds too: to find the pairs
-worth clipping, to check containment, and for each area in closed form.
+A polygon is its bounds.  Every polygon the figures draw, and every
+overlap of two of them, has edges along (1, 0), (0, 1) and (1, -1) only:
+it is an alcoved polygon, exactly the set cut out by its bounds on u, v
+and u + v.  LatticePolygon stores those six bounds as integers over one
+denominator den, reduced by their common gcd and tight (each is attained),
+so equality of the record is equality of point sets.  Validity, areas,
+edge lengths, the shape predicates, containment and intersection are
+integer comparisons and differences of the bounds; the corners (ints,
+and vertices as Fractions) are derived when first read, for drawing and
+for the public constructor, which accepts only a list that is exactly the
+corners of its bounds.  Two polygons intersect by taking the larger lower
+and the smaller upper bounds; the census reads the bounds to find the
+pairs worth clipping and for each area in closed form.
 """
 
 from __future__ import annotations
@@ -74,127 +73,77 @@ class LatticePoint(NamedTuple):
 _IntPoint = tuple[int, int]
 
 
-def _times(x: Fraction, den: int) -> int:
-    """x * den, for a den that x's denominator divides."""
-    return x.numerator * (den // x.denominator)
-
-
-def _sq_length(basis: str, du, dv):
-    """Squared Euclidean length of the lattice vector (du, dv)."""
-    if basis == ORTHOGONAL:
-        return du * du + dv * dv
-    return du * du + du * dv + dv * dv
-
-
 @dataclass(frozen=True, init=False)
 class LatticePolygon:
-    """Strictly convex counter-clockwise polygon in lattice coordinates.
+    """Alcoved polygon: lu <= u <= hu, lv <= v <= hv and lw <= u + v <= hw,
+    every bound an integer over den.
 
-    den is the least common denominator of the coordinates and ints the
-    vertices times den, starting at the lexicographically smallest point.
-    Both are canonical, so structural equality is equality of point sets.
-    vertices gives the same points as Fractions.
+    The bounds are reduced by their gcd with den and tight, so the record
+    is canonical and structural equality is equality of point sets.  ints
+    (the corners times den) and vertices (the same as Fractions) run
+    counter-clockwise from the lexicographically smallest corner.
+    LatticePolygon(vertices, basis) takes exactly such a corner list, in
+    any rotation; _alcove builds one from its bounds.
     """
 
     basis: str
     den: int
-    ints: tuple[_IntPoint, ...]
+    lu: int
+    hu: int
+    lv: int
+    hv: int
+    lw: int
+    hw: int
 
     def __init__(self, vertices: Iterable, basis: str) -> None:
         pts = [(Fraction(u), Fraction(v)) for u, v in vertices]
+        if len(pts) < 3:
+            raise ValueError(f"need at least 3 vertices, got {len(pts)}")
         den = lcm(*(x.denominator for p in pts for x in p))
-        self._settle([(_times(u, den), _times(v, den)) for u, v in pts], den, basis)
-
-    @classmethod
-    def _of_ints(cls, ints: list[_IntPoint], den: int, basis: str) -> "LatticePolygon":
-        """The polygon with vertices ints/den (den > 0), reduced to the
-        least common denominator and validated like any other."""
-        g = gcd(den, *(c for p in ints for c in p))
-        poly = cls.__new__(cls)
-        poly._settle([(x // g, y // g) for x, y in ints], den // g, basis)
-        return poly
-
-    def _settle(self, ints: list[_IntPoint], den: int, basis: str) -> None:
-        if basis not in (ORTHOGONAL, TRIANGULAR):
-            raise ValueError(f"unknown basis {basis!r}")
-        if len(ints) < 3:
-            raise ValueError(f"need at least 3 vertices, got {len(ints)}")
-        edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(ints[-1:] + ints[:-1], ints)]
-        wraps = 0
-        alcoved = True
-        for (dx0, dy0), (dx1, dy1) in zip(edges[-1:] + edges[:-1], edges):
-            if dx0 * dy1 - dy0 * dx1 <= 0:
-                raise ValueError("vertices must be strictly convex counter-clockwise")
-            # every turn is left and under a half turn, so the edge direction
-            # crosses from below the u-axis to above it once per winding
-            wraps += (dy0 < 0 or (dy0 == 0 and dx0 < 0)) and (dy1 > 0 or (dy1 == 0 and dx1 > 0))
-            if dx1 * dy1 * (dx1 + dy1):
-                alcoved = False
-        if wraps != 1:
-            raise ValueError(f"vertices must wind once around, not {wraps} times")
+        ints = [(u.numerator * (den // u.denominator), v.numerator * (den // v.denominator)) for u, v in pts]
+        us, vs = [x for x, _ in ints], [y for _, y in ints]
+        ws = [x + y for x, y in ints]
+        poly = _alcove(basis, den, min(us), max(us), min(vs), max(vs), min(ws), max(ws))
         start = ints.index(min(ints))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ints", tuple(ints[start:] + ints[:start]))
-        # every edge runs along (1, 0), (0, 1) or (1, -1)
-        object.__setattr__(self, "_alcoved", alcoved)
+        if poly.den != den or tuple(ints[start:] + ints[:start]) != poly.ints:
+            raise ValueError("vertices must be the corners of their bounds on u, v and u + v, counter-clockwise")
+        self.__dict__.update(poly.__dict__)
+
+    @cached_property
+    def ints(self) -> tuple[_IntPoint, ...]:
+        lu, hu, lv, hv, lw, hw = self.lu, self.hu, self.lv, self.hv, self.lw, self.hw
+        # where each bound line meets the next, from the smallest corner on,
+        # consecutive repeats dropped
+        corners = ((lu, lw - lu), (lw - lv, lv), (hu, lv), (hu, hw - hu), (hw - hv, hv), (lu, hv))
+        return tuple(c for c, after in zip(corners, corners[1:] + corners[:1]) if c != after)
 
     @cached_property
     def vertices(self) -> tuple[LatticePoint, ...]:
         den = self.den
         return tuple(LatticePoint(Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
 
+    def _edges(self) -> list[tuple[int, int]]:
+        """(k, e) for each edge, edge i leaving vertex i: it is sqrt(k)*e/den
+        long.  An edge along (1, 0) or (0, 1) is as long as its u or v
+        extent, and so is one along (1, -1) on the 60-degree lattice (k = 1);
+        on the orthogonal lattice that one is sqrt(2) times longer (k = 2)."""
+        lu, hu, lv, hv, lw, hw = self.lu, self.hu, self.lv, self.hv, self.lw, self.hw
+        k = 2 if self.basis == ORTHOGONAL else 1
+        edges = [
+            (k, lw - lu - lv), (1, hu + lv - lw), (1, hw - hu - lv),
+            (k, hu + hv - hw), (1, hw - hv - lu), (1, hv + lu - lw),
+        ]
+        return [ke for ke in edges if ke[1]]
+
+    def _twice_area(self) -> int:
+        """Twice the lattice area times den**2: the u, v box less the two
+        corners that u + v cuts."""
+        lu, hu, lv, hv, lw, hw = self.lu, self.hu, self.lv, self.hv, self.lw, self.hw
+        return 2 * (hu - lu) * (hv - lv) - (lw - lu - lv) ** 2 - (hu + hv - hw) ** 2
+
     @property
     def lattice_area(self) -> Fraction:
-        """The shoelace sum over the vertices."""
-        pts = self.ints
-        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-        return Fraction(twice, 2 * self.den * self.den)
-
-    @cached_property
-    def _bounds(self) -> tuple[int, int, int, int, int, int]:
-        """The least and greatest u, v and u + v over the vertices, times
-        den; _alcove stores them instead."""
-        us = [x for x, _ in self.ints]
-        vs = [y for _, y in self.ints]
-        ws = [x + y for x, y in self.ints]
-        return (min(us), max(us), min(vs), max(vs), min(ws), max(ws))
-
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(Fraction(c, self.den) for c in self._bounds[:4])
-
-    def _covers(self, points: list[_IntPoint], den: int) -> bool:
-        """Closed containment of points/den; self.den divides den."""
-        k = den // self.den
-        corners = [(x * k, y * k) for x, y in self.ints]
-        for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
-            ex, ey = bx - ax, by - ay
-            if any(ex * (y - ay) - ey * (x - ax) < 0 for x, y in points):
-                return False
-        return True
-
-    def contains_point(self, p: LatticePoint) -> bool:
-        """Closed containment: boundary counts as inside."""
-        u, v = Fraction(p.u), Fraction(p.v)
-        den = lcm(self.den, u.denominator, v.denominator)
-        return self._covers([(_times(u, den), _times(v, den))], den)
-
-    def contains_polygon(self, other: "LatticePolygon") -> bool:
-        if other.basis != self.basis:
-            raise BasisMismatch(f"{self.basis} vs {other.basis}")
-        den = lcm(self.den, other.den)
-        k = den // other.den
-        return self._covers([(x * k, y * k) for x, y in other.ints], den)
-
-    def _sq(self, i: int, j: int) -> int:
-        """den**2 times the squared length from vertex i to vertex j."""
-        (x0, y0), (x1, y1) = self.ints[i], self.ints[j]
-        return _sq_length(self.basis, x1 - x0, y1 - y0)
-
-    def _edge_sqs(self) -> list[int]:
-        """den**2 times each edge's squared length, edge i leaving vertex i."""
-        k = len(self.ints)
-        return [self._sq(i, (i + 1) % k) for i in range(k)]
+        return Fraction(self._twice_area(), 2 * self.den * self.den)
 
 
 def fraction_sqrt(x: Fraction) -> Fraction:
@@ -210,66 +159,58 @@ def fraction_sqrt(x: Fraction) -> Fraction:
 def polygon_side(poly: LatticePolygon) -> Fraction:
     """Common side length of an equilateral polygon; ValueError otherwise."""
     d2 = poly.den * poly.den
-    qs = set(poly._edge_sqs())
+    qs = {k * e * e for k, e in poly._edges()}
     if len(qs) != 1:
         raise ValueError(f"edges have unequal lengths: {sorted(Fraction(q, d2) for q in qs)}")
     return fraction_sqrt(Fraction(qs.pop(), d2))
 
 
-def _side_sq(poly: LatticePolygon, side: Fraction) -> Optional[int]:
-    """den**2 * side**2, or None when side*den is not an integer: a
-    segment between two of poly's vertices has length side only if it is."""
-    scaled = side * poly.den
-    return scaled.numerator**2 if scaled.denominator == 1 else None
+def _equilateral_corners(poly: LatticePolygon, side: Fraction) -> int:
+    """poly's corner count if every edge is side long, else 0."""
+    e, rest = divmod(side.numerator * poly.den, side.denominator)
+    edges = poly._edges()
+    return len(edges) if not rest and all(ke == (1, e) for ke in edges) else 0
 
 
-def _sides_are(poly: LatticePolygon, s2: Optional[int]) -> bool:
-    """Every edge of poly squares to s2 over den**2."""
-    return s2 is not None and all(q == s2 for q in poly._edge_sqs())
-
-
-def _diag_sqs(poly: LatticePolygon) -> list[int]:
-    return sorted((poly._sq(0, 2), poly._sq(1, 3)))
+# An equilateral alcoved triangle or quadrilateral on the 60-degree lattice
+# has edges in alternate, or in two opposite pairs of, the six directions:
+# it is an equilateral triangle or a 60-degree rhombus.  On the orthogonal
+# lattice an edge along (1, -1) is sqrt(2) times a rational, never side
+# long, so an equilateral quadrilateral there is a square.
 
 
 def is_equilateral_triangle(poly: LatticePolygon, side: Fraction) -> bool:
-    if len(poly.ints) != 3 or poly.basis != TRIANGULAR:
-        return False
-    return _sides_are(poly, _side_sq(poly, side))
+    return poly.basis == TRIANGULAR and _equilateral_corners(poly, side) == 3
 
 
 def is_square(poly: LatticePolygon, side: Fraction) -> bool:
-    if len(poly.ints) != 4 or poly.basis != ORTHOGONAL:
-        return False
-    s2 = _side_sq(poly, side)
-    return _sides_are(poly, s2) and _diag_sqs(poly) == [2 * s2, 2 * s2]
+    return poly.basis == ORTHOGONAL and _equilateral_corners(poly, side) == 4
 
 
 def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
     """60-degree rhombus: four equal sides, diagonals side and side*sqrt(3)."""
-    if len(poly.ints) != 4 or poly.basis != TRIANGULAR:
-        return False
-    s2 = _side_sq(poly, side)
-    return _sides_are(poly, s2) and _diag_sqs(poly) == [s2, 3 * s2]
-
-
-def _twice_area(lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> int:
-    """Twice the lattice area, times den**2, of the alcoved polygon with
-    these tight bounds: its u, v box less the two corners that u + v cuts."""
-    return 2 * (hu - lu) * (hv - lv) - (lw - lu - lv) ** 2 - (hu + hv - hw) ** 2
+    return poly.basis == TRIANGULAR and _equilateral_corners(poly, side) == 4
 
 
 def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> LatticePolygon:
     """The alcoved polygon lu <= u <= hu, lv <= v <= hv, lw <= u + v <= hw,
-    all over den; every bound must be tight and the area positive.  The
-    bounds, reduced with den, are kept as the polygon's _bounds."""
+    all over den, reduced by the gcd; ValueError unless every bound is
+    attained and every extent positive."""
+    if basis not in (ORTHOGONAL, TRIANGULAR):
+        raise ValueError(f"unknown basis {basis!r}")
+    if not (lu < hu and lv < hv and lw < hw):
+        raise ValueError("the polygon has no area")
+    if not (
+        lu + lv <= lw and hw <= hu + hv
+        and lw - hv <= lu and hu <= hw - lv
+        and lw - hu <= lv and hv <= hw - lu
+    ):
+        raise ValueError("a bound on u, v or u + v is not attained")
     g = gcd(den, lu, hu, lv, hv, lw, hw)
     den, lu, hu, lv, hv, lw, hw = den // g, lu // g, hu // g, lv // g, hv // g, lw // g, hw // g
-    # counter-clockwise from the bottom edge, where each bound line meets the next
-    corners = [(lw - lv, lv), (hu, lv), (hu, hw - hu), (hw - hv, hv), (lu, hv), (lu, lw - lu)]
     poly = LatticePolygon.__new__(LatticePolygon)
-    poly._settle([c for c, before in zip(corners, corners[-1:] + corners[:-1]) if c != before], den, basis)
-    object.__setattr__(poly, "_bounds", (lu, hu, lv, hv, lw, hw))
+    # the record is frozen, so its fields are written past __setattr__
+    poly.__dict__.update(basis=basis, den=den, lu=lu, hu=hu, lv=lv, hv=hv, lw=lw, hw=hw)
     return poly
 
 
@@ -278,14 +219,12 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
 
     Both bound vectors are scaled to the least common multiple of the
     denominators, each lower bound raised and each upper bound lowered to
-    the other polygon's; ValueError if either polygon is not alcoved.
+    the other polygon's.
     """
     if p.basis != q.basis:
         raise BasisMismatch(f"{p.basis} vs {q.basis}")
-    if not (p._alcoved and q._alcoved):
-        raise ValueError("only polygons with edges along (1, 0), (0, 1) and (1, -1) intersect")
-    plu, phu, plv, phv, plw, phw = p._bounds
-    qlu, qhu, qlv, qhv, qlw, qhw = q._bounds
+    plu, phu, plv, phv, plw, phw = p.lu, p.hu, p.lv, p.hv, p.lw, p.hw
+    qlu, qhu, qlv, qhv, qlw, qhw = q.lu, q.hu, q.lv, q.hv, q.lw, q.hw
     den = p.den
     if q.den != den:
         den = lcm(den, q.den)
@@ -312,8 +251,7 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
 class Arrangement:
     """One big figure with its family of small copies placed inside it.
 
-    The big figure and every small must be alcoved, so containment is six
-    bound comparisons.
+    Every polygon is alcoved, so containment is six bound comparisons.
     """
 
     big: LatticePolygon
@@ -324,20 +262,15 @@ class Arrangement:
 
     def __post_init__(self) -> None:
         big = self.big
-        if not big._alcoved:
-            raise ValueError("the big figure has edges off (1, 0), (0, 1) and (1, -1)")
-        lu, hu, lv, hv, lw, hw = big._bounds
+        lu, hu, lv, hv, lw, hw = big.lu, big.hu, big.lv, big.hv, big.lw, big.hw
         for i, s in enumerate(self.smalls):
             if s.basis != big.basis:
                 raise BasisMismatch(f"small {i} on {s.basis}, big on {big.basis}")
-            if not s._alcoved:
-                raise ValueError(f"small {i} has edges off (1, 0), (0, 1) and (1, -1)")
-            slu, shu, slv, shv, slw, shw = s._bounds
             k, m = s.den, big.den  # compare s's bounds times m with big's times k
             if not (
-                lu * k <= slu * m and shu * m <= hu * k
-                and lv * k <= slv * m and shv * m <= hv * k
-                and lw * k <= slw * m and shw * m <= hw * k
+                lu * k <= s.lu * m and s.hu * m <= hu * k
+                and lv * k <= s.lv * m and s.hv * m <= hv * k
+                and lw * k <= s.lw * m and s.hw * m <= hw * k
             ):
                 raise ValueError(f"small {i} is not inside the big figure")
 
@@ -396,6 +329,8 @@ class _Figure:
     """What one family's figure fixes beyond its radicand N.
 
     window holds (name, ka, kb) for ka*a > kb*b, then for ka*a < kb*b.
+    overlap_shape is every overlap's basis and corner count: with all
+    sides equal, a square, a 60-degree rhombus or an equilateral triangle.
     sides(a, b) gives the overlap side t and the blank side s; next_pair
     reads the smaller pair off (t, s) without the descent map's forms.
     Lattice areas per side squared: big_unit for the big figure and each
@@ -406,7 +341,7 @@ class _Figure:
 
     window: tuple[tuple[str, int, int], tuple[str, int, int]]
     build: Callable[[int, int], _Shapes]
-    overlap_shape: Callable[[LatticePolygon, Fraction], bool]
+    overlap_shape: tuple[str, int]
     doubly_count: int
     triple_count: int
     big_unit: Fraction
@@ -419,7 +354,7 @@ class _Figure:
 _SQUARES = _Figure(
     window=(("a > b", 1, 1), ("a < 2b", 1, 2)),
     build=_squares,
-    overlap_shape=is_square,
+    overlap_shape=(ORTHOGONAL, 4),
     doubly_count=1,
     triple_count=0,
     big_unit=Fraction(1),
@@ -432,7 +367,7 @@ _SQUARES = _Figure(
 _HEXAGONS = _Figure(
     window=(("a > 2b", 1, 2), ("a < 3b", 1, 3)),
     build=_hexagons,
-    overlap_shape=is_unit_rhombus,
+    overlap_shape=(TRIANGULAR, 4),
     doubly_count=6,
     triple_count=0,
     big_unit=Fraction(3),
@@ -455,7 +390,7 @@ def _triangle_figure(n: int) -> _Figure:
     return _Figure(
         window=(("2a > (n+1)b", 2, n + 1), ("a < nb", 1, n)),
         build=lambda a, b: _triangle_rows(n, a, b),
-        overlap_shape=is_equilateral_triangle,
+        overlap_shape=(TRIANGULAR, 3),
         doubly_count=3 * (n - 1),
         triple_count=(n - 2) * (n - 1) // 2,
         big_unit=Fraction(1, 2),
@@ -548,12 +483,12 @@ class CoverageCensus:
         return tuple(r for r in self.distinct_pair_regions if r not in triples)
 
 
-def _area_of_bounds(polys: Iterable[LatticePolygon]) -> Fraction:
+def _total_area(polys: Iterable[LatticePolygon]) -> Fraction:
     """Total lattice area of alcoved polygons, read off their bounds and
     summed in integers over one common denominator."""
     polys = list(polys)
     den = lcm(*(p.den for p in polys))
-    return Fraction(sum(_twice_area(*p._bounds) * (den // p.den) ** 2 for p in polys), 2 * den * den)
+    return Fraction(sum(p._twice_area() * (den // p.den) ** 2 for p in polys), 2 * den * den)
 
 
 def coverage_census(arr: Arrangement) -> CoverageCensus:
@@ -569,7 +504,10 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     """
     smalls = arr.smalls
     den = lcm(*(s.den for s in smalls))
-    boxes = [tuple(c * (den // s.den) for c in s._bounds[:4]) for s in smalls]
+    boxes = []
+    for s in smalls:
+        scale = den // s.den
+        boxes.append((s.lu * scale, s.hu * scale, s.lv * scale, s.hv * scale))
     k = len(smalls)
 
     order = sorted(range(k), key=lambda i: boxes[i][0])
@@ -607,9 +545,9 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
                     raise DepthExceeded(f"smalls {i}, {j}, {m}, {w} share interior points")
 
     big_area = arr.big.lattice_area
-    total_small = _area_of_bounds(smalls)
-    pair_sum = _area_of_bounds(pairs.values())
-    triple_sum = _area_of_bounds(triples.values())
+    total_small = _total_area(smalls)
+    pair_sum = _total_area(pairs.values())
+    triple_sum = _total_area(triples.values())
     union = total_small - pair_sum + triple_sum
     blank = big_area - union
     exactly3 = triple_sum
@@ -669,8 +607,10 @@ def verify_figure(arr: Arrangement, census: CoverageCensus) -> FigureReport:
     overlaps = census.distinct_pair_regions + tuple(
         r for r in census.distinct_triple_regions if r not in pair_set
     )
-    sides_ok = sum(1 for r in overlaps if _sides_are(r, _side_sq(r, t)))
-    shape_ok = sum(1 for r in overlaps if fig.overlap_shape(r, t))
+    corners = [_equilateral_corners(r, t) for r in overlaps]
+    sides_ok = sum(1 for c in corners if c)
+    basis, count = fig.overlap_shape
+    shape_ok = sum(1 for r, c in zip(overlaps, corners) if c == count and r.basis == basis)
     big_n = arr.family.radicand
     balance = -fig.big_unit * (arr.a * arr.a - big_n * arr.b * arr.b)
     exactly2 = fig.overlap_unit * fig.doubly_count * t * t

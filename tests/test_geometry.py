@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -29,9 +29,8 @@ from irrgeo.geometry import (
     polygon_side,
     verify_figure,
     window_inequalities,
+    _alcove,
     _figure,
-    _sq_length,
-    _twice_area,
 )
 from irrgeo.number_theory import SquareRadicand
 
@@ -71,6 +70,13 @@ def test_calibration_unit_shapes():
     assert polygon_side(square(1, 2, 7)) == 7
 
 
+def _sq_length(basis: str, du, dv):
+    """Squared Euclidean length of the lattice vector (du, dv)."""
+    if basis == ORTHOGONAL:
+        return du * du + dv * dv
+    return du * du + du * dv + dv * dv
+
+
 def test_edge_metric():
     p0 = LatticePoint(Fraction(0), Fraction(0))
     for basis, u, v, expected in (
@@ -82,6 +88,20 @@ def test_edge_metric():
     ):
         assert _sq_length(basis, u, v) == expected
         assert _ref_edge_sq(basis, p0, LatticePoint(Fraction(u), Fraction(v))) == expected
+    # the edges read off the bounds, along all three directions on both
+    # lattices: (1, -1) is sqrt(2) long on the orthogonal one
+    for basis in (ORTHOGONAL, TRIANGULAR):
+        for corners in (
+            [(0, 0), (3, 0), (0, 3)],
+            [(3, 0), (3, 3), (0, 3)],
+            [(0, 0), (4, 0), (4, 1), (1, 4), (0, 4)],
+            [(2, 0), (2, 2), (0, 4), (0, 2)],
+        ):
+            poly = LatticePolygon(corners, basis)
+            pts = poly.ints
+            assert [k * e * e for k, e in poly._edges()] == [
+                _sq_length(basis, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
+            ]
 
 
 _TWICE_WOUND_HEXAGON = [(1, 0), (-1, 1), (0, -1), (0, 1), (-1, 0), (1, -1)]
@@ -113,15 +133,12 @@ def test_polygon_validation():
     with pytest.raises(ValueError):
         LatticePolygon(tri(0, 0, 1).vertices[:2], TRIANGULAR)
     # alternate corners of a hexagon: every turn is left, but the list
-    # winds twice (its shoelace area would be 5/2)
-    with pytest.raises(ValueError, match="wind once"):
+    # winds twice (its shoelace area would be 5/2); its bounds are those of
+    # the hexagon, whose corners it lists in another order
+    with pytest.raises(ValueError, match="corners of their bounds"):
         LatticePolygon(_TWICE_WOUND_HEXAGON, TRIANGULAR)
-    for den in (1, 6):
-        with pytest.raises(ValueError, match="wind once"):
-            LatticePolygon._of_ints([(x * den, y * den) for x, y in _TWICE_WOUND_HEXAGON], den, TRIANGULAR)
     assert not _ref_is_convex([LatticePoint(Fraction(u), Fraction(v)) for u, v in _TWICE_WOUND_HEXAGON])
-    # the from-integers constructor behind clips and translations rejects
-    # the same inputs, also after reducing them to their least denominator
+    # the same refusals over a denominator, where the bounds are reduced
     for den in (1, 6):
         for ints in (
             [(0, 0)],
@@ -130,11 +147,26 @@ def test_polygon_validation():
             [(0, 0), (0, 2), (2, 0)],  # clockwise
             [(0, 0), (2, 0), (2, 0), (0, 2)],  # repeated vertex
             [(0, 0), (2, 0), (2, 2), (4, 2), (0, 2)],  # reflex vertex
+            [(0, 0), (4, 2), (2, 4)],  # edges off (1, 0), (0, 1) and (1, -1)
+            _TWICE_WOUND_HEXAGON,
         ):
-            with pytest.raises(ValueError):
-                LatticePolygon._of_ints(ints, den, ORTHOGONAL)
-    with pytest.raises(ValueError):
-        LatticePolygon._of_ints([(0, 0), (2, 0), (0, 2)], 6, "polar")
+            for basis in (ORTHOGONAL, TRIANGULAR):
+                with pytest.raises(ValueError):
+                    LatticePolygon([(Fraction(x, den), Fraction(y, den)) for x, y in ints], basis)
+        with pytest.raises(ValueError, match="unknown basis"):
+            LatticePolygon([(0, 0), (Fraction(2, den), 0), (0, Fraction(2, den))], "polar")
+    # the bounds constructor: each case breaks one inequality of the unit
+    # hexagon -1 <= u, v, u + v <= 1, so each inequality is checked
+    hexagon = [-1, 1, -1, 1, -1, 1]
+    assert _alcove(TRIANGULAR, 6, *(6 * c for c in hexagon)) == _alcove(TRIANGULAR, 1, *hexagon)
+    for i, c in ((4, -3), (5, 3), (0, -3), (1, 3), (2, -3), (3, 3)):
+        bounds = hexagon[:i] + [c] + hexagon[i + 1 :]
+        with pytest.raises(ValueError, match="not attained"):
+            _alcove(TRIANGULAR, 1, *bounds)
+    for i in range(0, 6, 2):  # an extent of zero
+        bounds = hexagon[:i] + [hexagon[i + 1]] + hexagon[i + 1 :]
+        with pytest.raises(ValueError, match="no area"):
+            _alcove(TRIANGULAR, 1, *bounds)
 
 
 def test_polygon_canonical_rotation():
@@ -221,8 +253,8 @@ def test_intersection_commutative_and_monotone():
         r2 = convex_intersection(b, a)
         assert r1 == r2
         if r1 is not None:
-            assert a.contains_polygon(r1)
-            assert b.contains_polygon(r1)
+            for c in r1.vertices:
+                assert _ref_contains_point(a.vertices, c) and _ref_contains_point(b.vertices, c)
             assert r1.lattice_area <= min(a.lattice_area, b.lattice_area)
             assert convex_intersection(r1, a) == r1
             assert convex_intersection(r1, b) == r1
@@ -313,31 +345,29 @@ def _hull(points) -> tuple[LatticePoint, ...]:
     return tuple(chain)
 
 
-_ALL_KINDS = ("square", "triangle", "hexagon", "hull")
-# the kinds with edges along (1, 0), (0, 1) and (1, -1) only
-_ALCOVED_KINDS = ("square", "triangle", "hexagon")
+def _oracle_hull(rng: random.Random, bits: int) -> tuple[LatticePoint, ...]:
+    """The hull of three to nine random points: a strictly convex
+    counter-clockwise list, with edges in any direction."""
+    while True:
+        pts = _hull(
+            LatticePoint(_oracle_frac(rng, bits), _oracle_frac(rng, bits))
+            for _ in range(rng.randint(3, 9))
+        )
+        if len(pts) >= 3:
+            return pts
 
 
-def _oracle_polygon(rng: random.Random, basis: str, bits: int, kinds=_ALL_KINDS) -> LatticePolygon:
-    """A polygon of one of kinds (square, triangle, hexagon or random hull)
-    at a random place."""
-    kind = rng.choice(kinds)
+def _oracle_polygon(rng: random.Random, basis: str, bits: int) -> LatticePolygon:
+    """A square, triangle or hexagon at a random place."""
+    kind = rng.choice(("square", "triangle", "hexagon"))
     x, y = _oracle_frac(rng, bits), _oracle_frac(rng, bits)
     side = abs(_oracle_frac(rng, bits)) + Fraction(1, 2**bits)
     if kind == "square":
         return square(x, y, side, basis)
     if kind == "triangle":
         corners = ((0, 0), (1, 0), (0, 1))
-    elif kind == "hexagon":
-        corners = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
     else:
-        while True:
-            pts = _hull(
-                LatticePoint(_oracle_frac(rng, bits), _oracle_frac(rng, bits))
-                for _ in range(rng.randint(3, 9))
-            )
-            if len(pts) >= 3:
-                return LatticePolygon(pts, basis)
+        corners = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
     return LatticePolygon(
         tuple(LatticePoint(x + side * du, y + side * dv) for du, dv in corners), basis
     )
@@ -353,11 +383,9 @@ def _shift(corners, du, dv) -> tuple[LatticePoint, ...]:
     return tuple(LatticePoint(p.u + du, p.v + dv) for p in corners)
 
 
-def _oracle_partner(
-    rng: random.Random, p: LatticePolygon, bits: int, kinds=_ALL_KINDS
-) -> tuple[str, LatticePolygon]:
+def _oracle_partner(rng: random.Random, p: LatticePolygon, bits: int) -> tuple[str, LatticePolygon]:
     """A second polygon in one of the relations the intersection must get
-    right; an overlapping partner is one of kinds."""
+    right."""
     relation = rng.choice(
         ("overlap", "overlap", "identical", "disjoint", "nested", "shared_edge", "vertex_contact")
     )
@@ -366,7 +394,7 @@ def _oracle_partner(
     if relation == "identical":
         return relation, LatticePolygon(v[i:] + v[:i], p.basis)
     if relation == "disjoint":
-        u0, u1, _, _ = p.bbox()
+        u0, u1, _, _ = _ref_bbox(v)
         du, dv = u1 - u0 + abs(_oracle_frac(rng, bits)), _oracle_frac(rng, bits)
         return relation, LatticePolygon(_shift(v, du, dv), p.basis)
     if relation == "nested":
@@ -381,7 +409,7 @@ def _oracle_partner(
         return relation, _point_reflection(p, (a.u + b.u) / 2, (a.v + b.v) / 2)
     if relation == "vertex_contact":
         return relation, _point_reflection(p, v[i].u, v[i].v)
-    return relation, _oracle_polygon(rng, p.basis, rng.choice((2, 8, 64, 200)), kinds)
+    return relation, _oracle_polygon(rng, p.basis, rng.choice((2, 8, 64, 200)))
 
 
 def test_intersection_matches_fraction_reference_on_2000_pairs():
@@ -391,8 +419,8 @@ def test_intersection_matches_fraction_reference_on_2000_pairs():
     for _ in range(2000):
         basis = rng.choice((ORTHOGONAL, TRIANGULAR))
         bits = rng.choice((2, 4, 8, 32, 64, 128, 200))
-        p = _oracle_polygon(rng, basis, bits, _ALCOVED_KINDS)
-        relation, q = _oracle_partner(rng, p, bits, _ALCOVED_KINDS)
+        p = _oracle_polygon(rng, basis, bits)
+        relation, q = _oracle_partner(rng, p, bits)
         if rng.random() < 0.5:
             p, q = q, p
         expected = _ref_intersection(p, q)
@@ -410,24 +438,22 @@ def test_intersection_matches_fraction_reference_on_2000_pairs():
     assert min(hits.values()) >= 100 and min(misses.values()) >= 100
 
 
-def _is_alcoved(poly: LatticePolygon) -> bool:
-    v = poly.vertices
+def _is_alcoved(v) -> bool:
     return all((b.u - a.u) * (b.v - a.v) * (b.u - a.u + b.v - a.v) == 0 for a, b in zip(v, v[1:] + v[:1]))
 
 
 def test_intersection_refuses_non_alcoved():
+    # a polygon with an edge off (1, 0), (0, 1) and (1, -1) cannot be
+    # built, so it never reaches convex_intersection
     rng = random.Random(7)
     refused = 0
     for _ in range(200):
         basis = rng.choice((ORTHOGONAL, TRIANGULAR))
-        bits = rng.choice((2, 8, 64))
-        hull = _oracle_polygon(rng, basis, bits, ("hull",))
+        hull = _oracle_hull(rng, rng.choice((2, 8, 64)))
         if _is_alcoved(hull):
             continue
-        for other in (_oracle_polygon(rng, basis, bits, _ALCOVED_KINDS), hull):
-            for p, q in ((hull, other), (other, hull)):
-                with pytest.raises(ValueError, match=r"\(1, -1\)"):
-                    convex_intersection(p, q)
+        with pytest.raises(ValueError, match="corners of their bounds"):
+            LatticePolygon(hull, basis)
         refused += 1
     assert refused >= 100
 
@@ -473,6 +499,11 @@ def _ref_edge_sq(basis, p, q) -> Fraction:
     return du * du + du * dv + dv * dv
 
 
+def _meets_bounds(poly: LatticePolygon, c: LatticePoint) -> bool:
+    u, v = c.u * poly.den, c.v * poly.den
+    return poly.lu <= u <= poly.hu and poly.lv <= v <= poly.hv and poly.lw <= u + v <= poly.hw
+
+
 def test_integer_core_matches_fraction_reference():
     rng = random.Random(20241018)
     inside = {True: 0, False: 0}
@@ -485,21 +516,24 @@ def test_integer_core_matches_fraction_reference():
             v = poly.vertices
             assert poly.den == lcm(*(x.denominator for pt in v for x in pt))
             assert poly.lattice_area == _ref_area(v)
-            assert poly.bbox() == _ref_bbox(v)
-            d2 = poly.den * poly.den
-            assert [Fraction(q2, d2) for q2 in poly._edge_sqs()] == [
+            d = poly.den
+            assert tuple(Fraction(c, d) for c in (poly.lu, poly.hu, poly.lv, poly.hv)) == _ref_bbox(v)
+            assert [Fraction(k * e * e, d * d) for k, e in poly._edges()] == [
                 _ref_edge_sq(basis, a, b) for a, b in zip(v, v[1:] + v[:1])
             ]
         pv = p.vertices
+        # q lies in p exactly when clipping q to p leaves q
         expected = all(_ref_contains_point(pv, c) for c in q.vertices)
-        assert p.contains_polygon(q) == expected, (relation, p, q)
+        assert (convex_intersection(p, q) == q) == expected, (relation, p, q)
         inside[expected] += 1
+        # the bounds are the point set: a point is in p exactly when it
+        # meets them
         edge_mids = [
             LatticePoint((a.u + b.u) / 2, (a.v + b.v) / 2) for a, b in zip(pv, pv[1:] + pv[:1])
         ]
         near = [LatticePoint(_oracle_frac(rng, bits), _oracle_frac(rng, bits)) for _ in range(4)]
         for c in q.vertices + pv + tuple(edge_mids + near):
-            assert p.contains_point(c) == _ref_contains_point(pv, c), (p, c)
+            assert _meets_bounds(p, c) == _ref_contains_point(pv, c), (p, c)
         # validation: a reversed or shuffled polygon is refused exactly
         # when the reference finds it not strictly convex or winding twice
         for pts in (pv[::-1], tuple(rng.sample(pv, len(pv)))):
@@ -524,7 +558,6 @@ def test_one_point_set_is_one_polygon():
         forms = (
             LatticePolygon(v[i:] + v[:i], basis),
             LatticePolygon([(Fraction(x, p.den * k), Fraction(y, p.den * k)) for x, y in scaled], basis),
-            LatticePolygon._of_ints(scaled, p.den * k, basis),
         )
         for form in forms:
             assert form == p and hash(form) == hash(p) and form.vertices == v
@@ -532,7 +565,135 @@ def test_one_point_set_is_one_polygon():
         whole = LatticePolygon(p.ints[i:] + p.ints[:i], basis)
         as_fractions = LatticePolygon([(Fraction(x), Fraction(y)) for x, y in p.ints], basis)
         assert whole == as_fractions and hash(whole) == hash(as_fractions) and whole.den == 1
-        assert whole == LatticePolygon._of_ints(scaled, k, basis)
+
+
+# Random alcoved polygons, drawn as closed walks: an alcoved polygon takes
+# the six edge directions below in turn, each at most once.  Its corner
+# list, area, edges and shape come from the walk and the Fraction
+# references, not from any bounds.
+
+_WALK = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+# the edges with length: triangles pointing up and down, and the
+# parallelograms (rhombi when equilateral) in three orientations
+_WALK_SHAPES = {
+    frozenset({0, 2, 4}): "triangle up",
+    frozenset({1, 3, 5}): "triangle down",
+    frozenset({0, 1, 3, 4}): "parallelogram (1, 0) (0, 1)",
+    frozenset({1, 2, 4, 5}): "parallelogram (0, 1) (1, -1)",
+    frozenset({0, 2, 3, 5}): "parallelogram (1, 0) (1, -1)",
+}
+
+
+def _random_walk(rng: random.Random, bits: int) -> tuple[str, Fraction, tuple[LatticePoint, ...]]:
+    """A shape name, a length x and the corners of a random alcoved polygon
+    in a random rotation.  Edges 0..3 are 0 or drawn, and edges 4 and 5
+    close the walk; half the time every drawn edge is x long."""
+    while True:
+        x = abs(_oracle_frac(rng, bits)) + Fraction(1, 2**bits)
+        equal = rng.random() < 0.5
+        e = [rng.choice((0, x if equal else abs(_oracle_frac(rng, bits)) + 1)) for _ in range(4)]
+        e += [e[0] + e[1] - e[3], e[2] + e[3] - e[0]]
+        ways = frozenset(i for i in range(6) if e[i])
+        if min(e) >= 0 and len(ways) >= 3:
+            break
+    corner = LatticePoint(_oracle_frac(rng, bits), _oracle_frac(rng, bits))
+    corners = []
+    for i in sorted(ways):
+        corners.append(corner)
+        du, dv = _WALK[i]
+        corner = LatticePoint(corner.u + e[i] * du, corner.v + e[i] * dv)
+    assert corner == corners[0]
+    k = len(corners)
+    name = _WALK_SHAPES.get(ways, {4: "trapezoid", 5: "pentagon", 6: "hexagon"}.get(k))
+    i = rng.randrange(k)
+    return name, x, tuple(corners[i:] + corners[:i])
+
+
+def _ref_shape(basis, v, side, want: str, corners: int, diagonals) -> bool:
+    """The shape predicates as they read Fraction edge lengths: basis and
+    corner count, every edge side long, and the diagonals' squares as
+    multiples of side**2 (None for a triangle)."""
+    if basis != want or len(v) != corners:
+        return False
+    s2 = side * side
+    if any(_ref_edge_sq(basis, a, b) != s2 for a, b in zip(v, v[1:] + v[:1])):
+        return False
+    return diagonals is None or sorted(
+        (_ref_edge_sq(basis, v[0], v[2]), _ref_edge_sq(basis, v[1], v[3]))
+    ) == [d * s2 for d in diagonals]
+
+
+def _ref_side(basis, v):
+    """The common edge length, or None if the edges differ or it is irrational."""
+    sqs = {_ref_edge_sq(basis, a, b) for a, b in zip(v, v[1:] + v[:1])}
+    if len(sqs) != 1:
+        return None
+    q = sqs.pop()
+    num, den = isqrt(q.numerator), isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
+
+
+def test_random_alcoves_match_fraction_references():
+    rng = random.Random(20261018)
+    drawn: dict[tuple[str, str], int] = {}
+    shaped = {"square": 0, "rhombus": 0, "triangle": 0}
+    for _ in range(600):
+        basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+        bits = rng.choice((2, 8, 64))
+        name, x, corners = _random_walk(rng, bits)
+        drawn[(basis, name)] = drawn.get((basis, name), 0) + 1
+        p = LatticePolygon(corners, basis)
+        v = p.vertices
+        start = corners.index(min(corners))
+        assert v == corners[start:] + corners[:start], (basis, corners)
+        assert p.lattice_area == _ref_area(corners)
+        d = p.den
+        assert [Fraction(k * e * e, d * d) for k, e in p._edges()] == [
+            _ref_edge_sq(basis, a, b) for a, b in zip(v, v[1:] + v[:1])
+        ]
+        side = _ref_side(basis, v)
+        if side is None:
+            with pytest.raises(ValueError):
+                polygon_side(p)
+        else:
+            assert polygon_side(p) == side
+        for s in {x, 2 * x, side or x / 2}:
+            for predicate, ref, tally in (
+                (is_square, (ORTHOGONAL, 4, (2, 2)), "square"),
+                (is_unit_rhombus, (TRIANGULAR, 4, (1, 3)), "rhombus"),
+                (is_equilateral_triangle, (TRIANGULAR, 3, None), "triangle"),
+            ):
+                want = _ref_shape(basis, v, s, *ref)
+                assert predicate(p, s) == want, (predicate.__name__, basis, corners, s)
+                shaped[tally] += want
+        for i in range(len(v)):
+            q = LatticePolygon(v[i:] + v[:i], basis)
+            assert q == p and hash(q) == hash(p)
+        # lists that are not the corners of their bounds, counter-clockwise
+        i = rng.randrange(len(v))
+        a, b = v[i], v[(i + 1) % len(v)]
+        shuffled = list(v)
+        while any(shuffled == list(v[j:] + v[:j]) for j in range(len(v))):
+            rng.shuffle(shuffled)
+        refused = [
+            v[::-1],
+            shuffled,
+            v[: i + 1] + (v[i],) + v[i + 1 :],  # repeated vertex
+            v[: i + 1] + (LatticePoint((a.u + b.u) / 2, (a.v + b.v) / 2),) + v[i + 1 :],  # collinear midpoint
+            _TWICE_WOUND_HEXAGON,
+        ]
+        if len(v) == 6:
+            refused.append(v[0::2] + v[1::2])  # alternate corners: winds twice
+        hull = _oracle_hull(rng, bits)
+        if not _is_alcoved(hull):
+            refused.append(hull)
+        for pts in refused:
+            with pytest.raises(ValueError):
+                LatticePolygon(pts, basis)
+    names = {"triangle up", "triangle down", "trapezoid", "pentagon", "hexagon"} | set(_WALK_SHAPES.values())
+    assert set(drawn) == {(basis, name) for basis in (ORTHOGONAL, TRIANGULAR) for name in names}
+    assert min(drawn.values()) >= 10, drawn
+    assert min(shaped.values()) >= 10, shaped
 
 
 def test_window_inequalities_names():
@@ -789,9 +950,9 @@ def test_arrangement_containment_matches_contains_polygon():
     for _ in range(600):
         basis = rng.choice((ORTHOGONAL, TRIANGULAR))
         bits = rng.choice((2, 8, 64))
-        big = _oracle_polygon(rng, basis, bits, _ALCOVED_KINDS)
-        _, small = _oracle_partner(rng, big, bits, _ALCOVED_KINDS)
-        inside = big.contains_polygon(small)
+        big = _oracle_polygon(rng, basis, bits)
+        _, small = _oracle_partner(rng, big, bits)
+        inside = all(_ref_contains_point(big.vertices, c) for c in small.vertices)
         outcomes[inside] += 1
         try:
             Arrangement(big=big, smalls=(big, small), family=DescentFamily.sqrt2(), a=2, b=1)
@@ -803,12 +964,11 @@ def test_arrangement_containment_matches_contains_polygon():
 
 
 def test_arrangement_refuses_non_alcoved():
-    hull = LatticePolygon([(0, 0), (4, 1), (1, 4)], ORTHOGONAL)
-    fine = square(0, 0, 1)
-    with pytest.raises(ValueError, match=r"^small 1 has edges off \(1, 0\), \(0, 1\) and \(1, -1\)$"):
-        Arrangement(big=square(0, 0, 8), smalls=(fine, hull), family=DescentFamily.sqrt2(), a=8, b=1)
-    with pytest.raises(ValueError, match=r"^the big figure has edges off"):
-        Arrangement(big=hull, smalls=(fine,), family=DescentFamily.sqrt2(), a=8, b=1)
+    # a polygon with an edge off (1, 0), (0, 1) and (1, -1) cannot be
+    # built, so no arrangement holds one
+    for basis in (ORTHOGONAL, TRIANGULAR):
+        with pytest.raises(ValueError, match="corners of their bounds"):
+            LatticePolygon([(0, 0), (4, 1), (1, 4)], basis)
 
 
 # Reference census scan: every pair's bounding boxes tested, and every
@@ -883,8 +1043,9 @@ def _census_logging(arr: Arrangement, log: list):
 def _census_against_reference(arr: Arrangement):
     """The census of arr, or None if it found four smalls sharing area;
     either way it clipped what the reference scan clips, in its order, and
-    kept the same keys and regions.  Every polygon's kept bounds are the
-    ones its vertices give, and its closed-form area is its shoelace area."""
+    kept the same keys and regions.  Every polygon's bounds are the ones
+    its corners give, the public constructor takes those corners back, and
+    its closed-form area is their shoelace area."""
     log: list = []
     try:
         census = _census_logging(arr, log)
@@ -901,8 +1062,11 @@ def _census_against_reference(arr: Arrangement):
     assert census.triple_keys == tuple(key for key, _ in hits if len(key) == 3)
     assert census.triple_regions == tuple(r for key, r in hits if len(key) == 3)
     for poly in arr.smalls + census.pair_regions + census.triple_regions:
-        assert poly._bounds == _ref_bounds(poly), poly
-        assert Fraction(_twice_area(*poly._bounds), 2 * poly.den**2) == poly.lattice_area, poly
+        assert (poly.lu, poly.hu, poly.lv, poly.hv, poly.lw, poly.hw) == _ref_bounds(poly), poly
+        assert LatticePolygon(poly.vertices, poly.basis) == poly
+        pts = poly.ints
+        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+        assert poly.lattice_area == Fraction(twice, 2 * poly.den**2), poly
     assert census.total_small_area == sum(s.lattice_area for s in arr.smalls)
     return census
 
@@ -951,7 +1115,7 @@ def _random_arrangement(rng: random.Random) -> Arrangement:
         side = Fraction(rng.randint(1, 8 // den), den)
         corners = _SHAPE_CORNERS[rng.choice(tuple(_SHAPE_CORNERS))]
         poly = LatticePolygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
-        if big.contains_polygon(poly):
+        if convex_intersection(big, poly) == poly:
             smalls.append(poly)
     return Arrangement(big=big, smalls=tuple(smalls), family=DescentFamily.sqrt2(), a=12, b=1)
 
