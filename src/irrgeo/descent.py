@@ -128,22 +128,25 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     """
     if a < 1 or b < 1:
         raise ValueError(f"need a positive pair, got ({a}, {b})")
-    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    fmap = _MAPS[family.kind](family.n)
+    return _step(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * b * b)
+
+
+def _step(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int) -> DescentStep:
+    """The step of fmap, with multiplier m, from (a, b) of defect d_in;
+    the output defect is computed from squares and must be m * d_in."""
+    big_n, (ca, cb), (da, db) = fmap
     a_out = ca * a + cb * b
     b_out = da * a + db * b
-    m = defect_multiplier(family)
-    d_in = a * a - big_n * b * b
     d_out = a_out * a_out - big_n * b_out * b_out
     if d_out != m * d_in:
         raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
-    return DescentStep(
-        family=family,
-        pair_in=(a, b),
-        pair_out=(a_out, b_out),
-        defect_in=d_in,
-        defect_out=d_out,
-        multiplier=m,
+    step = DescentStep.__new__(DescentStep)
+    # the record is frozen, so its fields are written past __setattr__
+    step.__dict__.update(
+        family=family, pair_in=(a, b), pair_out=(a_out, b_out), defect_in=d_in, defect_out=d_out, multiplier=m
     )
+    return step
 
 
 def _square_difference(c, p, q, d, r, s) -> tuple:
@@ -273,11 +276,16 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
         raise ValueError(f"need a positive pair, got ({a}, {b})")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    fmap = _MAPS[family.kind](family.n)
+    m = defect_multiplier(family)
+    # each step's pair_out is the next pair_in, so its defect_out is the
+    # next defect_in
+    d_in = a * a - fmap.radicand * b * b
     steps: list[DescentStep] = []
     cur = (a, b)
     reason = "max_steps"
     while len(steps) < max_steps:
-        step = descent_step(family, *cur)
+        step = _step(family, fmap, m, *cur, d_in)
         a_out, b_out = step.pair_out
         if a_out < 1 or b_out < 1:
             reason = "nonpositive"
@@ -286,7 +294,7 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
             reason = "no_decrease"
             break
         steps.append(step)
-        cur = (a_out, b_out)
+        cur, d_in = step.pair_out, step.defect_out
     return ChainResult(
         family=family,
         start=(a, b),

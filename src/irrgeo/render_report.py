@@ -247,7 +247,13 @@ def _write_value(x, newline: str, decimals: dict[int, str], out: list[str]) -> N
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _write_value(value, inner, decimals, out)
+            t = type(value)  # exact str and int inline; bools and subclasses take the chain
+            if t is str:
+                out.append(encode_basestring_ascii(value))
+            elif t is int:
+                out.append(_decimal(value, decimals))
+            else:
+                _write_value(value, inner, decimals, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(x, list):
@@ -258,7 +264,10 @@ def _write_value(x, newline: str, decimals: dict[int, str], out: list[str]) -> N
         sep = "[" + inner
         for value in x:
             out.append(sep)
-            _write_value(value, inner, decimals, out)
+            if type(value) is int:
+                out.append(_decimal(value, decimals))
+            else:
+                _write_value(value, inner, decimals, out)
             sep = "," + inner
         out.append(newline + "]")
     else:
@@ -564,18 +573,20 @@ def _cmd_chain(args) -> int:
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     run = build_chain_run(family, a, b, args.max_steps)
-    # each step's pair_out and defect_out are the next step's pair_in and
-    # defect_in; the JSON writer reuses these strings too
+    # each step's pair_out and defect_out strings are the next step's
+    # pair_in and defect_in; the JSON writer reuses the decimals too
     decimals: dict[int, str] = {}
     dec = functools.partial(_decimal, decimals=decimals)
-    print(f"family {family.title}  start ({dec(a)}, {dec(b)})")
-    for i, s in enumerate(run["steps"], start=1):
-        (a_in, b_in), (a_out, b_out) = s["pair_in"], s["pair_out"]
-        print(
-            f"step {i}: ({dec(a_in)}, {dec(b_in)}) -> ({dec(a_out)}, {dec(b_out)})"
-            f"  defect {dec(s['defect_in'])} -> {dec(s['defect_out'])}"
-        )
-    print(f"stop: {run['stop_reason']} after {len(run['steps'])} steps")
+    steps = run["steps"]
+    pair = f"({dec(a)}, {dec(b)})"
+    defect = dec(steps[0]["defect_in"]) if steps else ""
+    print(f"family {family.title}  start {pair}")
+    for i, s in enumerate(steps, start=1):
+        a_out, b_out = s["pair_out"]
+        pair_out, defect_out = f"({dec(a_out)}, {dec(b_out)})", dec(s["defect_out"])
+        print(f"step {i}: {pair} -> {pair_out}  defect {defect} -> {defect_out}")
+        pair, defect = pair_out, defect_out
+    print(f"stop: {run['stop_reason']} after {len(steps)} steps")
     _write_json(args.json, report_envelope([run]), decimals)
     return 0
 

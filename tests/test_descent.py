@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import irrgeo.descent
 from conftest import window_convergents
 from irrgeo.descent import (
     _MAPS,
     _Map,
     BadIndex,
     DescentFamily,
+    DescentStep,
     FamilyKind,
     defect_multiplier,
     descent_chain,
@@ -21,7 +24,7 @@ from irrgeo.descent import (
     symbolic_ratio_check,
     verify_eq1,
 )
-from irrgeo.number_theory import triangular
+from irrgeo.number_theory import convergents, triangular
 
 
 def test_family_constructors():
@@ -80,13 +83,15 @@ def test_step_defect_check_survives_python_O():
     code = (
         "import irrgeo.descent as d\n"
         "d.defect_multiplier = lambda family: 5\n"
-        "try:\n"
-        "    d.descent_step(d.DescentFamily.sqrt2(), 7, 5)\n"
-        "except AssertionError:\n"
-        "    print(__debug__, 'raised')\n"
+        "f = d.DescentFamily.sqrt2()\n"
+        "for call in (lambda: d.descent_step(f, 7, 5), lambda: d.descent_chain(f, 1, 1, 5)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError:\n"
+        "        print(__debug__, 'raised')\n"
     )
     out, err = _stdout_under_python_O(code)
-    assert out == "False raised\n", err
+    assert out == "False raised\n" * 2, err
 
 
 def test_step_accepts_out_of_window_and_non_coprime():
@@ -325,6 +330,70 @@ def test_chain_max_steps():
     assert chain.stop_reason == "max_steps"
     chain = descent_chain(DescentFamily.sqrt2(), 99, 70, 0)
     assert chain.steps == () and chain.stop_reason == "max_steps"
+
+
+_CHAIN_KS = (1, 2, 3, 5, 8, 13, 34, 89, 200)
+
+
+def _chain_starts(family: DescentFamily) -> list[tuple[int, int]]:
+    if family.radicand == 36:  # T_8 is a square: no convergents
+        return [(37, 6), (35, 6), (6, 1), (73, 12), (601, 100), (2, 1)]
+    cs = convergents(family.radicand, max(_CHAIN_KS))
+    return [(cs[k - 1].p, cs[k - 1].q) for k in _CHAIN_KS]
+
+
+def test_chain_equals_iterated_steps():
+    # the chain carries each defect_out forward as the next defect_in; the
+    # public descent_step recomputes everything from the pair
+    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+        DescentFamily.triangular(n) for n in range(2, 13)
+    ]
+    stops = set()
+    for family in families:
+        radicand = family.radicand
+        for a, b in _chain_starts(family):
+            chain = descent_chain(family, a, b, 1000)
+            cur = (a, b)
+            for step in chain.steps:
+                assert type(step) is DescentStep
+                assert step == descent_step(family, *cur)
+                a_in, b_in = step.pair_in
+                assert step.defect_in == a_in * a_in - radicand * b_in * b_in
+                cur = step.pair_out
+            assert chain.final_pair == cur
+            a_out, b_out = descent_step(family, *cur).pair_out
+            reason = "nonpositive" if min(a_out, b_out) < 1 else "no_decrease"
+            assert chain.stop_reason == reason, (family, a, b)
+            stops.add((reason, bool(chain.steps)))
+    # both stops are met, after a kept step and at the first one
+    assert stops == {(r, kept) for r in ("nonpositive", "no_decrease") for kept in (True, False)}
+
+
+def test_chain_steps_are_frozen():
+    step = descent_chain(DescentFamily.sqrt2(), 17, 12, 32).steps[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.defect_in = 0
+
+
+@pytest.mark.parametrize(
+    "family, a, b, kept",
+    [
+        (DescentFamily.sqrt2(), 17, 12, 3),
+        (DescentFamily.hex6(), 22, 9, 2),
+        (DescentFamily.triangular(6), 9, 2, 0),  # the first step stops the chain
+        (DescentFamily.sqrt2(), 1, 1, 0),
+    ],
+    ids=["sqrt2", "hex6", "triangular6-first-step", "sqrt2-first-step"],
+)
+def test_chain_checks_every_step(monkeypatch, family, a, b, kept):
+    # with a wrong multiplier every attempted step must fail its check,
+    # the stopping one too; a kernel that took defect_out as m * defect_in
+    # would pass
+    assert len(descent_chain(family, a, b, 32).steps) == kept
+    m = defect_multiplier(family)
+    monkeypatch.setattr(irrgeo.descent, "defect_multiplier", lambda family: m + 1)
+    with pytest.raises(AssertionError, match="not .* times it"):
+        descent_chain(family, a, b, 32)
 
 
 def test_strict_decrease_on_window_convergents():

@@ -1,3 +1,4 @@
+import enum
 import json
 import os
 import random
@@ -416,6 +417,50 @@ def test_render_json_matches_json_module_on_random_trees():
 def test_render_json_refuses_other_types(bad):
     with pytest.raises(TypeError):
         render_json(bad)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 70
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_WRITER_CONTRACT = [
+    [1, True, 0, False],
+    [True, False],
+    [2, 3, True],
+    [_Level.LOW, 1, _Level.HIGH, 2 ** 70],
+    {"level": _Level.HIGH, "pair": [_Level.LOW, 7]},
+    [_Str("a\"b"), "c", _Str("√")],
+    _Dict(z=[1, 2], a=_Dict(b=[])),
+    {_Str("key"): [[], [[]], [[], [1, 2]], {}]},
+    _List([1, 2]),
+    [_List([]), [], [[[]]], [None, 5]],
+]
+
+
+def test_render_json_contract_beyond_plain_types():
+    # the exact-type fast paths must leave bools, subclasses and empty
+    # nests to the general writer, with the same bytes
+    shared: dict[int, str] = {}
+    for x in _WRITER_CONTRACT:
+        expected = _reference_json(x)
+        assert render_json(x) == expected
+        assert render_json(x, shared) == expected
+    for bad in ([1, 2.5], [True, 1.0], {1: [1, 2]}, {_Level.LOW: 1}, [[1, 2], (3, 4)], _List([1.0])):
+        with pytest.raises(TypeError):
+            render_json(bad)
 
 
 def test_chain_stdout_matches_json_report(capsys, tmp_path):
