@@ -109,8 +109,7 @@ class DescentFamily:
         return _MAPS[self.kind](self.n).radicand
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(NamedTuple):
     family: DescentFamily
     pair_in: tuple[int, int]
     pair_out: tuple[int, int]
@@ -141,12 +140,7 @@ def _step(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int) 
     d_out = a_out * a_out - big_n * b_out * b_out
     if d_out != m * d_in:
         raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
-    step = DescentStep.__new__(DescentStep)
-    # the record is frozen, so its fields are written past __setattr__
-    step.__dict__.update(
-        family=family, pair_in=(a, b), pair_out=(a_out, b_out), defect_in=d_in, defect_out=d_out, multiplier=m
-    )
-    return step
+    return DescentStep(family, (a, b), (a_out, b_out), d_in, d_out, m)
 
 
 def _square_difference(c, p, q, d, r, s) -> tuple:
@@ -169,8 +163,7 @@ def defect_multiplier(family: DescentFamily) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Eq1Certificate:
+class Eq1Certificate(NamedTuple):
     """Symbolic witness for the area identity behind the triangular figure.
 
     difference holds the coefficients of a**2, a*b and b**2 in
@@ -214,8 +207,7 @@ def symbolic_ratio_check(family: DescentFamily) -> bool:
     return num == sqrt_n * den
 
 
-@dataclass(frozen=True)
-class InequalityWitness:
+class InequalityWitness(NamedTuple):
     """One strict inequality evaluated exactly at the fixed ratio."""
 
     name: str
@@ -225,8 +217,7 @@ class InequalityWitness:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RangeCheckResult:
+class RangeCheckResult(NamedTuple):
     family: DescentFamily
     works: bool
     witnesses: tuple[InequalityWitness, ...]
@@ -254,8 +245,7 @@ def range_check(family: DescentFamily) -> RangeCheckResult:
     return RangeCheckResult(family=family, works=all(w.ok for w in witnesses), witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """A maximal run of descent steps from a starting pair.
 
     stop_reason is "nonpositive" (next pair would leave the positive

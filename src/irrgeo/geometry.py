@@ -12,10 +12,10 @@ overlap of two of them, has edges along (1, 0), (0, 1) and (1, -1) only:
 it is an alcoved polygon, exactly the set cut out by its bounds on u, v
 and u + v.  LatticePolygon stores those six bounds as integers over one
 denominator den, reduced by their common gcd and tight (each is attained),
-so equality of the record is equality of point sets.  Validity, areas,
-edge lengths, the shape predicates, containment and intersection are
+in a NamedTuple, so tuple equality is equality of point sets.  Validity,
+areas, edge lengths, the overlap shapes, containment and intersection are
 integer comparisons and differences of the bounds; the corners (ints,
-and vertices as Fractions) are derived when first read, for drawing and
+and vertices as Fractions) are computed on each read, for drawing and
 for the public constructor, which accepts only a list that is exactly the
 corners of its bounds.  Two polygons intersect by taking the larger lower
 and the smaller upper bounds; the census reads the bounds to find the
@@ -73,18 +73,8 @@ class LatticePoint(NamedTuple):
 _IntPoint = tuple[int, int]
 
 
-@dataclass(frozen=True, init=False)
-class LatticePolygon:
-    """Alcoved polygon: lu <= u <= hu, lv <= v <= hv and lw <= u + v <= hw,
-    every bound an integer over den.
-
-    The bounds are reduced by their gcd with den and tight, so the record
-    is canonical and structural equality is equality of point sets.  ints
-    (the corners times den) and vertices (the same as Fractions) run
-    counter-clockwise from the lexicographically smallest corner.
-    LatticePolygon(vertices, basis) takes exactly such a corner list, in
-    any rotation; _alcove builds one from its bounds.
-    """
+class _Bounds(NamedTuple):
+    """The fields of a LatticePolygon, which builds and reads them."""
 
     basis: str
     den: int
@@ -95,7 +85,22 @@ class LatticePolygon:
     lw: int
     hw: int
 
-    def __init__(self, vertices: Iterable, basis: str) -> None:
+
+class LatticePolygon(_Bounds):
+    """Alcoved polygon: lu <= u <= hu, lv <= v <= hv and lw <= u + v <= hw,
+    every bound an integer over den.
+
+    The bounds are reduced by their gcd with den and tight, so the record
+    is canonical and tuple equality is equality of point sets.  ints
+    (the corners times den) and vertices (the same as Fractions) run
+    counter-clockwise from the lexicographically smallest corner.
+    LatticePolygon(vertices, basis) takes exactly such a corner list, in
+    any rotation; _alcove builds one from its bounds.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: Iterable, basis: str) -> "LatticePolygon":
         pts = [(Fraction(u), Fraction(v)) for u, v in vertices]
         if len(pts) < 3:
             raise ValueError(f"need at least 3 vertices, got {len(pts)}")
@@ -107,17 +112,21 @@ class LatticePolygon:
         start = ints.index(min(ints))
         if poly.den != den or tuple(ints[start:] + ints[:start]) != poly.ints:
             raise ValueError("vertices must be the corners of their bounds on u, v and u + v, counter-clockwise")
-        self.__dict__.update(poly.__dict__)
+        return poly
 
-    @cached_property
+    def __reduce__(self):
+        # copy and pickle rebuild from the fields, not through __new__
+        return LatticePolygon._make, (tuple(self),)
+
+    @property
     def ints(self) -> tuple[_IntPoint, ...]:
-        lu, hu, lv, hv, lw, hw = self.lu, self.hu, self.lv, self.hv, self.lw, self.hw
+        _, _, lu, hu, lv, hv, lw, hw = self
         # where each bound line meets the next, from the smallest corner on,
         # consecutive repeats dropped
         corners = ((lu, lw - lu), (lw - lv, lv), (hu, lv), (hu, hw - hu), (hw - hv, hv), (lu, hv))
         return tuple(c for c, after in zip(corners, corners[1:] + corners[:1]) if c != after)
 
-    @cached_property
+    @property
     def vertices(self) -> tuple[LatticePoint, ...]:
         den = self.den
         return tuple(LatticePoint(Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
@@ -127,7 +136,7 @@ class LatticePolygon:
         long.  An edge along (1, 0) or (0, 1) is as long as its u or v
         extent, and so is one along (1, -1) on the 60-degree lattice (k = 1);
         on the orthogonal lattice that one is sqrt(2) times longer (k = 2)."""
-        lu, hu, lv, hv, lw, hw = self.lu, self.hu, self.lv, self.hv, self.lw, self.hw
+        _, _, lu, hu, lv, hv, lw, hw = self
         k = 2 if self.basis == ORTHOGONAL else 1
         edges = [
             (k, lw - lu - lv), (1, hu + lv - lw), (1, hw - hu - lv),
@@ -138,7 +147,7 @@ class LatticePolygon:
     def _twice_area(self) -> int:
         """Twice the lattice area times den**2: the u, v box less the two
         corners that u + v cuts."""
-        lu, hu, lv, hv, lw, hw = self.lu, self.hu, self.lv, self.hv, self.lw, self.hw
+        _, _, lu, hu, lv, hv, lw, hw = self
         return 2 * (hu - lu) * (hv - lv) - (lw - lu - lv) ** 2 - (hu + hv - hw) ** 2
 
     @property
@@ -165,31 +174,16 @@ def polygon_side(poly: LatticePolygon) -> Fraction:
     return fraction_sqrt(Fraction(qs.pop(), d2))
 
 
-def _equilateral_corners(poly: LatticePolygon, side: Fraction) -> int:
-    """poly's corner count if every edge is side long, else 0."""
-    e, rest = divmod(side.numerator * poly.den, side.denominator)
-    edges = poly._edges()
-    return len(edges) if not rest and all(ke == (1, e) for ke in edges) else 0
-
-
 # An equilateral alcoved triangle or quadrilateral on the 60-degree lattice
 # has edges in alternate, or in two opposite pairs of, the six directions:
 # it is an equilateral triangle or a 60-degree rhombus.  On the orthogonal
 # lattice an edge along (1, -1) is sqrt(2) times a rational, never side
 # long, so an equilateral quadrilateral there is a square.
-
-
-def is_equilateral_triangle(poly: LatticePolygon, side: Fraction) -> bool:
-    return poly.basis == TRIANGULAR and _equilateral_corners(poly, side) == 3
-
-
-def is_square(poly: LatticePolygon, side: Fraction) -> bool:
-    return poly.basis == ORTHOGONAL and _equilateral_corners(poly, side) == 4
-
-
-def is_unit_rhombus(poly: LatticePolygon, side: Fraction) -> bool:
-    """60-degree rhombus: four equal sides, diagonals side and side*sqrt(3)."""
-    return poly.basis == TRIANGULAR and _equilateral_corners(poly, side) == 4
+def _equilateral_corners(poly: LatticePolygon, side: Fraction) -> int:
+    """poly's corner count if every edge is side long, else 0."""
+    e, rest = divmod(side.numerator * poly.den, side.denominator)
+    edges = poly._edges()
+    return len(edges) if not rest and all(ke == (1, e) for ke in edges) else 0
 
 
 def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> LatticePolygon:
@@ -208,10 +202,7 @@ def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, h
         raise ValueError("a bound on u, v or u + v is not attained")
     g = gcd(den, lu, hu, lv, hv, lw, hw)
     den, lu, hu, lv, hv, lw, hw = den // g, lu // g, hu // g, lv // g, hv // g, lw // g, hw // g
-    poly = LatticePolygon.__new__(LatticePolygon)
-    # the record is frozen, so its fields are written past __setattr__
-    poly.__dict__.update(basis=basis, den=den, lu=lu, hu=hu, lv=lv, hv=hv, lw=lw, hw=hw)
-    return poly
+    return LatticePolygon._make((basis, den, lu, hu, lv, hv, lw, hw))
 
 
 def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePolygon]:
@@ -223,8 +214,8 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
     """
     if p.basis != q.basis:
         raise BasisMismatch(f"{p.basis} vs {q.basis}")
-    plu, phu, plv, phv, plw, phw = p.lu, p.hu, p.lv, p.hv, p.lw, p.hw
-    qlu, qhu, qlv, qhv, qlw, qhw = q.lu, q.hu, q.lv, q.hv, q.lw, q.hw
+    _, _, plu, phu, plv, phv, plw, phw = p
+    _, _, qlu, qhu, qlv, qhv, qlw, qhw = q
     den = p.den
     if q.den != den:
         den = lcm(den, q.den)
@@ -262,7 +253,7 @@ class Arrangement:
 
     def __post_init__(self) -> None:
         big = self.big
-        lu, hu, lv, hv, lw, hw = big.lu, big.hu, big.lv, big.hv, big.lw, big.hw
+        _, _, lu, hu, lv, hv, lw, hw = big
         for i, s in enumerate(self.smalls):
             if s.basis != big.basis:
                 raise BasisMismatch(f"small {i} on {s.basis}, big on {big.basis}")
@@ -324,8 +315,7 @@ def _triangle_rows(n: int, a: int, b: int) -> _Shapes:
     return triangle(0, 0, a * den), smalls
 
 
-@dataclass(frozen=True)
-class _Figure:
+class _Figure(NamedTuple):
     """What one family's figure fixes beyond its radicand N.
 
     window holds (name, ka, kb) for ka*a > kb*b, then for ka*a < kb*b.
@@ -413,8 +403,7 @@ def _figure(family: DescentFamily) -> _Figure:
     return _FIGURES[family.kind](family.n)
 
 
-@dataclass(frozen=True)
-class WindowInequality:
+class WindowInequality(NamedTuple):
     name: str
     ok: bool
 
@@ -570,16 +559,14 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     lhs: str
     rhs: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class FigureReport:
+class FigureReport(NamedTuple):
     family_label: str
     n: int | None
     a: int

@@ -4,9 +4,9 @@ square triangular numbers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 
 class NotPrime(ValueError):
@@ -53,8 +53,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
+class SquarefreeDecomposition(NamedTuple):
     """n == squarefree * root**2 with squarefree squarefree."""
 
     n: int
@@ -85,8 +84,7 @@ def sqrt_is_irrational(n: int) -> bool:
     return not is_perfect_square(n)
 
 
-@dataclass(frozen=True)
-class PrimeCaseCheck:
+class PrimeCaseCheck(NamedTuple):
     """Residue-table witness that p divides no square twice 'in half'.
 
     residues maps each r in 1..p-1 to r**2 mod p; ok records that no
@@ -118,8 +116,7 @@ def square_density(x: int) -> tuple[int, Fraction]:
     return count, Fraction(100 * count, x)
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Continued-fraction convergent p/q of sqrt(radicand)."""
 
     p: int

@@ -12,10 +12,9 @@ import argparse
 import functools
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .descent import (
     BadIndex,
@@ -280,14 +279,12 @@ SQRT3_HALF = 0.8660254
 DEPTH_FILL = {0: "white", 1: "lightblue", 2: "orange", 3: "red"}
 
 
-@dataclass(frozen=True)
-class ScenePolygon:
+class ScenePolygon(NamedTuple):
     points: tuple[tuple[float, float], ...]
     depth: int
 
 
-@dataclass(frozen=True)
-class SvgScene:
+class SvgScene(NamedTuple):
     viewbox: tuple[float, float, float, float]
     stroke_width: float
     polygons: tuple[ScenePolygon, ...]
@@ -389,33 +386,40 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("verify", help="verify one figure end to end")
+    sub.set_defaults(run=_cmd_verify)
     _add_family_options(sub)
     _add_pair_options(sub)
     sub.add_argument("--json", default=None, metavar="PATH")
 
     sub = subs.add_parser("census", help="print the coverage census of one figure")
+    sub.set_defaults(run=_cmd_census)
     _add_family_options(sub)
     _add_pair_options(sub)
     sub.add_argument("--json", default=None, metavar="PATH")
 
     sub = subs.add_parser("chain", help="iterate the descent map")
+    sub.set_defaults(run=_cmd_chain)
     _add_family_options(sub)
     _add_pair_options(sub)
     sub.add_argument("--max-steps", type=int, default=32)
     sub.add_argument("--json", default=None, metavar="PATH")
 
     sub = subs.add_parser("range", help="decide which parameters shrink pairs")
+    sub.set_defaults(run=_cmd_range)
     _add_family_options(sub)
     sub.add_argument("--n-max", type=int, default=None)
     sub.add_argument("--json", default=None, metavar="PATH")
 
     sub = subs.add_parser("sequence", help="square triangular numbers up to a bound")
+    sub.set_defaults(run=_cmd_sequence)
     sub.add_argument("--limit", type=int, required=True)
 
     sub = subs.add_parser("density", help="how common perfect squares are up to x")
+    sub.set_defaults(run=_cmd_density)
     sub.add_argument("--x", type=int, required=True)
 
     sub = subs.add_parser("svg", help="render one figure to SVG")
+    sub.set_defaults(run=_cmd_svg)
     _add_family_options(sub)
     _add_pair_options(sub)
     sub.add_argument("--out", required=True, metavar="PATH")
@@ -648,22 +652,11 @@ def _cmd_svg(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "census": _cmd_census,
-    "chain": _cmd_chain,
-    "range": _cmd_range,
-    "sequence": _cmd_sequence,
-    "density": _cmd_density,
-    "svg": _cmd_svg,
-}
-
-
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -24,7 +23,9 @@ from irrgeo.descent import (
     symbolic_ratio_check,
     verify_eq1,
 )
-from irrgeo.number_theory import convergents, triangular
+from irrgeo.geometry import _figure, build_arrangement, coverage_census, verify_figure, window_inequalities
+from irrgeo.number_theory import convergents, prime_case_check, squarefree_decompose, triangular
+from irrgeo.render_report import scene_from_arrangement
 
 
 def test_family_constructors():
@@ -369,10 +370,43 @@ def test_chain_equals_iterated_steps():
     assert stops == {(r, kept) for r in ("nonpositive", "no_decrease") for kept in (True, False)}
 
 
-def test_chain_steps_are_frozen():
-    step = descent_chain(DescentFamily.sqrt2(), 17, 12, 32).steps[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        step.defect_in = 0
+def _records() -> dict:
+    """One instance of each record that only holds its fields, and of
+    LatticePolygon, by class name."""
+    family = DescentFamily.sqrt2()
+    chain = descent_chain(family, 17, 12, 32)
+    result = range_check(family)
+    arr = build_arrangement(family, 7, 5)
+    census = coverage_census(arr)
+    report = verify_figure(arr, census)
+    scene = scene_from_arrangement(arr, census)
+    records = (
+        chain.steps[0], chain, result, result.witnesses[0], verify_eq1(3),
+        convergents(2, 3)[2], squarefree_decompose(12), prime_case_check(7),
+        window_inequalities(family, 7, 5)[0], report.checks[0], report, _figure(family),
+        scene.polygons[0], scene, arr.big,
+    )
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
+        "Convergent", "SquarefreeDecomposition", "PrimeCaseCheck",
+        "WindowInequality", "IdentityCheck", "FigureReport", "_Figure",
+        "ScenePolygon", "SvgScene", "LatticePolygon",
+    ],
+)
+def test_records_are_immutable(name):
+    record = _records()[name]
+    for field in type(record)._fields:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        assert getattr(record, field) is before
+    with pytest.raises(AttributeError):
+        record.note = "x"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -23,13 +25,11 @@ from irrgeo.geometry import (
     convex_intersection,
     coverage_census,
     fraction_sqrt,
-    is_equilateral_triangle,
-    is_square,
-    is_unit_rhombus,
     polygon_side,
     verify_figure,
     window_inequalities,
     _alcove,
+    _equilateral_corners,
     _figure,
 )
 from irrgeo.number_theory import SquareRadicand
@@ -565,6 +565,8 @@ def test_one_point_set_is_one_polygon():
         whole = LatticePolygon(p.ints[i:] + p.ints[:i], basis)
         as_fractions = LatticePolygon([(Fraction(x), Fraction(y)) for x, y in p.ints], basis)
         assert whole == as_fractions and hash(whole) == hash(as_fractions) and whole.den == 1
+        for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(again) is LatticePolygon and again == p
 
 
 # Random alcoved polygons, drawn as closed walks: an alcoved polygon takes
@@ -658,13 +660,14 @@ def test_random_alcoves_match_fraction_references():
         else:
             assert polygon_side(p) == side
         for s in {x, 2 * x, side or x / 2}:
-            for predicate, ref, tally in (
-                (is_square, (ORTHOGONAL, 4, (2, 2)), "square"),
-                (is_unit_rhombus, (TRIANGULAR, 4, (1, 3)), "rhombus"),
-                (is_equilateral_triangle, (TRIANGULAR, 3, None), "triangle"),
+            shape = (p.basis, _equilateral_corners(p, s))
+            for ref, tally in (
+                ((ORTHOGONAL, 4, (2, 2)), "square"),
+                ((TRIANGULAR, 4, (1, 3)), "rhombus"),
+                ((TRIANGULAR, 3, None), "triangle"),
             ):
                 want = _ref_shape(basis, v, s, *ref)
-                assert predicate(p, s) == want, (predicate.__name__, basis, corners, s)
+                assert (shape == ref[:2]) == want, (tally, basis, corners, s)
                 shaped[tally] += want
         for i in range(len(v)):
             q = LatticePolygon(v[i:] + v[:i], basis)
@@ -861,7 +864,7 @@ def test_census_tennenbaum_7_5():
     assert census.max_depth == 2
     assert len(census.distinct_pair_regions) == 1
     overlap = census.distinct_pair_regions[0]
-    assert is_square(overlap, Fraction(3))
+    assert (overlap.basis, _equilateral_corners(overlap, Fraction(3))) == (ORTHOGONAL, 4)
     assert overlap == square(2, 2, 3)
 
 
@@ -885,7 +888,7 @@ def test_census_hexagon6_5_2():
     assert census.max_depth == 2
     assert len(census.distinct_pair_regions) == 6
     for region in census.distinct_pair_regions:
-        assert is_unit_rhombus(region, Fraction(1))
+        assert (region.basis, _equilateral_corners(region, Fraction(1))) == (TRIANGULAR, 4)
     # only adjacent smalls meet: keys form the 6-cycle
     assert set(census.pair_keys) == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
 
@@ -901,7 +904,7 @@ def test_census_triangular_2_7_4():
     assert census.max_depth == 2
     assert len(census.distinct_pair_regions) == 3
     for region in census.distinct_pair_regions:
-        assert is_equilateral_triangle(region, Fraction(1))
+        assert (region.basis, _equilateral_corners(region, Fraction(1))) == (TRIANGULAR, 3)
 
 
 def test_census_triangular_3_5_2():
@@ -925,7 +928,7 @@ def test_census_triangular_5_27_7():
     for region in census.distinct_pair_regions:
         assert polygon_side(region) == 2
     for region in census.distinct_triple_regions:
-        assert is_equilateral_triangle(region, Fraction(2))
+        assert (region.basis, _equilateral_corners(region, Fraction(2))) == (TRIANGULAR, 3)
     assert census.max_depth == 3
 
 
