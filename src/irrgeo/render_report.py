@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .descent import (
     BadIndex,
+    ChainResult,
     DescentFamily,
     DescentStep,
     FamilyKind,
@@ -165,25 +166,6 @@ def build_census_run(family: DescentFamily, a: int, b: int) -> dict:
     return run
 
 
-def build_chain_run(family: DescentFamily, a: int, b: int, max_steps: int) -> dict:
-    chain = descent_chain(family, a, b, max_steps)
-    return _run_head("chain", family) | {
-        "input_pair": [a, b],
-        "steps": [
-            {
-                "pair_in": list(s.pair_in),
-                "pair_out": list(s.pair_out),
-                "defect_in": s.defect_in,
-                "defect_out": s.defect_out,
-            }
-            for s in chain.steps
-        ],
-        "stop_reason": chain.stop_reason,
-        "final_pair": list(chain.final_pair),
-        "pass": True,
-    }
-
-
 def build_range_run(result: RangeCheckResult) -> dict:
     return _run_head("range", result.family) | {
         "works": result.works,
@@ -200,38 +182,28 @@ def build_range_run(result: RangeCheckResult) -> dict:
     }
 
 
-def _decimal(x: int, decimals: dict[int, str]) -> str:
-    """x in decimal, converted once per decimals dict: a chain prints and
-    writes each of its big integers more than once."""
-    s = decimals.get(x)
-    if s is None:
-        s = decimals[x] = int.__repr__(x)
-    return s
-
-
-def render_json(report: dict, decimals: Optional[dict[int, str]] = None) -> str:
+def render_json(report: dict) -> str:
     """The report as the json module writes it with indent=2, plus a final
     newline, byte for byte, for the types reports hold: dicts with str
     keys, lists, str, int, bool and None; anything else raises TypeError.
 
     With an indent the json module falls back to its pure-Python encoder;
-    this writer does the same work without its generality.  decimals holds
-    the decimal strings already made for this report, e.g. for stdout.
+    this writer does the same work without its generality.
     """
     out: list[str] = []
-    _write_value(report, "\n", {} if decimals is None else decimals, out)
+    _write_value(report, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _write_value(x, newline: str, decimals: dict[int, str], out: list[str]) -> None:
+def _write_value(x, newline: str, out: list[str]) -> None:
     """Append x's JSON text to out; newline starts each line at x's depth."""
     if isinstance(x, str):
         out.append(encode_basestring_ascii(x))
     elif isinstance(x, bool):  # before int: bool is an int
         out.append("true" if x else "false")
     elif isinstance(x, int):
-        out.append(_decimal(x, decimals))
+        out.append(int.__repr__(x))
     elif x is None:
         out.append("null")
     elif isinstance(x, dict):
@@ -250,9 +222,9 @@ def _write_value(x, newline: str, decimals: dict[int, str], out: list[str]) -> N
             if t is str:
                 out.append(encode_basestring_ascii(value))
             elif t is int:
-                out.append(_decimal(value, decimals))
+                out.append(int.__repr__(value))
             else:
-                _write_value(value, inner, decimals, out)
+                _write_value(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(x, list):
@@ -264,9 +236,9 @@ def _write_value(x, newline: str, decimals: dict[int, str], out: list[str]) -> N
         for value in x:
             out.append(sep)
             if type(value) is int:
-                out.append(_decimal(value, decimals))
+                out.append(int.__repr__(value))
             else:
-                _write_value(value, inner, decimals, out)
+                _write_value(value, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     else:
@@ -440,7 +412,7 @@ def _resolve_family(name: str, n: int | None) -> DescentFamily:
 # The census sweeps the n(n+1)/2 smalls in order of their lower u bound
 # and clips only pairs whose u and v ranges overlap, about n**3 / 2 bound
 # tests; n = 64 (2080 smalls) at convergent 2048 (a 3498-bit pair)
-# verifies in about 1.7 s on one Xeon core under CPython 3.11.
+# verifies in about 0.8 s on one Xeon core under CPython 3.11.
 MAX_FIGURE_N = 64
 # CPython turns no int of more than 4300 decimal digits into a string, and
 # 2**14284 < 10**4300, so every printed integer must stay below 2**14284.
@@ -512,9 +484,9 @@ def _resolve_figure(
     return family, a, b
 
 
-def _write_json(path: Optional[str], report: dict, decimals: Optional[dict[int, str]] = None) -> None:
+def _write_json(path: Optional[str], report: dict) -> None:
     if path:
-        text = render_json(report, decimals)
+        text = render_json(report)
         with _writing(path), open(path, "w") as fh:
             fh.write(text)
 
@@ -572,27 +544,73 @@ def _cmd_census(args) -> int:
     return 0 if run["pass"] else 2
 
 
+# One step object of runs[0].steps as render_json writes it, at that
+# depth: the separator before it, then pair_in, pair_out, defect_in and
+# defect_out in decimal.
+_CHAIN_STEP = (
+    "%s{\n"
+    '          "pair_in": [\n'
+    "            %s,\n"
+    "            %s\n"
+    "          ],\n"
+    '          "pair_out": [\n'
+    "            %s,\n"
+    "            %s\n"
+    "          ],\n"
+    '          "defect_in": %s,\n'
+    '          "defect_out": %s\n'
+    "        }"
+)
+
+
 def _cmd_chain(args) -> int:
     family, a, b = _resolve_figure(args, drawn=False)
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
-    run = build_chain_run(family, a, b, args.max_steps)
-    # each step's pair_out and defect_out strings are the next step's
-    # pair_in and defect_in; the JSON writer reuses the decimals too
-    decimals: dict[int, str] = {}
-    dec = functools.partial(_decimal, decimals=decimals)
-    steps = run["steps"]
-    pair = f"({dec(a)}, {dec(b)})"
-    defect = dec(steps[0]["defect_in"]) if steps else ""
-    print(f"family {family.title}  start {pair}")
+    chain = descent_chain(family, a, b, args.max_steps)
+    # each integer a step makes goes to decimal once: a step's output
+    # strings are the next step's input ones, on stdout and in the JSON
+    dec = int.__repr__
+    steps = chain.steps
+    start = (dec(a), dec(b), dec(steps[0].defect_in) if steps else "")
+    outs: list[tuple[str, str, str]] = []
+    write = sys.stdout.write
+    a_in, b_in, d_in = start
+    write(f"family {family.title}  start ({a_in}, {b_in})\n")
     for i, s in enumerate(steps, start=1):
-        a_out, b_out = s["pair_out"]
-        pair_out, defect_out = f"({dec(a_out)}, {dec(b_out)})", dec(s["defect_out"])
-        print(f"step {i}: {pair} -> {pair_out}  defect {defect} -> {defect_out}")
-        pair, defect = pair_out, defect_out
-    print(f"stop: {run['stop_reason']} after {len(steps)} steps")
-    _write_json(args.json, report_envelope([run]), decimals)
+        a_out, b_out, d_out = out = dec(s.pair_out[0]), dec(s.pair_out[1]), dec(s.defect_out)
+        write("step %d: (%s, %s) -> (%s, %s)  defect %s -> %s\n" % (i, a_in, b_in, a_out, b_out, d_in, d_out))
+        outs.append(out)
+        a_in, b_in, d_in = out
+    write(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
+    if args.json:
+        _write_chain_json(args.json, chain, start, outs)
     return 0
+
+
+def _write_chain_json(
+    path: str, chain: ChainResult, start: tuple[str, str, str], outs: list[tuple[str, str, str]]
+) -> None:
+    """Write the chain's report, the bytes render_json would give, one step
+    at a time: render_json writes the run around an empty steps list, and
+    each step fills _CHAIN_STEP from its input and output decimals."""
+    run = _run_head("chain", chain.family) | {
+        "input_pair": list(chain.start),
+        "steps": [],
+        "stop_reason": chain.stop_reason,
+        "final_pair": list(chain.final_pair),
+        "pass": True,
+    }
+    head, tail = render_json(report_envelope([run])).split('"steps": []')
+    with _writing(path), open(path, "w") as fh:
+        fh.write(head + '"steps": [')
+        sep = "\n        "
+        a_in, b_in, d_in = start
+        for a_out, b_out, d_out in outs:
+            fh.write(_CHAIN_STEP % (sep, a_in, b_in, a_out, b_out, d_in, d_out))
+            sep = ",\n        "
+            a_in, b_in, d_in = a_out, b_out, d_out
+        fh.write(("\n      ]" if outs else "]") + tail)
 
 
 def _cmd_range(args) -> int:

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 from conftest import all_figure_families
-from irrgeo.descent import DescentFamily, range_check
+from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
 from irrgeo.number_theory import convergents
 from irrgeo.render_report import (
     MAX_CHAIN_STEPS,
+    MAX_CONVERGENT,
+    MAX_PAIR_BITS,
     build_census_run,
-    build_chain_run,
     build_range_run,
     build_verify_run,
     cli_main,
@@ -150,11 +151,15 @@ def test_cli_write_failure_exits_1(capsys, tmp_path):
     for argv in (
         ["verify", *pair, "--json", str(missing / "x.json")],
         ["svg", *pair, "--out", str(missing / "x.svg")],
+        ["chain", "--family", "sqrt2", "--a", "17", "--b", "12", "--json", str(missing / "x.json")],
     ):
         code = cli_main(argv)
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 1, argv
-        assert err == f"cannot write {argv[-1]}: No such file or directory\n"
+        assert captured.err == f"cannot write {argv[-1]}: No such file or directory\n"
+    # chain prints all of stdout before it opens the report
+    assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
+    assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
 
 
 def test_cli_figure_size_limit(capsys, tmp_path):
@@ -350,6 +355,47 @@ def _reference_json(x) -> str:
     return json.dumps(x, indent=2) + "\n"
 
 
+def build_chain_run(family: DescentFamily, a: int, b: int, max_steps: int) -> dict:
+    """The chain run as one dict: the reference for chain's streamed report."""
+    chain = descent_chain(family, a, b, max_steps)
+    return {
+        "mode": "chain",
+        "family": family.label,
+        "n": family.n,
+        "radicand": family.radicand,
+        "input_pair": [a, b],
+        "steps": [
+            {
+                "pair_in": list(s.pair_in),
+                "pair_out": list(s.pair_out),
+                "defect_in": s.defect_in,
+                "defect_out": s.defect_out,
+            }
+            for s in chain.steps
+        ],
+        "stop_reason": chain.stop_reason,
+        "final_pair": list(chain.final_pair),
+        "pass": True,
+    }
+
+
+def _reference_chain_stdout(run: dict) -> str:
+    """chain's stdout for the run, line by line."""
+    family = DescentFamily(FamilyKind(run["family"]), run["n"])
+    steps = run["steps"]
+    a, b = run["input_pair"]
+    pair = f"({a}, {b})"
+    defect = str(steps[0]["defect_in"]) if steps else ""
+    lines = [f"family {family.title}  start {pair}"]
+    for i, s in enumerate(steps, start=1):
+        a_out, b_out = s["pair_out"]
+        pair_out, defect_out = f"({a_out}, {b_out})", str(s["defect_out"])
+        lines.append(f"step {i}: {pair} -> {pair_out}  defect {defect} -> {defect_out}")
+        pair, defect = pair_out, defect_out
+    lines.append(f"stop: {run['stop_reason']} after {len(steps)} steps")
+    return "\n".join(lines) + "\n"
+
+
 def _report_corpus() -> list[dict]:
     """verify and census of every figure family at convergents 1..6,
     chain at convergent 999 of each, and range --n-max 40."""
@@ -366,12 +412,8 @@ def _report_corpus() -> list[dict]:
 
 
 def test_render_json_matches_json_module_on_reports():
-    decimals: dict[int, str] = {}
     for report in _report_corpus():
-        expected = _reference_json(report)
-        assert render_json(report) == expected
-        # strings made for an earlier report are still the right ones
-        assert render_json(report, decimals) == expected
+        assert render_json(report) == _reference_json(report)
 
 
 _AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "√", "\u2028", "\U0001f600", "/", " "]
@@ -401,13 +443,11 @@ def _random_tree(rng: random.Random, depth: int):
 
 def test_render_json_matches_json_module_on_random_trees():
     rng = random.Random(8)
-    shared: dict[int, str] = {}
     nested_empties = big_ints = 0
     for _ in range(600):
         tree = _random_tree(rng, 0)
         expected = _reference_json(tree)
         assert render_json(tree) == expected
-        assert render_json(tree, shared) == expected
         nested_empties += expected.count(": []") + expected.count(": {}")
         big_ints += any(len(word) > 1000 for word in expected.split())
     assert nested_empties >= 100 and big_ints >= 100
@@ -453,38 +493,53 @@ _WRITER_CONTRACT = [
 def test_render_json_contract_beyond_plain_types():
     # the exact-type fast paths must leave bools, subclasses and empty
     # nests to the general writer, with the same bytes
-    shared: dict[int, str] = {}
     for x in _WRITER_CONTRACT:
-        expected = _reference_json(x)
-        assert render_json(x) == expected
-        assert render_json(x, shared) == expected
+        assert render_json(x) == _reference_json(x)
     for bad in ([1, 2.5], [True, 1.0], {1: [1, 2]}, {_Level.LOW: 1}, [[1, 2], (3, 4)], _List([1.0])):
         with pytest.raises(TypeError):
             render_json(bad)
 
 
+def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
+    """(family, pair options, a, b, max_steps): each family from several
+    convergents, up to the largest it accepts; T_8 = 36, which has no
+    convergents; --max-steps 0; and two chains stopped by their first step."""
+    cases = []
+    for family in [DescentFamily.sqrt2(), DescentFamily.hex6()] + [DescentFamily.triangular(n) for n in range(2, 8)]:
+        cs = convergents(family.radicand, MAX_CONVERGENT)
+        last = MAX_CONVERGENT if cs[-1].p.bit_length() <= MAX_PAIR_BITS else 1561
+        for k in (1, 2, 3, 999, last):
+            c = cs[k - 1]
+            cases.append((family, ["--convergent", str(k)], c.p, c.q, MAX_CHAIN_STEPS))
+    for family, a, b, max_steps in (
+        (DescentFamily.triangular(8), 37, 6, MAX_CHAIN_STEPS),
+        (DescentFamily.sqrt2(), 99, 70, 0),
+        (DescentFamily.triangular(6), 9, 2, MAX_CHAIN_STEPS),
+        (DescentFamily.sqrt2(), 1, 1, MAX_CHAIN_STEPS),
+    ):
+        cases.append((family, ["--a", str(a), "--b", str(b)], a, b, max_steps))
+    return cases
+
+
 def test_chain_stdout_matches_json_report(capsys, tmp_path):
-    # the golden digests reach convergent 6; this pins the long chains'
-    # stdout against the lines rebuilt from their own JSON report
+    # chain streams its JSON one step at a time from a fixed template; its
+    # stdout and its file must be the bytes of the line-by-line reference
+    # and of json.dumps on the whole report
     out = tmp_path / "chain.json"
-    for family in all_figure_families():
-        argv = ["chain", "--family", family.kind.value, "--convergent", "999"]
+    lengths = []
+    for family, pair, a, b, max_steps in _chain_cases():
+        argv = ["chain", "--family", family.kind.value, *pair]
         if family.n is not None:
             argv += ["--n", str(family.n)]
-        argv += ["--max-steps", str(MAX_CHAIN_STEPS), "--json", str(out)]
-        assert cli_main(argv) == 0
-        run = json.loads(out.read_text())["runs"][0]
-        a, b = run["input_pair"]
-        lines = [f"family {family.title}  start ({a}, {b})"]
-        for i, s in enumerate(run["steps"], start=1):
-            lines.append(
-                f"step {i}: ({str(s['pair_in'][0])}, {str(s['pair_in'][1])}) ->"
-                f" ({str(s['pair_out'][0])}, {str(s['pair_out'][1])})"
-                f"  defect {str(s['defect_in'])} -> {str(s['defect_out'])}"
-            )
-        lines.append(f"stop: {run['stop_reason']} after {len(run['steps'])} steps")
-        assert capsys.readouterr().out == "\n".join(lines) + "\n", family.title
-        assert len(run["steps"]) >= 400
+        argv += ["--max-steps", str(max_steps), "--json", str(out)]
+        assert cli_main(argv) == 0, argv
+        run = build_chain_run(family, a, b, max_steps)
+        assert capsys.readouterr().out == _reference_chain_stdout(run), argv
+        assert out.read_text() == _reference_json(report_envelope([run])), argv
+        head = render_json(report_envelope([run | {"steps": []}]))
+        assert head.count('"steps": []') == 1
+        lengths.append(len(run["steps"]))
+    assert {0, 1} <= set(lengths) and max(lengths) >= 2000
 
 
 def _run_alone(argv: list[str], *flags: str) -> tuple[int, str, str]:
