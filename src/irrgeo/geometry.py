@@ -144,15 +144,9 @@ class LatticePolygon(_Bounds):
         ]
         return [ke for ke in edges if ke[1]]
 
-    def _twice_area(self) -> int:
-        """Twice the lattice area times den**2: the u, v box less the two
-        corners that u + v cuts."""
-        _, _, lu, hu, lv, hv, lw, hw = self
-        return 2 * (hu - lu) * (hv - lv) - (lw - lu - lv) ** 2 - (hu + hv - hw) ** 2
-
     @property
     def lattice_area(self) -> Fraction:
-        return Fraction(self._twice_area(), 2 * self.den * self.den)
+        return _total_area((self,))
 
 
 def fraction_sqrt(x: Fraction) -> Fraction:
@@ -201,41 +195,48 @@ def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, h
     ):
         raise ValueError("a bound on u, v or u + v is not attained")
     g = gcd(den, lu, hu, lv, hv, lw, hw)
-    den, lu, hu, lv, hv, lw, hw = den // g, lu // g, hu // g, lv // g, hv // g, lw // g, hw // g
-    return LatticePolygon._make((basis, den, lu, hu, lv, hv, lw, hw))
+    if g != 1:
+        den, lu, hu, lv, hv, lw, hw = den // g, lu // g, hu // g, lv // g, hv // g, lw // g, hw // g
+    # LatticePolygon._make without its field count check: eight are given
+    return tuple.__new__(LatticePolygon, (basis, den, lu, hu, lv, hv, lw, hw))
 
 
 def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[LatticePolygon]:
     """Exact intersection of two alcoved polygons; None if its area is zero.
 
     Both bound vectors are scaled to the least common multiple of the
-    denominators, each lower bound raised and each upper bound lowered to
-    the other polygon's.
+    denominators when they differ, each lower bound raised and each upper
+    bound lowered to the other polygon's, all by integer comparisons.
     """
     if p.basis != q.basis:
         raise BasisMismatch(f"{p.basis} vs {q.basis}")
-    _, _, plu, phu, plv, phv, plw, phw = p
-    _, _, qlu, qhu, qlv, qhv, qlw, qhw = q
-    den = p.den
-    if q.den != den:
-        den = lcm(den, q.den)
-        k = den // p.den
-        plu, phu, plv, phv, plw, phw = plu * k, phu * k, plv * k, phv * k, plw * k, phw * k
-        k = den // q.den
+    basis, den, lu, hu, lv, hv, lw, hw = p
+    _, qden, qlu, qhu, qlv, qhv, qlw, qhw = q
+    if qden != den:
+        common = lcm(den, qden)
+        k = common // den
+        lu, hu, lv, hv, lw, hw = lu * k, hu * k, lv * k, hv * k, lw * k, hw * k
+        k = common // qden
         qlu, qhu, qlv, qhv, qlw, qhw = qlu * k, qhu * k, qlv * k, qhv * k, qlw * k, qhw * k
-    lu, hu = max(plu, qlu), min(phu, qhu)
-    lv, hv = max(plv, qlv), min(phv, qhv)
-    lw, hw = max(plw, qlw), min(phw, qhw)
+        den = common
+    lu = qlu if qlu > lu else lu
+    hu = qhu if qhu < hu else hu
+    lv = qlv if qlv > lv else lv
+    hv = qhv if qhv < hv else hv
+    lw = qlw if qlw > lw else lw
+    hw = qhw if qhw < hw else hw
     # three difference constraints: each tight bound is the direct one or
-    # the path through the third
-    lu, hu, lv, hv, lw, hw = (
-        max(lu, lw - hv), min(hu, hw - lv),
-        max(lv, lw - hu), min(hv, hw - lu),
-        max(lw, lu + lv), min(hw, hu + hv),
-    )
+    # the path through the third, every path read before any bound moves
+    tlu, thu, tlv, thv, tlw, thw = lw - hv, hw - lv, lw - hu, hw - lu, lu + lv, hu + hv
+    lu = tlu if tlu > lu else lu
+    hu = thu if thu < hu else hu
+    lv = tlv if tlv > lv else lv
+    hv = thv if thv < hv else hv
+    lw = tlw if tlw > lw else lw
+    hw = thw if thw < hw else hw
     if not (lu < hu and lv < hv and lw < hw):
         return None
-    return _alcove(p.basis, den, lu, hu, lv, hv, lw, hw)
+    return _alcove(basis, den, lu, hu, lv, hv, lw, hw)
 
 
 @dataclass(frozen=True)
@@ -474,10 +475,23 @@ class CoverageCensus:
 
 def _total_area(polys: Iterable[LatticePolygon]) -> Fraction:
     """Total lattice area of alcoved polygons, read off their bounds and
-    summed in integers over one common denominator."""
-    polys = list(polys)
-    den = lcm(*(p.den for p in polys))
-    return Fraction(sum(p._twice_area() * (den // p.den) ** 2 for p in polys), 2 * den * den)
+    summed in integers over one common denominator.
+
+    Twice a polygon's area times den**2 is its u, v box less the two
+    corners that u + v cuts off, so it depends only on den, the u and v
+    extents and the legs of those two corners; it is computed once per
+    distinct shape, times the number of polygons of that shape.
+    """
+    shapes: dict[tuple[int, ...], int] = {}
+    for _, den, lu, hu, lv, hv, lw, hw in polys:
+        shape = (den, hu - lu, hv - lv, lw - lu - lv, hu + hv - hw)
+        shapes[shape] = shapes.get(shape, 0) + 1
+    den = lcm(*(shape[0] for shape in shapes))
+    twice = sum(
+        count * (2 * eu * ev - low * low - high * high) * (den // d) ** 2
+        for (d, eu, ev, low, high), count in shapes.items()
+    )
+    return Fraction(twice, 2 * den * den)
 
 
 def coverage_census(arr: Arrangement) -> CoverageCensus:
@@ -485,50 +499,55 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     inclusion-exclusion.
 
     Candidate pairs come from a sweep over the smalls sorted by lower u
-    bound, kept when their u and v ranges overlap; they are clipped in
-    lexicographic order.  Triples (i, j, m) are clipped for the common
-    neighbours m > j of i and j in the overlap graph.  Depth 4 is asserted
-    impossible: every candidate quadruple whose sub-triples are all
-    present is clipped and must come out empty.
+    bound, kept when their u, v and u + v ranges all overlap (two smalls
+    whose ranges on one of the three meet in at most a point share no
+    area); they are clipped in lexicographic order.  Triples (i, j, m) are
+    clipped for the common neighbours m > j of i and j in the overlap
+    graph.  Depth 4 is asserted impossible: every candidate quadruple whose
+    sub-triples are all present is clipped and must come out empty.
     """
     smalls = arr.smalls
     den = lcm(*(s.den for s in smalls))
     boxes = []
-    for s in smalls:
-        scale = den // s.den
-        boxes.append((s.lu * scale, s.hu * scale, s.lv * scale, s.hv * scale))
+    for _, d, lu, hu, lv, hv, lw, hw in smalls:
+        scale = den // d
+        boxes.append((lu * scale, hu * scale, lv * scale, hv * scale, lw * scale, hw * scale))
     k = len(smalls)
 
     order = sorted(range(k), key=lambda i: boxes[i][0])
     candidates = []
     for x, i in enumerate(order):
-        _, hu, lv, hv = boxes[i]
-        for y in range(x + 1, k):
-            j = order[y]
-            lu_j, _, lv_j, hv_j = boxes[j]
+        _, hu, lv, hv, lw, hw = boxes[i]
+        for j in order[x + 1:]:
+            lu_j, _, lv_j, hv_j, lw_j, hw_j = boxes[j]
             if lu_j >= hu:
                 break
-            if lv < hv_j and lv_j < hv:
+            if lv < hv_j and lv_j < hv and lw < hw_j and lw_j < hw:
                 candidates.append((i, j) if i < j else (j, i))
     candidates.sort()
 
+    # above[i] holds the smalls j > i whose overlap with i has area, in
+    # increasing order: a dict as an ordered set
     pairs: dict[tuple[int, int], LatticePolygon] = {}
-    above: list[set[int]] = [set() for _ in range(k)]  # j > i overlapping small i
+    above: list[dict[int, None]] = [{} for _ in range(k)]
     for i, j in candidates:
         region = convex_intersection(smalls[i], smalls[j])
         if region is not None:
             pairs[(i, j)] = region
-            above[i].add(j)
+            above[i][j] = None
 
     triples: dict[tuple[int, int, int], LatticePolygon] = {}
     for (i, j), region in pairs.items():
-        for m in sorted(above[i] & above[j]):
-            deep = convex_intersection(region, smalls[m])
-            if deep is not None:
-                triples[(i, j, m)] = deep
+        near = above[i]
+        for m in above[j]:
+            if m in near:
+                deep = convex_intersection(region, smalls[m])
+                if deep is not None:
+                    triples[(i, j, m)] = deep
 
     for (i, j, m), region in triples.items():
-        for w in sorted(above[i] & above[j] & above[m]):
+        # (i, j, w) in triples puts w in above[i] and above[j] too
+        for w in above[m]:
             if (i, j, w) in triples and (i, m, w) in triples and (j, m, w) in triples:
                 if convex_intersection(region, smalls[w]) is not None:
                     raise DepthExceeded(f"smalls {i}, {j}, {m}, {w} share interior points")

