@@ -14,24 +14,23 @@ and u + v.  LatticePolygon stores those six bounds as integers over one
 denominator den, reduced by their common gcd and tight (each is attained),
 in a NamedTuple, so tuple equality is equality of point sets.  Validity,
 areas, edge lengths, the overlap shapes, containment and intersection are
-integer comparisons and differences of the bounds; the corners (ints,
-and vertices as Fractions) are computed on each read, for drawing and
-for the public constructor, which accepts only a list that is exactly the
-corners of its bounds.  Two polygons intersect by taking the larger lower
-and the smaller upper bounds; the census reads the bounds to find the
-pairs worth clipping and for each area in closed form.
+integer comparisons and differences of the bounds, and so are the census's
+area sums, over one denominator, and the figure table's forms; the corners
+(ints, over den) are computed on each read, for drawing and for the public
+constructor, which accepts only a list that is exactly the corners of its
+bounds.  Two polygons intersect by taking the larger lower and the smaller
+upper bounds; the census reads the bounds to find the pairs worth clipping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .descent import DescentFamily, FamilyKind
-from .number_theory import is_perfect_square
 
 ORTHOGONAL = "orthogonal"
 TRIANGULAR = "triangular"
@@ -146,26 +145,36 @@ class LatticePolygon(_Bounds):
 
     @property
     def lattice_area(self) -> Fraction:
-        return _total_area((self,))
+        return Fraction(_twice_area((self,), self.den), 2 * self.den * self.den)
+
+
+def _rational_sqrt(num: int, den: int) -> tuple[int, int]:
+    """(p, q) in lowest terms with (p/q)**2 = num/den, den > 0; ValueError
+    if num/den is not the square of a rational, as no negative one is."""
+    g = gcd(num, den)
+    p, q = isqrt(abs(num) // g), isqrt(den // g)
+    if p * p * g != num or q * q * g != den:
+        raise ValueError(f"{Fraction(num, den)} is not a rational square")
+    return p, q
 
 
 def fraction_sqrt(x: Fraction) -> Fraction:
     """Exact square root of a rational, or ValueError if none exists."""
-    if x < 0:
-        raise ValueError(f"negative value {x}")
-    num, den = x.numerator, x.denominator
-    if not (is_perfect_square(num) and is_perfect_square(den)):
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(isqrt(num), isqrt(den))
+    return Fraction(*_rational_sqrt(x.numerator, x.denominator))
 
 
-def polygon_side(poly: LatticePolygon) -> Fraction:
-    """Common side length of an equilateral polygon; ValueError otherwise."""
+def _side(poly: LatticePolygon) -> tuple[int, int]:
+    """(e, d) with every edge of poly e/d long; ValueError otherwise."""
     d2 = poly.den * poly.den
     qs = {k * e * e for k, e in poly._edges()}
     if len(qs) != 1:
         raise ValueError(f"edges have unequal lengths: {sorted(Fraction(q, d2) for q in qs)}")
-    return fraction_sqrt(Fraction(qs.pop(), d2))
+    return _rational_sqrt(qs.pop(), d2)
+
+
+def polygon_side(poly: LatticePolygon) -> Fraction:
+    """Common side length of an equilateral polygon; ValueError otherwise."""
+    return Fraction(*_side(poly))
 
 
 # An equilateral alcoved triangle or quadrilateral on the 60-degree lattice
@@ -173,11 +182,16 @@ def polygon_side(poly: LatticePolygon) -> Fraction:
 # it is an equilateral triangle or a 60-degree rhombus.  On the orthogonal
 # lattice an edge along (1, -1) is sqrt(2) times a rational, never side
 # long, so an equilateral quadrilateral there is a square.
-def _equilateral_corners(poly: LatticePolygon, side: Fraction) -> int:
-    """poly's corner count if every edge is side long, else 0."""
-    e, rest = divmod(side.numerator * poly.den, side.denominator)
-    edges = poly._edges()
-    return len(edges) if not rest and all(ke == (1, e) for ke in edges) else 0
+def _equilateral_corners(poly: LatticePolygon, t, q: int = 1) -> int:
+    """poly's corner count if every edge is t/q long, else 0; edges 0 and 3
+    run along (1, -1), the others as in _edges."""
+    _, den, lu, hu, lv, hv, lw, hw = poly
+    e, rest = divmod(t * den, q)
+    edges = (lw - lu - lv, hu + lv - lw, hw - hu - lv, hu + hv - hw, hw - hv - lu, hv + lu - lw)
+    corners = 6 - edges.count(0)
+    if rest or not e or edges.count(e) != corners or poly.basis == ORTHOGONAL and (edges[0] or edges[3]):
+        return 0
+    return corners
 
 
 def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> LatticePolygon:
@@ -317,17 +331,19 @@ def _triangle_rows(n: int, a: int, b: int) -> _Shapes:
 
 
 class _Figure(NamedTuple):
-    """What one family's figure fixes beyond its radicand N.
+    """What one family's figure fixes beyond its radicand N, in integers.
 
     window holds (name, ka, kb) for ka*a > kb*b, then for ka*a < kb*b.
     overlap_shape is every overlap's basis and corner count: with all
     sides equal, a square, a 60-degree rhombus or an equilateral triangle.
-    sides(a, b) gives the overlap side t and the blank side s; next_pair
-    reads the smaller pair off (t, s) without the descent map's forms.
-    Lattice areas per side squared: big_unit for the big figure and each
-    small, overlap_unit for one overlap, blank_unit for the whole blank.
-    So the big figure has area big_unit*a**2, the N smalls
-    big_unit*N*b**2, and the two differ by -big_unit*(a**2 - N*b**2).
+    sides gives the overlap side t and the blank side s from (a, b), and
+    next_pair the smaller pair from q*(t, s) without the descent map's
+    forms, each as ((c, d), (e, f), q) for (c*x + d*y, e*x + f*y)/q.
+    Lattice areas per side squared, over unit_den: big_unit for the big
+    figure and each small, overlap_unit for one overlap, blank_unit for
+    the whole blank.  So the big figure has area big_unit*a**2/unit_den,
+    the N smalls big_unit*N*b**2/unit_den, and the two differ by
+    -big_unit*(a**2 - N*b**2)/unit_den.
     """
 
     window: tuple[tuple[str, int, int], tuple[str, int, int]]
@@ -335,11 +351,12 @@ class _Figure(NamedTuple):
     overlap_shape: tuple[str, int]
     doubly_count: int
     triple_count: int
-    big_unit: Fraction
-    overlap_unit: Fraction
-    blank_unit: Fraction
-    sides: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
-    next_pair: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
+    unit_den: int
+    big_unit: int
+    overlap_unit: int
+    blank_unit: int
+    sides: tuple[tuple[int, int], tuple[int, int], int]
+    next_pair: tuple[tuple[int, int], tuple[int, int], int]
 
 
 _SQUARES = _Figure(
@@ -348,11 +365,12 @@ _SQUARES = _Figure(
     overlap_shape=(ORTHOGONAL, 4),
     doubly_count=1,
     triple_count=0,
-    big_unit=Fraction(1),
-    overlap_unit=Fraction(1),
-    blank_unit=Fraction(2),
-    sides=lambda a, b: (2 * b - a, a - b),
-    next_pair=lambda t, s: (t, s),
+    unit_den=1,
+    big_unit=1,
+    overlap_unit=1,
+    blank_unit=2,
+    sides=((-1, 2), (1, -1), 1),  # t = 2b - a, s = a - b
+    next_pair=((1, 0), (0, 1), 1),  # (t, s)
 )
 
 _HEXAGONS = _Figure(
@@ -361,34 +379,31 @@ _HEXAGONS = _Figure(
     overlap_shape=(TRIANGULAR, 4),
     doubly_count=6,
     triple_count=0,
-    big_unit=Fraction(3),
-    overlap_unit=Fraction(1),
-    blank_unit=Fraction(9),
-    sides=lambda a, b: (3 * b - a, a - 2 * b),
-    next_pair=lambda t, s: (3 * s, t),
+    unit_den=1,
+    big_unit=3,
+    overlap_unit=1,
+    blank_unit=9,
+    sides=((-1, 3), (1, -2), 1),  # t = 3b - a, s = a - 2b
+    next_pair=((0, 3), (1, 0), 1),  # (3s, t)
 )
 
 
+@lru_cache(maxsize=128)
 def _triangle_figure(n: int) -> _Figure:
-    def sides(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-        t = (n * b - a) / (n - 1)
-        return t, b - 2 * t
-
-    if n % 2 == 0:
-        next_pair = lambda t, s: (Fraction(n, 2) * (n - 1) * s, (n - 1) * t)
-    else:
-        next_pair = lambda t, s: (Fraction(n + 1, 2) * (n - 1) * t, (n - 1) * s / 2)
     return _Figure(
         window=(("2a > (n+1)b", 2, n + 1), ("a < nb", 1, n)),
         build=lambda a, b: _triangle_rows(n, a, b),
         overlap_shape=(TRIANGULAR, 3),
         doubly_count=3 * (n - 1),
         triple_count=(n - 2) * (n - 1) // 2,
-        big_unit=Fraction(1, 2),
-        overlap_unit=Fraction(1, 2),
-        blank_unit=Fraction(n * (n - 1), 4),
-        sides=sides,
-        next_pair=next_pair,
+        unit_den=4,
+        big_unit=2,
+        overlap_unit=2,
+        blank_unit=n * (n - 1),
+        # t = (nb - a)/(n - 1), s = b - 2t = (2a - (n+1)b)/(n - 1)
+        sides=((-1, n), (2, -(n + 1)), n - 1),
+        # (n(n-1)s/2, (n-1)t) for even n, ((n+1)(n-1)t/2, (n-1)s/2) for odd n
+        next_pair=((0, n // 2), (1, 0), 1) if n % 2 == 0 else ((n + 1, 0), (0, 1), 2),
     )
 
 
@@ -418,17 +433,13 @@ def window_inequalities(family: DescentFamily, a: int, b: int) -> tuple[WindowIn
     )
 
 
-def _require_window(family: DescentFamily, a: int, b: int) -> None:
+def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:
+    """The family's figure for the pair; OutOfWindow outside its window."""
     if a < 1 or b < 1:
         raise OutOfWindow("a, b > 0", a, b)
     for ineq in window_inequalities(family, a, b):
         if not ineq.ok:
             raise OutOfWindow(ineq.name, a, b)
-
-
-def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:
-    """The family's figure for the pair; OutOfWindow outside its window."""
-    _require_window(family, a, b)
     big, smalls = _figure(family).build(a, b)
     return Arrangement(big=big, smalls=smalls, family=family, a=a, b=b)
 
@@ -437,16 +448,18 @@ def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:
 class CoverageCensus:
     """Complete exact accounting of how the smalls cover the big figure.
 
-    All areas are lattice areas.  pair_keys/triple_keys index into smalls;
-    regions are aligned with their keys.  Depth is capped at 3 by
-    construction (DepthExceeded otherwise).  The distinct and doubly
-    covered regions are deduplicated once, on first use.
+    All areas are lattice areas, summed in integers, each made a Fraction
+    once.  pair_keys/triple_keys index into smalls; regions are aligned
+    with their keys.  Depth is capped at 3 by construction (DepthExceeded
+    otherwise).  The distinct and doubly covered regions are deduplicated
+    once, on first use.
     """
 
     big_area: Fraction
     total_small_area: Fraction
     union_area: Fraction
     blank_area: Fraction
+    excess_area: Fraction
     exactly2_area: Fraction
     exactly3_area: Fraction
     pair_keys: tuple[tuple[int, int], ...]
@@ -454,10 +467,6 @@ class CoverageCensus:
     triple_keys: tuple[tuple[int, int, int], ...]
     triple_regions: tuple[LatticePolygon, ...]
     max_depth: int
-
-    @property
-    def excess_area(self) -> Fraction:
-        return self.total_small_area - self.union_area
 
     @cached_property
     def distinct_pair_regions(self) -> tuple[LatticePolygon, ...]:
@@ -473,25 +482,23 @@ class CoverageCensus:
         return tuple(r for r in self.distinct_pair_regions if r not in triples)
 
 
-def _total_area(polys: Iterable[LatticePolygon]) -> Fraction:
-    """Total lattice area of alcoved polygons, read off their bounds and
-    summed in integers over one common denominator.
+def _twice_area(polys: Iterable[LatticePolygon], den: int) -> int:
+    """Twice the total lattice area of alcoved polygons times den**2, read
+    off their bounds; den is a multiple of every polygon's denominator.
 
-    Twice a polygon's area times den**2 is its u, v box less the two
-    corners that u + v cuts off, so it depends only on den, the u and v
+    Twice a polygon's area times its own d**2 is its u, v box less the two
+    corners that u + v cuts off, so it depends only on d, the u and v
     extents and the legs of those two corners; it is computed once per
     distinct shape, times the number of polygons of that shape.
     """
     shapes: dict[tuple[int, ...], int] = {}
-    for _, den, lu, hu, lv, hv, lw, hw in polys:
-        shape = (den, hu - lu, hv - lv, lw - lu - lv, hu + hv - hw)
+    for _, d, lu, hu, lv, hv, lw, hw in polys:
+        shape = (d, hu - lu, hv - lv, lw - lu - lv, hu + hv - hw)
         shapes[shape] = shapes.get(shape, 0) + 1
-    den = lcm(*(shape[0] for shape in shapes))
-    twice = sum(
+    return sum(
         count * (2 * eu * ev - low * low - high * high) * (den // d) ** 2
         for (d, eu, ev, low, high), count in shapes.items()
     )
-    return Fraction(twice, 2 * den * den)
 
 
 def coverage_census(arr: Arrangement) -> CoverageCensus:
@@ -552,24 +559,25 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
                 if convex_intersection(region, smalls[w]) is not None:
                     raise DepthExceeded(f"smalls {i}, {j}, {m}, {w} share interior points")
 
-    big_area = arr.big.lattice_area
-    total_small = _total_area(smalls)
-    pair_sum = _total_area(pairs.values())
-    triple_sum = _total_area(triples.values())
-    union = total_small - pair_sum + triple_sum
-    blank = big_area - union
-    exactly3 = triple_sum
-    exactly2 = pair_sum - 3 * triple_sum
+    # every area over 2*den**2, as a pair's or triple's den divides its smalls' lcm
+    den = lcm(arr.big.den, den)
+    parts = (arr.big,), smalls, pairs.values(), triples.values()
+    big, small, pair, triple = (_twice_area(polys, den) for polys in parts)
+    union = small - pair + triple
+    blank = big - union
+    exactly2 = pair - 3 * triple
+    whole = 2 * den * den
     if blank < 0 or exactly2 < 0:
-        raise AssertionError(f"negative census area: blank {blank}, exactly2 {exactly2}")
+        raise AssertionError(f"negative census area over {whole}: blank {blank}, exactly2 {exactly2}")
     max_depth = 3 if triples else (2 if pairs else 1)
     return CoverageCensus(
-        big_area=big_area,
-        total_small_area=total_small,
-        union_area=union,
-        blank_area=blank,
-        exactly2_area=exactly2,
-        exactly3_area=exactly3,
+        big_area=Fraction(big, whole),
+        total_small_area=Fraction(small, whole),
+        union_area=Fraction(union, whole),
+        blank_area=Fraction(blank, whole),
+        excess_area=Fraction(small - union, whole),
+        exactly2_area=Fraction(exactly2, whole),
+        exactly3_area=Fraction(triple, whole),
         pair_keys=tuple(pairs),
         pair_regions=tuple(pairs.values()),
         triple_keys=tuple(triples),
@@ -602,23 +610,26 @@ def _check(name: str, lhs, rhs) -> IdentityCheck:
 
 
 def verify_figure(arr: Arrangement, census: CoverageCensus) -> FigureReport:
-    """Compare every measured census quantity against its closed form.
+    """Compare every measured census quantity against its closed form,
+    evaluated in integers and made one Fraction to compare and print.
 
     Returns the full check list on success; raises MismatchReport (with
     the same report attached) if anything disagrees.
     """
     fig = _figure(arr.family)
-    t, s = fig.sides(Fraction(arr.a), Fraction(arr.b))
+    a, b, big_n = arr.a, arr.b, arr.family.radicand
+    (ta, tb), (sa, sb), q = fig.sides
+    t, s = ta * a + tb * b, sa * a + sb * b  # q times the sides
     pair_set = set(census.distinct_pair_regions)
     overlaps = census.distinct_pair_regions + tuple(
         r for r in census.distinct_triple_regions if r not in pair_set
     )
-    corners = [_equilateral_corners(r, t) for r in overlaps]
+    corners = [_equilateral_corners(r, t, q) for r in overlaps]
     sides_ok = sum(1 for c in corners if c)
     basis, count = fig.overlap_shape
     shape_ok = sum(1 for r, c in zip(overlaps, corners) if c == count and r.basis == basis)
-    big_n = arr.family.radicand
-    balance = -fig.big_unit * (arr.a * arr.a - big_n * arr.b * arr.b)
+    unit, sides_den = fig.unit_den, fig.unit_den * q * q
+    balance = Fraction(-fig.big_unit * (a * a - big_n * b * b), unit)
     exactly2 = fig.overlap_unit * fig.doubly_count * t * t
     exactly3 = fig.overlap_unit * fig.triple_count * t * t
 
@@ -628,19 +639,17 @@ def verify_figure(arr: Arrangement, census: CoverageCensus) -> FigureReport:
         _check("triple_region_count", len(census.distinct_triple_regions), fig.triple_count),
         _check("overlap_sides_equal_t", sides_ok, len(overlaps)),
         _check("overlap_shapes", shape_ok, len(overlaps)),
-        _check("big_area", census.big_area, fig.big_unit * arr.a * arr.a),
-        _check("total_small_area", census.total_small_area, fig.big_unit * big_n * arr.b * arr.b),
-        _check("exactly2_area", census.exactly2_area, exactly2),
-        _check("exactly3_area", census.exactly3_area, exactly3),
-        _check("excess_area", census.excess_area, exactly2 + 2 * exactly3),
-        _check("blank_area", census.blank_area, fig.blank_unit * s * s),
+        _check("big_area", census.big_area, Fraction(fig.big_unit * a * a, unit)),
+        _check("total_small_area", census.total_small_area, Fraction(fig.big_unit * big_n * b * b, unit)),
+        _check("exactly2_area", census.exactly2_area, Fraction(exactly2, sides_den)),
+        _check("exactly3_area", census.exactly3_area, Fraction(exactly3, sides_den)),
+        _check("excess_area", census.excess_area, Fraction(exactly2 + 2 * exactly3, sides_den)),
+        _check("blank_area", census.blank_area, Fraction(fig.blank_unit * s * s, sides_den)),
         _check("excess_minus_blank", census.excess_area - census.blank_area, balance),
         _check("raw_area_balance", census.total_small_area - census.big_area, balance),
         _check("max_depth", census.max_depth, 3 if fig.triple_count else 2),
     )
-    report = FigureReport(
-        family_label=arr.family.label, n=arr.family.n, a=arr.a, b=arr.b, checks=checks
-    )
+    report = FigureReport(family_label=arr.family.label, n=arr.family.n, a=a, b=b, checks=checks)
     if not report.all_pass:
         raise MismatchReport(report)
     return report
@@ -650,16 +659,21 @@ def census_to_descent(arr: Arrangement, census: CoverageCensus) -> tuple[int, in
     """Read the next descent pair off the measured figure alone.
 
     Overlap side t comes from an actual overlap region's edge length and
-    blank side s from the exact square root of the blank area; the family
-    then fixes how (t, s) scale into the next (a, b).  No algebraic map is
-    consulted, so agreement with descent_step is a real cross-check.
+    blank side s from the exact square root of the blank area, in integers;
+    the figure table then fixes how (q*t, q*s) give the next (a, b).  No
+    algebraic map is consulted, so agreement with descent_step is a real check.
     """
     if not census.pair_regions:
         raise ValueError("figure has no overlap regions to measure")
     fig = _figure(arr.family)
-    t = polygon_side(census.distinct_pair_regions[0])
-    s = fraction_sqrt(census.blank_area / fig.blank_unit)
-    a_next, b_next = fig.next_pair(t, s)
-    if a_next.denominator != 1 or b_next.denominator != 1:
-        raise ValueError(f"measured pair ({a_next}, {b_next}) is not integral")
-    return int(a_next), int(b_next)
+    e, e_den = _side(census.distinct_pair_regions[0])  # t = e/e_den
+    blank = census.blank_area
+    r, r_den = _rational_sqrt(blank.numerator * fig.unit_den, blank.denominator * fig.blank_unit)  # s
+    (ta, sa), (tb, sb), d = fig.next_pair
+    # q*t and q*s over e_den*r_den, and the pair over d times that
+    q = fig.sides[2]
+    t, s, den = q * e * r_den, q * r * e_den, d * e_den * r_den
+    a_next, b_next = ta * t + sa * s, tb * t + sb * s
+    if a_next % den or b_next % den:
+        raise ValueError(f"measured pair ({Fraction(a_next, den)}, {Fraction(b_next, den)}) is not integral")
+    return a_next // den, b_next // den

@@ -49,7 +49,6 @@ SCHEMA_VERSION = "1"
 
 
 def frac_str(x: Fraction | int) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -82,15 +81,14 @@ def _step_block(step: DescentStep) -> dict:
     }
 
 
+# the census areas, in the order reports and census's stdout give them
+_CENSUS_AREAS = (
+    "big_area", "total_small_area", "union_area", "blank_area", "excess_area", "exactly2_area", "exactly3_area",
+)
+
+
 def _census_block(census: CoverageCensus) -> dict:
-    return {
-        "big_area": frac_str(census.big_area),
-        "total_small_area": frac_str(census.total_small_area),
-        "union_area": frac_str(census.union_area),
-        "blank_area": frac_str(census.blank_area),
-        "excess_area": frac_str(census.excess_area),
-        "exactly2_area": frac_str(census.exactly2_area),
-        "exactly3_area": frac_str(census.exactly3_area),
+    return {key: frac_str(getattr(census, key)) for key in _CENSUS_AREAS} | {
         "pair_region_count": len(census.distinct_pair_regions),
         "doubly_region_count": len(census.doubly_covered_regions),
         "triple_region_count": len(census.distinct_triple_regions),
@@ -268,19 +266,15 @@ def scene_from_arrangement(arr: Arrangement, census: CoverageCensus) -> SvgScene
     """Layer the figure back-to-front: big, smalls, double then triple
     overlaps, each at its coverage depth color."""
 
-    def cart(p) -> tuple[float, float]:
-        u, v = float(p.u), float(p.v)
+    def points(poly) -> tuple[tuple[float, float], ...]:
+        # x / den is rounded once, as float(Fraction(x, den)) is
+        den = poly.den
         if arr.big.basis == ORTHOGONAL:
-            return (u, -v)
-        return (u + v / 2, -v * SQRT3_HALF)
+            return tuple((x / den, -(y / den)) for x, y in poly.ints)
+        return tuple((x / den + y / den / 2, -(y / den) * SQRT3_HALF) for x, y in poly.ints)
 
-    polys = [ScenePolygon(tuple(cart(p) for p in arr.big.vertices), 0)]
-    for s in arr.smalls:
-        polys.append(ScenePolygon(tuple(cart(p) for p in s.vertices), 1))
-    for r in census.distinct_pair_regions:
-        polys.append(ScenePolygon(tuple(cart(p) for p in r.vertices), 2))
-    for r in census.distinct_triple_regions:
-        polys.append(ScenePolygon(tuple(cart(p) for p in r.vertices), 3))
+    layers = (arr.big,), arr.smalls, census.distinct_pair_regions, census.distinct_triple_regions
+    polys = [ScenePolygon(points(p), depth) for depth, layer in enumerate(layers) for p in layer]
     xs = [x for poly in polys for x, _ in poly.points]
     ys = [y for poly in polys for _, y in poly.points]
     x0, x1 = min(xs), max(xs)
@@ -533,16 +527,8 @@ def _cmd_census(args) -> int:
     _print_head(run, family, a, b)
     if run["window"]["pass"]:
         c = run["census"]
-        for key in (
-            "big_area",
-            "total_small_area",
-            "union_area",
-            "blank_area",
-            "excess_area",
-            "exactly2_area",
-            "exactly3_area",
-        ):
-            print(f"{key}: {Fraction(c[key])}")
+        for key in _CENSUS_AREAS:
+            print(f"{key}: {c[key].removesuffix('/1')}")  # as str(Fraction) prints it
         print(
             f"regions: {c['pair_region_count']} pairwise"
             f" ({c['doubly_region_count']} doubly, {c['triple_region_count']} triply)"

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import pickle
 import random
@@ -809,9 +810,11 @@ def _ref_corners(family: DescentFamily, a: int, b: int):
     return TRIANGULAR, (_at((0, 0), (a, 0), (0, a)),) + smalls
 
 
-def _random_window_pair(rng: random.Random, family: DescentFamily) -> tuple[int, int]:
+def _random_window_pair(rng: random.Random, family: DescentFamily, bit_range=(2, 200)) -> tuple[int, int]:
+    """A pair in the family's window whose b has a bit length drawn from bit_range."""
+    lo, hi = bit_range
     while True:
-        bits = rng.randint(2, 200)
+        bits = rng.randint(lo, hi)
         b = rng.randrange(2 ** (bits - 1), 2**bits)
         a = rng.randrange(b, 65 * b)
         if all(w.ok for w in window_inequalities(family, a, b)):
@@ -1145,10 +1148,11 @@ def _random_arrangement(rng: random.Random) -> Arrangement:
     return Arrangement(big=big, smalls=tuple(smalls), family=DescentFamily.sqrt2(), a=12, b=1)
 
 
-def _random_arrangements():
+@functools.cache
+def _random_arrangements() -> tuple[Arrangement, ...]:
+    """400 random arrangements, built once for every test that reads them."""
     rng = random.Random(29)
-    for _ in range(400):
-        yield _random_arrangement(rng)
+    return tuple(_random_arrangement(rng) for _ in range(400))
 
 
 def test_census_matches_all_pairs_reference_on_random_arrangements():
@@ -1267,6 +1271,17 @@ def test_verify_figure_passes():
         assert {"blank_area", "excess_minus_blank", "overlap_sides_equal_t"} <= names
 
 
+# each census area field and the identity checks that read it
+_CHECKS_READING = {
+    "big_area": {"big_area", "raw_area_balance"},
+    "total_small_area": {"total_small_area", "raw_area_balance"},
+    "exactly2_area": {"exactly2_area"},
+    "exactly3_area": {"exactly3_area"},
+    "excess_area": {"excess_area", "excess_minus_blank"},
+    "blank_area": {"blank_area", "excess_minus_blank"},
+}
+
+
 def test_verify_figure_mismatch():
     arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     census = coverage_census(arr)
@@ -1278,6 +1293,57 @@ def test_verify_figure_mismatch():
     failed = {c.name for c in report.checks if not c.passed}
     assert "blank_area" in failed
     assert "big_area" not in failed
+    # verify_figure checks the areas the census reports, not areas of its
+    # own: one area off by 1 fails exactly the checks that read it
+    for family in all_figure_families():
+        p, q = window_convergents(family, 1)[0]
+        arr = build_arrangement(family, p, q)
+        census = coverage_census(arr)
+        for field, reading in _CHECKS_READING.items():
+            corrupted = replace(census, **{field: getattr(census, field) + 1})
+            with pytest.raises(MismatchReport) as exc:
+                verify_figure(arr, corrupted)
+            failed = {c.name for c in exc.value.report.checks if not c.passed}
+            assert failed == reading, (family, field, failed)
+
+
+def test_figure_table_matches_fraction_closed_forms():
+    # the table's integer forms against the paper's closed forms, written
+    # here in Fractions: the sides t and s, the unit areas and the next pair
+    rng = random.Random(1016)
+    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+        DescentFamily.triangular(n) for n in range(2, 65)
+    ]
+    for family in families:
+        fig, n = _figure(family), family.n
+        assert _figure(family) is fig  # built once per n
+        (ta, tb), (sa, sb), q = fig.sides
+        (c, d), (e, f), m = fig.next_pair
+        units = tuple(Fraction(u, fig.unit_den) for u in (fig.big_unit, fig.overlap_unit, fig.blank_unit))
+        for _ in range(4):
+            a, b = _random_window_pair(rng, family, (8, 3400))
+            if family.label == "sqrt2":
+                t, s = Fraction(2 * b - a), Fraction(a - b)
+                want_units = (1, 1, 2)
+                want_next = (t, s)
+            elif family.label == "hex6":
+                t, s = Fraction(3 * b - a), Fraction(a - 2 * b)
+                want_units = (3, 1, 9)
+                want_next = (3 * s, t)
+            else:
+                t = Fraction(n * b - a, n - 1)
+                s = b - 2 * t
+                want_units = (Fraction(1, 2), Fraction(1, 2), Fraction(n * (n - 1), 4))
+                if n % 2 == 0:
+                    want_next = (Fraction(n, 2) * (n - 1) * s, (n - 1) * t)
+                else:
+                    want_next = (Fraction(n + 1, 2) * (n - 1) * t, (n - 1) * s / 2)
+            big_t, big_s = ta * a + tb * b, sa * a + sb * b
+            assert (Fraction(big_t, q), Fraction(big_s, q)) == (t, s), (family, a, b)
+            assert units == want_units, family
+            got_next = (Fraction(c * big_t + d * big_s, m), Fraction(e * big_t + f * big_s, m))
+            assert got_next == want_next, (family, a, b)
+            assert got_next == descent_step(family, a, b).pair_out, (family, a, b)
 
 
 def test_census_to_descent_examples():

@@ -13,11 +13,14 @@ import pytest
 from conftest import all_figure_families
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
+from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, Arrangement, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents
 from irrgeo.render_report import (
     MAX_CHAIN_STEPS,
     MAX_CONVERGENT,
     MAX_PAIR_BITS,
+    MAX_SVG_BITS,
+    SQRT3_HALF,
     build_census_run,
     build_range_run,
     build_verify_run,
@@ -25,6 +28,7 @@ from irrgeo.render_report import (
     frac_str,
     render_json,
     report_envelope,
+    scene_from_arrangement,
     surd_str,
 )
 
@@ -328,6 +332,41 @@ def test_cli_svg_triangular_has_triples(capsys, tmp_path):
     assert fills.count("lightblue") == 15
     assert fills.count("orange") == 18
     assert fills.count("red") == 6
+
+
+_SVG_SHAPES = (
+    ((0, 0), (1, 0), (1, 1), (0, 1)),
+    ((0, 0), (1, 0), (0, 1)),
+    ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
+)
+
+
+def _ref_scene_points(poly: LatticePolygon) -> tuple[tuple[float, float], ...]:
+    """The projection as it was written on Fraction vertices."""
+    points = []
+    for p in poly.vertices:
+        u, v = float(p.u), float(p.v)
+        points.append((u, -v) if poly.basis == ORTHOGONAL else (u + v / 2, -v * SQRT3_HALF))
+    return tuple(points)
+
+
+def test_svg_points_from_ints_match_fraction_projection():
+    # the scene divides each integer corner by den; a correctly rounded
+    # int/int division must give float(Fraction) on every corner, for
+    # dens up to 2**40 and coordinates up to the bit length svg accepts
+    rng = random.Random(1016)
+    for _ in range(300):
+        basis = rng.choice((ORTHOGONAL, TRIANGULAR))
+        den = rng.randrange(1, 2**40 + 1)
+        bits = rng.randint(1, MAX_SVG_BITS - 2)
+        x, y = (Fraction(rng.randrange(-(2**bits), 2**bits), den) for _ in range(2))
+        side = Fraction(rng.randrange(1, 2**bits), den)
+        corners = rng.choice(_SVG_SHAPES)
+        poly = LatticePolygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
+        arr = Arrangement(big=poly, smalls=(poly,), family=DescentFamily.sqrt2(), a=1, b=1)
+        scene = scene_from_arrangement(arr, coverage_census(arr))
+        want = _ref_scene_points(poly)
+        assert [p.points for p in scene.polygons] == [want, want], (basis, poly)
 
 
 def test_cli_svg_out_of_window(capsys, tmp_path):
