@@ -10,7 +10,6 @@ argument is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -58,23 +57,27 @@ _MAPS = {
 }
 
 
-@dataclass(frozen=True)
-class DescentFamily:
-    """One descent map: pair (a, b) -> (a', b') by fixed linear forms.
-
-    kind selects the map; n is the row count for the triangular family
-    and None otherwise.
-    """
-
+class _FamilyFields(NamedTuple):
     kind: FamilyKind
     n: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind is not FamilyKind.TRIANGULAR:
-            if self.n is not None:
-                raise BadIndex(f"{self.kind.value} takes no index n")
-        elif self.n is None or self.n < 2:
-            raise BadIndex(f"triangular family needs an index n >= 2, got {self.n}")
+
+class DescentFamily(_FamilyFields):
+    """One descent map: pair (a, b) -> (a', b') by fixed linear forms.
+
+    kind selects the map; n is the row count for the triangular family
+    and None otherwise.  The constructor checks n; _make and _replace do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: FamilyKind, n: int | None = None) -> "DescentFamily":
+        if kind is not FamilyKind.TRIANGULAR:
+            if n is not None:
+                raise BadIndex(f"{kind.value} takes no index n")
+        elif n is None or n < 2:
+            raise BadIndex(f"triangular family needs an index n >= 2, got {n}")
+        return tuple.__new__(cls, (kind, n))
 
     @classmethod
     def sqrt2(cls) -> "DescentFamily":

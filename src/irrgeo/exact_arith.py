@@ -6,8 +6,8 @@ No floating point anywhere; every comparison reduces to integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .number_theory import squarefree_decompose
 
@@ -32,23 +32,25 @@ def _validate_squarefree(radicand: int) -> None:
         raise ValueError(f"radicand must be squarefree, got {radicand}")
 
 
-@dataclass(frozen=True, eq=False)
-class Surd:
-    """Exact value rat + coef*sqrt(radicand), radicand squarefree >= 2.
-
-    The direct constructor insists on a squarefree radicand; use Surd.of
-    to normalize an arbitrary radicand (perfect squares fold into the
-    rational part).
-    """
-
+class _SurdFields(NamedTuple):
     rat: Fraction
     coef: Fraction
     radicand: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "coef", Fraction(self.coef))
-        _validate_squarefree(self.radicand)
+
+class Surd(_SurdFields):
+    """Exact value rat + coef*sqrt(radicand), radicand squarefree >= 2.
+
+    The direct constructor insists on a squarefree radicand, every time
+    (_make and _replace skip the check); use Surd.of to normalize an
+    arbitrary radicand (perfect squares fold into the rational part).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rat: Fraction | int, coef: Fraction | int, radicand: int) -> "Surd":
+        _validate_squarefree(radicand)
+        return tuple.__new__(cls, (Fraction(rat), Fraction(coef), radicand))
 
     @classmethod
     def of(cls, rat: Fraction | int, coef: Fraction | int, radicand: int) -> "Surd":
@@ -141,6 +143,11 @@ class Surd:
         if isinstance(other, (int, Fraction)):
             return self.coef == 0 and self.rat == other
         return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        # not tuple.__ne__, which tells apart equal rationals over two radicands
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         if self.coef == 0:

@@ -24,9 +24,8 @@ upper bounds; the census reads the bounds to find the pairs worth clipping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -253,23 +252,26 @@ def convex_intersection(p: LatticePolygon, q: LatticePolygon) -> Optional[Lattic
     return _alcove(basis, den, lu, hu, lv, hv, lw, hw)
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """One big figure with its family of small copies placed inside it.
-
-    Every polygon is alcoved, so containment is six bound comparisons.
-    """
-
+class _ArrangementFields(NamedTuple):
     big: LatticePolygon
     smalls: tuple[LatticePolygon, ...]
     family: DescentFamily
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        big = self.big
+
+class Arrangement(_ArrangementFields):
+    """One big figure with its family of small copies placed inside it.
+
+    Every polygon is alcoved, so containment is six bound comparisons;
+    the constructor makes them for every small, _make and _replace do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, big: LatticePolygon, smalls: tuple, family: DescentFamily, a: int, b: int) -> "Arrangement":
         _, _, lu, hu, lv, hv, lw, hw = big
-        for i, s in enumerate(self.smalls):
+        for i, s in enumerate(smalls):
             if s.basis != big.basis:
                 raise BasisMismatch(f"small {i} on {s.basis}, big on {big.basis}")
             k, m = s.den, big.den  # compare s's bounds times m with big's times k
@@ -279,6 +281,7 @@ class Arrangement:
                 and lw * k <= s.lw * m and s.hw * m <= hw * k
             ):
                 raise ValueError(f"small {i} is not inside the big figure")
+        return tuple.__new__(cls, (big, smalls, family, a, b))
 
 
 _Shapes = tuple[LatticePolygon, tuple[LatticePolygon, ...]]
@@ -444,15 +447,15 @@ def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:
     return Arrangement(big=big, smalls=smalls, family=family, a=a, b=b)
 
 
-@dataclass(frozen=True)
-class CoverageCensus:
+class CoverageCensus(NamedTuple):
     """Complete exact accounting of how the smalls cover the big figure.
 
     All areas are lattice areas, summed in integers, each made a Fraction
     once.  pair_keys/triple_keys index into smalls; regions are aligned
     with their keys.  Depth is capped at 3 by construction (DepthExceeded
-    otherwise).  The distinct and doubly covered regions are deduplicated
-    once, on first use.
+    otherwise).  coverage_census dedups the regions once, in first-seen
+    order; the doubly covered ones are the distinct pair regions that are
+    no triple region.
     """
 
     big_area: Fraction
@@ -467,19 +470,9 @@ class CoverageCensus:
     triple_keys: tuple[tuple[int, int, int], ...]
     triple_regions: tuple[LatticePolygon, ...]
     max_depth: int
-
-    @cached_property
-    def distinct_pair_regions(self) -> tuple[LatticePolygon, ...]:
-        return tuple(dict.fromkeys(self.pair_regions))
-
-    @cached_property
-    def distinct_triple_regions(self) -> tuple[LatticePolygon, ...]:
-        return tuple(dict.fromkeys(self.triple_regions))
-
-    @cached_property
-    def doubly_covered_regions(self) -> tuple[LatticePolygon, ...]:
-        triples = set(self.distinct_triple_regions)
-        return tuple(r for r in self.distinct_pair_regions if r not in triples)
+    distinct_pair_regions: tuple[LatticePolygon, ...]
+    distinct_triple_regions: tuple[LatticePolygon, ...]
+    doubly_covered_regions: tuple[LatticePolygon, ...]
 
 
 def _twice_area(polys: Iterable[LatticePolygon], den: int) -> int:
@@ -570,6 +563,8 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     if blank < 0 or exactly2 < 0:
         raise AssertionError(f"negative census area over {whole}: blank {blank}, exactly2 {exactly2}")
     max_depth = 3 if triples else (2 if pairs else 1)
+    distinct_pairs = tuple(dict.fromkeys(pairs.values()))
+    distinct_triples = dict.fromkeys(triples.values())  # an ordered set
     return CoverageCensus(
         big_area=Fraction(big, whole),
         total_small_area=Fraction(small, whole),
@@ -583,6 +578,9 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
         triple_keys=tuple(triples),
         triple_regions=tuple(triples.values()),
         max_depth=max_depth,
+        distinct_pair_regions=distinct_pairs,
+        distinct_triple_regions=tuple(distinct_triples),
+        doubly_covered_regions=tuple(r for r in distinct_pairs if r not in distinct_triples),
     )
 
 

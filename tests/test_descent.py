@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from irrgeo.descent import (
     symbolic_ratio_check,
     verify_eq1,
 )
+from irrgeo.exact_arith import Surd
 from irrgeo.geometry import _figure, build_arrangement, coverage_census, verify_figure, window_inequalities
 from irrgeo.number_theory import convergents, prime_case_check, squarefree_decompose, triangular
 from irrgeo.render_report import scene_from_arrangement
@@ -47,6 +50,18 @@ def test_family_validation():
         DescentFamily.triangular(0)
     with pytest.raises(BadIndex):
         DescentFamily(FamilyKind.SQRT2, 2)
+    with pytest.raises(BadIndex, match="needs an index n >= 2, got None"):
+        DescentFamily(FamilyKind.TRIANGULAR)
+
+
+def test_family_equality_hash_and_repr():
+    # a family compares, hashes and prints by its two fields, in either call form
+    family = DescentFamily.triangular(5)
+    assert family == DescentFamily(FamilyKind.TRIANGULAR, 5) == DescentFamily(kind=FamilyKind.TRIANGULAR, n=5)
+    assert family != DescentFamily.triangular(6) and DescentFamily.sqrt2() != DescentFamily.hex6()
+    assert hash(family) == hash((FamilyKind.TRIANGULAR, 5))
+    assert repr(family) == "DescentFamily(kind=<FamilyKind.TRIANGULAR: 'triangular'>, n=5)"
+    assert repr(DescentFamily(FamilyKind.SQRT2)) == "DescentFamily(kind=<FamilyKind.SQRT2: 'sqrt2'>, n=None)"
 
 
 def test_step_examples():
@@ -371,8 +386,7 @@ def test_chain_equals_iterated_steps():
 
 
 def _records() -> dict:
-    """One instance of each record that only holds its fields, and of
-    LatticePolygon, by class name."""
+    """One instance of each record, by class name."""
     family = DescentFamily.sqrt2()
     chain = descent_chain(family, 17, 12, 32)
     result = range_check(family)
@@ -384,20 +398,21 @@ def _records() -> dict:
         chain.steps[0], chain, result, result.witnesses[0], verify_eq1(3),
         convergents(2, 3)[2], squarefree_decompose(12), prime_case_check(7),
         window_inequalities(family, 7, 5)[0], report.checks[0], report, _figure(family),
-        scene.polygons[0], scene, arr.big,
+        scene.polygons[0], scene, arr.big, family, arr, census, result.witnesses[0].value,
     )
     return {type(r).__name__: r for r in records}
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
-        "Convergent", "SquarefreeDecomposition", "PrimeCaseCheck",
-        "WindowInequality", "IdentityCheck", "FigureReport", "_Figure",
-        "ScenePolygon", "SvgScene", "LatticePolygon",
-    ],
-)
+_RECORD_NAMES = [
+    "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
+    "Convergent", "SquarefreeDecomposition", "PrimeCaseCheck",
+    "WindowInequality", "IdentityCheck", "FigureReport", "_Figure",
+    "ScenePolygon", "SvgScene", "LatticePolygon",
+    "DescentFamily", "Arrangement", "CoverageCensus", "Surd",
+]
+
+
+@pytest.mark.parametrize("name", _RECORD_NAMES)
 def test_records_are_immutable(name):
     record = _records()[name]
     for field in type(record)._fields:
@@ -407,6 +422,32 @@ def test_records_are_immutable(name):
         assert getattr(record, field) is before
     with pytest.raises(AttributeError):
         record.note = "x"
+
+
+_REBUILDS = (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)))
+
+
+@pytest.mark.parametrize("name", _RECORD_NAMES)
+def test_records_survive_copy_and_pickle(name):
+    record = _records()[name]
+    for rebuild in _REBUILDS:
+        again = rebuild(record)
+        assert type(again) is type(record) and again == record
+
+
+def test_copy_and_pickle_rebuild_through_the_checks():
+    # _make and _replace skip a record's checks; copy and pickle rebuild it
+    # through its constructor, so a record that fails them fails again
+    arr = _records()["Arrangement"]
+    unchecked = (
+        (DescentFamily._make((FamilyKind.SQRT2, 2)), BadIndex, "sqrt2 takes no index n"),
+        (arr._replace(big=arr.smalls[0], smalls=(arr.big,)), ValueError, "small 0 is not inside the big figure"),
+        (Surd._make((1, 1, 12)), ValueError, "radicand must be squarefree, got 12"),
+    )
+    for record, error, message in unchecked:
+        for rebuild in _REBUILDS:
+            with pytest.raises(error, match=message):
+                rebuild(record)
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,24 @@ def test_surd_comparisons():
     assert Surd(5, 0, 2) == Surd(5, 0, 7)
 
 
+def test_surd_not_equal_negates_equal():
+    # a rational surd keeps a placeholder radicand that equality ignores;
+    # != ignores it too, where comparing the fields as a tuple would not
+    assert not Surd(1, 0, 2) != Surd(1, 0, 3)
+    assert not Surd(1, 0, 2) != 1 and not 1 != Surd(1, 0, 2)
+    assert not Surd(Fraction(1, 2), 0, 5) != Fraction(1, 2)
+    assert not Fraction(1, 2) != Surd(Fraction(1, 2), 0, 5)
+    assert Surd(1, 1, 2) != Surd(1, 1, 3) and Surd(1, 1, 2) != 1
+    values = [
+        Surd(1, 0, 2), Surd(1, 0, 3), Surd(Fraction(1, 2), 0, 5), Surd(0, 0, 6),
+        Surd(1, 1, 2), Surd(1, 1, 3), Surd(1, -1, 2), Surd(0, 1, 2),
+        0, 1, Fraction(1), Fraction(1, 2), "1", None,
+    ]
+    for x in values:
+        for y in values:
+            assert (x != y) is (not x == y), (x, y)
+
+
 def test_surd_sign_against_high_precision_oracle():
     getcontext().prec = 80
     rng = random.Random(20260821)

@@ -3,7 +3,6 @@ import functools
 import itertools
 import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -1095,18 +1094,21 @@ _REFERENCE_FAMILIES = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
 ]
 
 
-def _reference_figures():
+@functools.cache
+def _reference_figures() -> tuple[Arrangement, ...]:
     """Every family of _REFERENCE_FAMILIES at its first two window
-    convergents and at two random window pairs."""
+    convergents and at two random window pairs, built once for every test
+    that reads them."""
     rng = random.Random(23)
+    figures = []
     for family in _REFERENCE_FAMILIES:
         try:
             pairs = window_convergents(family, 2)
         except SquareRadicand:  # T_8 is a square and has no convergents
             pairs = []
         pairs += [_random_window_pair(rng, family) for _ in range(2)]
-        for a, b in pairs:
-            yield build_arrangement(family, a, b)
+        figures += [build_arrangement(family, a, b) for a, b in pairs]
+    return tuple(figures)
 
 
 def test_census_matches_all_pairs_reference_on_figures():
@@ -1285,7 +1287,7 @@ _CHECKS_READING = {
 def test_verify_figure_mismatch():
     arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     census = coverage_census(arr)
-    corrupted = replace(census, blank_area=census.blank_area + 1)
+    corrupted = census._replace(blank_area=census.blank_area + 1)
     with pytest.raises(MismatchReport) as exc:
         verify_figure(arr, corrupted)
     report = exc.value.report
@@ -1300,7 +1302,7 @@ def test_verify_figure_mismatch():
         arr = build_arrangement(family, p, q)
         census = coverage_census(arr)
         for field, reading in _CHECKS_READING.items():
-            corrupted = replace(census, **{field: getattr(census, field) + 1})
+            corrupted = census._replace(**{field: getattr(census, field) + 1})
             with pytest.raises(MismatchReport) as exc:
                 verify_figure(arr, corrupted)
             failed = {c.name for c in exc.value.report.checks if not c.passed}

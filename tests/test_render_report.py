@@ -622,10 +622,14 @@ def test_cli_runs_under_python_OO():
         assert out == _run_alone(argv)[1], argv
 
 
-def test_import_does_not_load_argparse():
-    # the parser is built on the first command line; a plain import of the
-    # package (all of its modules) leaves argparse unloaded
-    probe = "import sys, irrgeo, irrgeo.render_report; print('argparse' in sys.modules)"
+def test_import_loads_neither_argparse_nor_dataclasses():
+    # the parser is built on the first command line and every record is a
+    # NamedTuple; a plain import of the package (all of its modules) leaves
+    # argparse, dataclasses and the inspect module dataclasses imports unloaded
+    probe = (
+        "import sys, irrgeo, irrgeo.render_report; "
+        "print([m for m in ('argparse', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -633,4 +637,4 @@ def test_import_does_not_load_argparse():
         text=True,
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
