@@ -54,7 +54,7 @@ from .number_theory import (
     square_triangular,
     squarefree_decompose,
 )
-from .render_report import SvgScene, cli_main, emit_svg, render_json, render_svg, scene_from_arrangement
+from .render_report import SvgScene, cli_main, render_json, render_svg, scene_from_arrangement
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "defect_multiplier",
     "descent_chain",
     "descent_step",
-    "emit_svg",
     "prime_case_check",
     "range_check",
     "render_json",

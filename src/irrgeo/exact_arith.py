@@ -69,10 +69,6 @@ class Surd(_SurdFields):
             return cls(rat=rat + coef, coef=Fraction(0), radicand=2)
         return cls(rat=rat, coef=coef, radicand=dec.squarefree)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.coef == 0
-
     def _merge_radicand(self, other: "Surd") -> int:
         if self.coef == 0:
             return other.radicand

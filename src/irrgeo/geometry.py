@@ -129,18 +129,14 @@ class LatticePolygon(_Bounds):
         den = self.den
         return tuple(LatticePoint(Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
 
-    def _edges(self) -> list[tuple[int, int]]:
-        """(k, e) for each edge, edge i leaving vertex i: it is sqrt(k)*e/den
-        long.  An edge along (1, 0) or (0, 1) is as long as its u or v
-        extent, and so is one along (1, -1) on the 60-degree lattice (k = 1);
-        on the orthogonal lattice that one is sqrt(2) times longer (k = 2)."""
+    def _edges(self) -> tuple[int, int, int, int, int, int]:
+        """The u or v extents times den of the six edges, edge i leaving the
+        i-th of the six corners ints reads, 0 where that corner repeats.
+        Edges 0 and 3 run along (1, -1): as long as their extent on the
+        60-degree lattice, sqrt(2) times it on the orthogonal one.  The
+        others run along (1, 0) or (0, 1) and are as long as their extent."""
         _, _, lu, hu, lv, hv, lw, hw = self
-        k = 2 if self.basis == ORTHOGONAL else 1
-        edges = [
-            (k, lw - lu - lv), (1, hu + lv - lw), (1, hw - hu - lv),
-            (k, hu + hv - hw), (1, hw - hv - lu), (1, hv + lu - lw),
-        ]
-        return [ke for ke in edges if ke[1]]
+        return (lw - lu - lv, hu + lv - lw, hw - hu - lv, hu + hv - hw, hw - hv - lu, hv + lu - lw)
 
     @property
     def lattice_area(self) -> Fraction:
@@ -157,40 +153,34 @@ def _rational_sqrt(num: int, den: int) -> tuple[int, int]:
     return p, q
 
 
-def fraction_sqrt(x: Fraction) -> Fraction:
-    """Exact square root of a rational, or ValueError if none exists."""
-    return Fraction(*_rational_sqrt(x.numerator, x.denominator))
-
-
-def _side(poly: LatticePolygon) -> tuple[int, int]:
-    """(e, d) with every edge of poly e/d long; ValueError otherwise."""
-    d2 = poly.den * poly.den
-    qs = {k * e * e for k, e in poly._edges()}
-    if len(qs) != 1:
-        raise ValueError(f"edges have unequal lengths: {sorted(Fraction(q, d2) for q in qs)}")
-    return _rational_sqrt(qs.pop(), d2)
-
-
-def polygon_side(poly: LatticePolygon) -> Fraction:
-    """Common side length of an equilateral polygon; ValueError otherwise."""
-    return Fraction(*_side(poly))
-
-
 # An equilateral alcoved triangle or quadrilateral on the 60-degree lattice
 # has edges in alternate, or in two opposite pairs of, the six directions:
 # it is an equilateral triangle or a 60-degree rhombus.  On the orthogonal
 # lattice an edge along (1, -1) is sqrt(2) times a rational, never side
 # long, so an equilateral quadrilateral there is a square.
 def _equilateral_corners(poly: LatticePolygon, t, q: int = 1) -> int:
-    """poly's corner count if every edge is t/q long, else 0; edges 0 and 3
-    run along (1, -1), the others as in _edges."""
-    _, den, lu, hu, lv, hv, lw, hw = poly
-    e, rest = divmod(t * den, q)
-    edges = (lw - lu - lv, hu + lv - lw, hw - hu - lv, hu + hv - hw, hw - hv - lu, hv + lu - lw)
+    """poly's corner count if every edge is t/q long, else 0."""
+    e, rest = divmod(t * poly.den, q)
+    edges = poly._edges()
     corners = 6 - edges.count(0)
     if rest or not e or edges.count(e) != corners or poly.basis == ORTHOGONAL and (edges[0] or edges[3]):
         return 0
     return corners
+
+
+def _side(poly: LatticePolygon) -> tuple[int, int]:
+    """(e, d) in lowest terms with every edge of poly e/d long; ValueError
+    otherwise.  Such a polygon has no sqrt(2) edge, so e/d is an extent."""
+    e, den = max(poly._edges()), poly.den
+    if not _equilateral_corners(poly, e, den):
+        raise ValueError("the edges have unequal lengths")
+    g = gcd(e, den)
+    return e // g, den // g
+
+
+def polygon_side(poly: LatticePolygon) -> Fraction:
+    """Common side length of an equilateral polygon; ValueError otherwise."""
+    return Fraction(*_side(poly))
 
 
 def _alcove(basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> LatticePolygon:

@@ -98,7 +98,7 @@ class PrimeCaseCheck(NamedTuple):
 
 def prime_case_check(p: int) -> PrimeCaseCheck:
     """Tabulate r**2 mod p for 1 <= r < p and confirm none vanish."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if p < 2 or factorize(p) != {p: 1}:
         raise NotPrime(f"{p} is not prime")
     residues = {r: (r * r) % p for r in range(1, p)}
     return PrimeCaseCheck(p=p, residues=residues, ok=all(v != 0 for v in residues.values()))

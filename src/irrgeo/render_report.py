@@ -108,18 +108,28 @@ def _run_head(mode: str, family: DescentFamily) -> dict:
     return {"mode": mode, "family": family.label, "n": family.n, "radicand": family.radicand}
 
 
-def build_verify_run(family: DescentFamily, a: int, b: int) -> dict:
-    """Full verification of one pair: window, figure census, identities,
-    and the geometric/algebraic descent cross-check."""
-    run = _run_head("verify", family) | {
+def _figure_run(
+    mode: str, family: DescentFamily, a: int, b: int
+) -> tuple[dict, Optional[Arrangement], Optional[CoverageCensus]]:
+    """The run's head, input pair and window block, with the figure and its
+    census; outside the window the run fails and neither is built."""
+    run = _run_head(mode, family) | {
         "input_pair": [a, b],
         "window": _window_block(family, a, b),
     }
     if not run["window"]["pass"]:
         run["pass"] = False
-        return run
+        return run, None, None
     arr = build_arrangement(family, a, b)
-    census = coverage_census(arr)
+    return run, arr, coverage_census(arr)
+
+
+def build_verify_run(family: DescentFamily, a: int, b: int) -> dict:
+    """Full verification of one pair: window, figure census, identities,
+    and the geometric/algebraic descent cross-check."""
+    run, arr, census = _figure_run("verify", family, a, b)
+    if arr is None:
+        return run
     try:
         fig = verify_figure(arr, census)
         fig_pass = True
@@ -152,15 +162,9 @@ def build_verify_run(family: DescentFamily, a: int, b: int) -> dict:
 
 
 def build_census_run(family: DescentFamily, a: int, b: int) -> dict:
-    run = _run_head("census", family) | {
-        "input_pair": [a, b],
-        "window": _window_block(family, a, b),
-    }
-    if not run["window"]["pass"]:
-        run["pass"] = False
+    run, arr, census = _figure_run("census", family, a, b)
+    if arr is None:
         return run
-    arr = build_arrangement(family, a, b)
-    census = coverage_census(arr)
     run["census"] = _census_block(census)
     run["pass"] = True
     return run
@@ -218,13 +222,7 @@ def _write_value(x, newline: str, out: list[str]) -> None:
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            t = type(value)  # exact str and int inline; bools and subclasses take the chain
-            if t is str:
-                out.append(encode_basestring_ascii(value))
-            elif t is int:
-                out.append(int.__repr__(value))
-            else:
-                _write_value(value, inner, out)
+            _write_value(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(x, list):
@@ -235,10 +233,7 @@ def _write_value(x, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for value in x:
             out.append(sep)
-            if type(value) is int:
-                out.append(int.__repr__(value))
-            else:
-                _write_value(value, inner, out)
+            _write_value(value, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     else:
@@ -297,12 +292,6 @@ def render_svg(scene: SvgScene) -> str:
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def emit_svg(scene: SvgScene, path: str) -> None:
-    """Write the scene as a deterministic SVG 1.1 file."""
-    with open(path, "w") as fh:
-        fh.write(render_svg(scene))
 
 
 class _UsageError(Exception):
@@ -657,9 +646,9 @@ def _cmd_svg(args) -> int:
         print(f"cannot build figure: {exc}", file=sys.stderr)
         return 2
     census = coverage_census(arr)
-    scene = scene_from_arrangement(arr, census)
-    with _writing(args.out):
-        emit_svg(scene, args.out)
+    text = render_svg(scene_from_arrangement(arr, census))
+    with _writing(args.out), open(args.out, "w") as fh:
+        fh.write(text)
     print(f"wrote {args.out}")
     return 0
 

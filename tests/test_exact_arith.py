@@ -38,7 +38,7 @@ def test_surd_of_normalizes():
     assert Surd.of(0, 1, 8) == Surd(0, 2, 2)
     assert Surd.of(0, 1, 12) == Surd(0, 2, 3)
     assert Surd.of(1, 1, 9) == Fraction(4)
-    assert Surd.of(0, 1, 36).is_rational
+    assert Surd.of(0, 1, 36).coef == 0
     assert Surd.of(0, 1, 36) == Fraction(6)
     assert Surd.of(Fraction(1, 2), Fraction(1, 3), 18) == Surd(Fraction(1, 2), 1, 2)
 
@@ -52,6 +52,8 @@ def test_surd_arithmetic():
     assert z + z == Surd(2, 2, 2)
     assert z - z == 0
     assert 2 * z == Surd(2, 2, 2)
+    # a Surd is a tuple: without its own operators 2 * z would repeat it
+    assert isinstance(2 * z, Surd) and isinstance(z * 2, Surd)
     assert z + Fraction(1, 2) == Surd(Fraction(3, 2), 1, 2)
     assert 1 - z == Surd(0, -1, 2)
 
@@ -72,6 +74,15 @@ def test_surd_comparisons():
     assert Surd(0, 1, 6) < Surd(0, 1, 6) + Fraction(1, 10**9)
     assert Surd(5, 0, 2) == 5
     assert Surd(5, 0, 2) == Surd(5, 0, 7)
+    # surd against surd, on pairs whose field tuples order the other way
+    for small, big in (
+        (Surd(1, 0, 2), Surd(0, 3, 2)),  # 1 < 3*sqrt(2)
+        (Surd(1, 0, 3), Surd(0, 1, 2)),  # 1 < sqrt(2)
+        (Surd(2, -1, 2), Surd(1, 0, 2)),  # 2 - sqrt(2) < 1
+    ):
+        assert small < big and small <= big and big > small and big >= small
+        assert not (big < small or big <= small or small > big or small >= big)
+        assert tuple(small) > tuple(big)
 
 
 def test_surd_not_equal_negates_equal():

@@ -25,13 +25,13 @@ from irrgeo.geometry import (
     census_to_descent,
     convex_intersection,
     coverage_census,
-    fraction_sqrt,
     polygon_side,
     verify_figure,
     window_inequalities,
     _alcove,
     _equilateral_corners,
     _figure,
+    _rational_sqrt,
 )
 from irrgeo.number_theory import SquareRadicand
 
@@ -78,6 +78,18 @@ def _sq_length(basis: str, du, dv):
     return du * du + du * dv + dv * dv
 
 
+def _edge_sqs(poly: LatticePolygon) -> list[int]:
+    """poly's squared edge lengths times den**2 from its six extents: edges
+    0 and 3 run along (1, -1), sqrt(2) times their extent on the orthogonal
+    lattice (k = 2) and as long as it on the 60-degree one; a zero extent
+    is a repeated corner, not an edge."""
+    return [
+        (2 if i % 3 == 0 and poly.basis == ORTHOGONAL else 1) * e * e
+        for i, e in enumerate(poly._edges())
+        if e
+    ]
+
+
 def test_edge_metric():
     p0 = LatticePoint(Fraction(0), Fraction(0))
     for basis, u, v, expected in (
@@ -100,7 +112,7 @@ def test_edge_metric():
         ):
             poly = LatticePolygon(corners, basis)
             pts = poly.ints
-            assert [k * e * e for k, e in poly._edges()] == [
+            assert _edge_sqs(poly) == [
                 _sq_length(basis, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
             ]
 
@@ -519,7 +531,7 @@ def test_integer_core_matches_fraction_reference():
             assert poly.lattice_area == _ref_area(v)
             d = poly.den
             assert tuple(Fraction(c, d) for c in (poly.lu, poly.hu, poly.lv, poly.hv)) == _ref_bbox(v)
-            assert [Fraction(k * e * e, d * d) for k, e in poly._edges()] == [
+            assert [Fraction(q, d * d) for q in _edge_sqs(poly)] == [
                 _ref_edge_sq(basis, a, b) for a, b in zip(v, v[1:] + v[:1])
             ]
         pv = p.vertices
@@ -651,7 +663,7 @@ def test_random_alcoves_match_fraction_references():
         assert v == corners[start:] + corners[:start], (basis, corners)
         assert p.lattice_area == _ref_area(corners)
         d = p.den
-        assert [Fraction(k * e * e, d * d) for k, e in p._edges()] == [
+        assert [Fraction(q, d * d) for q in _edge_sqs(p)] == [
             _ref_edge_sq(basis, a, b) for a, b in zip(v, v[1:] + v[:1])
         ]
         side = _ref_side(basis, v)
@@ -1377,11 +1389,11 @@ def test_area_additivity():
             assert census.total_small_area == census.union_area + census.excess_area
 
 
-def test_fraction_sqrt():
-    assert fraction_sqrt(Fraction(4, 9)) == Fraction(2, 3)
-    assert fraction_sqrt(Fraction(0)) == 0
-    assert fraction_sqrt(Fraction(49)) == 7
+def test_rational_sqrt():
+    assert _rational_sqrt(4, 9) == (2, 3)
+    assert _rational_sqrt(0, 1) == (0, 1)
+    assert _rational_sqrt(49, 1) == (7, 1)
     with pytest.raises(ValueError):
-        fraction_sqrt(Fraction(2))
+        _rational_sqrt(2, 1)
     with pytest.raises(ValueError):
-        fraction_sqrt(Fraction(-1))
+        _rational_sqrt(-1, 1)

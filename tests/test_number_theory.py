@@ -93,6 +93,13 @@ def test_prime_case_check():
     for bad in (1, 0, 4, 9, 15):
         with pytest.raises(NotPrime):
             prime_case_check(bad)
+    # NotPrime exactly for the non-primes, by brute force
+    for n in range(-5, 501):
+        if n > 1 and all(n % d for d in range(2, n)):
+            assert prime_case_check(n).ok, n
+        else:
+            with pytest.raises(NotPrime):
+                prime_case_check(n)
 
 
 def test_square_density():

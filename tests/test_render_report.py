@@ -530,8 +530,7 @@ _WRITER_CONTRACT = [
 
 
 def test_render_json_contract_beyond_plain_types():
-    # the exact-type fast paths must leave bools, subclasses and empty
-    # nests to the general writer, with the same bytes
+    # bools, subclasses and empty nests give the json module's bytes
     for x in _WRITER_CONTRACT:
         assert render_json(x) == _reference_json(x)
     for bad in ([1, 2.5], [True, 1.0], {1: [1, 2]}, {_Level.LOW: 1}, [[1, 2], (3, 4)], _List([1.0])):
