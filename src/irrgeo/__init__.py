@@ -11,7 +11,6 @@ descent maps.
 from .descent import (
     BadIndex,
     ChainResult,
-    DegenerateDenominator,
     DescentFamily,
     DescentStep,
     FamilyKind,
@@ -20,7 +19,6 @@ from .descent import (
     descent_chain,
     descent_step,
     range_check,
-    symbolic_ratio_check,
     verify_eq1,
 )
 from .exact_arith import RadicandMismatch, Surd
@@ -45,11 +43,8 @@ from .geometry import (
 )
 from .number_theory import (
     Convergent,
-    NotPrime,
     SquareRadicand,
     convergents,
-    prime_case_check,
-    sqrt_is_irrational,
     square_density,
     square_triangular,
     squarefree_decompose,
@@ -65,7 +60,6 @@ __all__ = [
     "ChainResult",
     "Convergent",
     "CoverageCensus",
-    "DegenerateDenominator",
     "DepthExceeded",
     "DescentFamily",
     "DescentStep",
@@ -74,7 +68,6 @@ __all__ = [
     "LatticePoint",
     "LatticePolygon",
     "MismatchReport",
-    "NotPrime",
     "ORTHOGONAL",
     "OutOfWindow",
     "RadicandMismatch",
@@ -92,16 +85,13 @@ __all__ = [
     "defect_multiplier",
     "descent_chain",
     "descent_step",
-    "prime_case_check",
     "range_check",
     "render_json",
     "render_svg",
     "scene_from_arrangement",
-    "sqrt_is_irrational",
     "square_density",
     "square_triangular",
     "squarefree_decompose",
-    "symbolic_ratio_check",
     "verify_eq1",
     "verify_figure",
     "window_inequalities",

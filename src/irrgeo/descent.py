@@ -22,10 +22,6 @@ class BadIndex(ValueError):
     """A family index outside the defined range."""
 
 
-class DegenerateDenominator(ValueError):
-    """The denominator form of a map vanishes at the fixed ratio."""
-
-
 class FamilyKind(Enum):
     SQRT2 = "sqrt2"
     HEX6 = "hex6"
@@ -192,24 +188,6 @@ def verify_eq1(n: int) -> Eq1Certificate:
     return Eq1Certificate(n=n, difference=difference, cofactor=cofactor, ok=ok)
 
 
-def _image_of_root(family: DescentFamily) -> tuple[Surd, Surd, Surd]:
-    """(a', b') at (a, b) = (sqrt(N), 1), then sqrt(N), as exact surds."""
-    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
-    return Surd.of(cb, ca, big_n), Surd.of(db, da, big_n), Surd.of(0, 1, big_n)
-
-
-def symbolic_ratio_check(family: DescentFamily) -> bool:
-    """True iff a'/b' == sqrt(N) whenever a/b == sqrt(N).
-
-    Substituting a = sqrt(N)*b and scaling b to 1 turns both output forms
-    into surds; the check a' == sqrt(N) * b' is then exact.
-    """
-    num, den, sqrt_n = _image_of_root(family)
-    if den == 0:
-        raise DegenerateDenominator(f"denominator form of {family} vanishes at the fixed ratio")
-    return num == sqrt_n * den
-
-
 class InequalityWitness(NamedTuple):
     """One strict inequality evaluated exactly at the fixed ratio."""
 
@@ -233,7 +211,9 @@ def range_check(family: DescentFamily) -> RangeCheckResult:
     0 < a' < sqrt(N) and 0 < b' < 1; each strict inequality is decided by
     an exact surd sign and returned as a witness.
     """
-    a_out, b_out, sqrt_n = _image_of_root(family)
+    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    # a' and b' at (a, b) = (sqrt(N), 1), and sqrt(N) itself
+    a_out, b_out, sqrt_n = Surd.of(cb, ca, big_n), Surd.of(db, da, big_n), Surd.of(0, 1, big_n)
     conditions = (
         ("a_out_positive", a_out, "> 0"),
         ("a_out_shrinks", a_out - sqrt_n, "< 0"),

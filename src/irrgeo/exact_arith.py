@@ -1,7 +1,8 @@
-"""Exact scalar arithmetic: quadratic surds rat + coef*sqrt(radicand) over
-arbitrary-precision rationals, with exact sign decisions.
+"""Exact quadratic surds rat + coef*sqrt(radicand) over arbitrary-precision
+rationals: sums, differences, equality and exact signs, but no product or
+ordering.
 
-No floating point anywhere; every comparison reduces to integer arithmetic.
+No floating point anywhere; every sign reduces to integer arithmetic.
 """
 
 from __future__ import annotations
@@ -88,28 +89,11 @@ class Surd(_SurdFields):
             return Surd(self.rat + other.rat, self.coef + other.coef, radicand)
         return NotImplemented
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Surd":
         return Surd(-self.rat, -self.coef, self.radicand)
 
     def __sub__(self, other: "Surd | Fraction | int") -> "Surd":
-        return self.__add__(-other if isinstance(other, Surd) else -Fraction(other))
-
-    def __rsub__(self, other: "Fraction | int") -> "Surd":
-        return (-self).__add__(Fraction(other))
-
-    def __mul__(self, other: "Surd | Fraction | int") -> "Surd":
-        if isinstance(other, (int, Fraction)):
-            return Surd(self.rat * other, self.coef * other, self.radicand)
-        if isinstance(other, Surd):
-            radicand = self._merge_radicand(other)
-            rat = self.rat * other.rat + self.coef * other.coef * radicand
-            coef = self.rat * other.coef + self.coef * other.rat
-            return Surd(rat, coef, radicand)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return self + -other
 
     def sign(self) -> int:
         """Exact sign via integer arithmetic only.
@@ -150,18 +134,9 @@ class Surd(_SurdFields):
             return hash(self.rat)
         return hash((self.rat, self.coef, self.radicand))
 
-    def __lt__(self, other: "Surd | Fraction | int") -> bool:
-        diff = self - other if isinstance(other, Surd) else self - Fraction(other)
-        return diff.sign() < 0
-
-    def __le__(self, other: "Surd | Fraction | int") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Surd | Fraction | int") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Surd | Fraction | int") -> bool:
-        return not self < other
+    # no product or ordering: a tuple subclass would otherwise fall back to
+    # tuple repetition and field order; None makes each operator a TypeError
+    __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
 
     def __repr__(self) -> str:
         if self.coef == 0:

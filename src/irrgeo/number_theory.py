@@ -1,16 +1,12 @@
-"""Integer-side support: squarefree decomposition, irrationality tests,
-residue tables, square counting, continued-fraction convergents, and the
-square triangular numbers."""
+"""Integer-side support: factorization, squarefree decomposition, square
+counting, continued-fraction convergents, and the square triangular
+numbers."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
-
-
-class NotPrime(ValueError):
-    """An argument that must be prime was not."""
 
 
 class SquareRadicand(ValueError):
@@ -72,38 +68,6 @@ def squarefree_decompose(n: int) -> SquarefreeDecomposition:
     return SquarefreeDecomposition(n=n, squarefree=free, root=root)
 
 
-def sqrt_is_irrational(n: int) -> bool:
-    """True iff sqrt(n) is irrational, i.e. n is not a perfect square.
-
-    If sqrt(n) = p/q in lowest terms then p**2 == n * q**2, and unique
-    factorization forces q == 1; so rational square roots of integers
-    are integers.
-    """
-    if n < 0:
-        raise ValueError(f"need a nonnegative integer, got {n}")
-    return not is_perfect_square(n)
-
-
-class PrimeCaseCheck(NamedTuple):
-    """Residue-table witness that p divides no square twice 'in half'.
-
-    residues maps each r in 1..p-1 to r**2 mod p; ok records that no
-    residue is 0, i.e. p divides r**2 only when p divides r.
-    """
-
-    p: int
-    residues: dict[int, int]
-    ok: bool
-
-
-def prime_case_check(p: int) -> PrimeCaseCheck:
-    """Tabulate r**2 mod p for 1 <= r < p and confirm none vanish."""
-    if p < 2 or factorize(p) != {p: 1}:
-        raise NotPrime(f"{p} is not prime")
-    residues = {r: (r * r) % p for r in range(1, p)}
-    return PrimeCaseCheck(p=p, residues=residues, ok=all(v != 0 for v in residues.values()))
-
-
 def square_density(x: int) -> tuple[int, Fraction]:
     """Count perfect squares 1..x and their share of 1..x as a percentage.
 
@@ -121,12 +85,6 @@ class Convergent(NamedTuple):
 
     p: int
     q: int
-    index: int
-    radicand: int
-
-    @property
-    def defect(self) -> int:
-        return self.p * self.p - self.radicand * self.q * self.q
 
 
 def convergents(radicand: int, count: int) -> list[Convergent]:
@@ -144,14 +102,14 @@ def convergents(radicand: int, count: int) -> list[Convergent]:
     m, d, a = 0, 1, a0
     p_prev, q_prev = 1, 0
     p, q = a0, 1
-    out = [Convergent(p=p, q=q, index=0, radicand=radicand)]
-    for index in range(1, count):
+    out = [Convergent(p, q)]
+    for _ in range(1, count):
         m = d * a - m
         d = (radicand - m * m) // d
         a = (a0 + m) // d
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        out.append(Convergent(p=p, q=q, index=index, radicand=radicand))
+        out.append(Convergent(p, q))
     return out[:count]
 
 

@@ -22,12 +22,11 @@ from irrgeo.descent import (
     descent_chain,
     descent_step,
     range_check,
-    symbolic_ratio_check,
     verify_eq1,
 )
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import _figure, build_arrangement, coverage_census, verify_figure, window_inequalities
-from irrgeo.number_theory import convergents, prime_case_check, squarefree_decompose, triangular
+from irrgeo.number_theory import convergents, squarefree_decompose, triangular
 from irrgeo.render_report import scene_from_arrangement
 
 
@@ -274,13 +273,15 @@ def test_verify_eq1_can_fail(monkeypatch):
 
 
 def test_symbolic_ratio_check():
-    assert symbolic_ratio_check(DescentFamily.sqrt2())
-    assert symbolic_ratio_check(DescentFamily.hex6())
-    for n in range(2, 31):
-        assert symbolic_ratio_check(DescentFamily.triangular(n))
-    # perfect-square triangular numbers (n = 8, 49) still preserve the ratio
-    assert symbolic_ratio_check(DescentFamily.triangular(8))
-    assert symbolic_ratio_check(DescentFamily.triangular(49))
+    # at a = sqrt(N)*b the map gives a' = (ca*sqrt(N) + cb)*b and
+    # b' = (da*sqrt(N) + db)*b, so a'/b' == sqrt(N) exactly when
+    # ca == db and cb == da*N; perfect-square triangular numbers
+    # (n = 8, 49) are in the range and keep the ratio too
+    families = [DescentFamily.sqrt2(), DescentFamily.hex6()]
+    families += [DescentFamily.triangular(n) for n in range(2, 51)]
+    for family in families:
+        big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+        assert (ca, cb) == (db, da * big_n), family
 
 
 def test_range_check_exact_validity_sets():
@@ -396,7 +397,7 @@ def _records() -> dict:
     scene = scene_from_arrangement(arr, census)
     records = (
         chain.steps[0], chain, result, result.witnesses[0], verify_eq1(3),
-        convergents(2, 3)[2], squarefree_decompose(12), prime_case_check(7),
+        convergents(2, 3)[2], squarefree_decompose(12),
         window_inequalities(family, 7, 5)[0], report.checks[0], report, _figure(family),
         scene.polygons[0], scene, arr.big, family, arr, census, result.witnesses[0].value,
     )
@@ -405,7 +406,7 @@ def _records() -> dict:
 
 _RECORD_NAMES = [
     "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
-    "Convergent", "SquarefreeDecomposition", "PrimeCaseCheck",
+    "Convergent", "SquarefreeDecomposition",
     "WindowInequality", "IdentityCheck", "FigureReport", "_Figure",
     "ScenePolygon", "SvgScene", "LatticePolygon",
     "DescentFamily", "Arrangement", "CoverageCensus", "Surd",

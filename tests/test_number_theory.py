@@ -6,13 +6,10 @@ import pytest
 
 from irrgeo.exact_arith import Surd
 from irrgeo.number_theory import (
-    NotPrime,
     SquareRadicand,
     convergents,
     factorize,
     is_perfect_square,
-    prime_case_check,
-    sqrt_is_irrational,
     square_density,
     square_triangular,
     squarefree_decompose,
@@ -70,38 +67,6 @@ def test_squarefree_exhaustive_to_1e5():
             assert d.squarefree % s != 0
 
 
-def test_sqrt_is_irrational():
-    assert sqrt_is_irrational(2)
-    assert sqrt_is_irrational(6)
-    assert not sqrt_is_irrational(36)
-    assert not sqrt_is_irrational(1)
-    assert not sqrt_is_irrational(0)
-    assert sqrt_is_irrational(triangular(7))  # 28
-    assert not sqrt_is_irrational(triangular(8))  # 36
-
-
-def test_prime_case_check():
-    chk = prime_case_check(3)
-    assert chk.ok
-    assert chk.residues == {1: 1, 2: 1}
-    chk = prime_case_check(2)
-    assert chk.ok and chk.residues == {1: 1}
-    chk = prime_case_check(13)
-    assert chk.ok and len(chk.residues) == 12
-    for p in (5, 7, 11, 17, 19, 23):
-        assert prime_case_check(p).ok
-    for bad in (1, 0, 4, 9, 15):
-        with pytest.raises(NotPrime):
-            prime_case_check(bad)
-    # NotPrime exactly for the non-primes, by brute force
-    for n in range(-5, 501):
-        if n > 1 and all(n % d for d in range(2, n)):
-            assert prime_case_check(n).ok, n
-        else:
-            with pytest.raises(NotPrime):
-                prime_case_check(n)
-
-
 def test_square_density():
     assert square_density(100) == (10, Fraction(10))
     assert square_density(1) == (1, Fraction(100))
@@ -132,9 +97,9 @@ def test_convergents_other_radicands():
 
 def test_convergents_fields_and_count():
     convs = convergents(6, 4)
-    assert [c.index for c in convs] == [0, 1, 2, 3]
-    assert all(c.radicand == 6 for c in convs)
-    assert convs[2].defect == 22 * 22 - 6 * 81
+    # a convergent is p/q and nothing else
+    assert [tuple(c) for c in convs] == [(2, 1), (5, 2), (22, 9), (49, 20)]
+    assert [c.p * c.p - 6 * c.q * c.q for c in convs] == [-2, 1, -2, 1]
     assert convergents(6, 0) == []
     assert len(convergents(6, 1)) == 1
 
@@ -151,7 +116,8 @@ def test_convergent_invariants():
         for c in convs:
             assert gcd(c.p, c.q) == 1
             # |p^2 - N q^2| <= 2 sqrt(N), exactly: defect^2 <= 4 N
-            assert c.defect * c.defect <= 4 * radicand
+            defect = c.p * c.p - radicand * c.q * c.q
+            assert defect * defect <= 4 * radicand
         for prev, cur in zip(convs, convs[1:]):
             det = cur.p * prev.q - prev.p * cur.q
             assert det in (1, -1)

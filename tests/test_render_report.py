@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import irrgeo
 from conftest import all_figure_families
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
@@ -33,6 +35,25 @@ from irrgeo.render_report import (
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_package_all_is_exact():
+    # every listed name resolves, the star import binds exactly the list,
+    # and every public non-module attribute is listed: no stale entry and
+    # no unlisted export
+    listed = set(irrgeo.__all__)
+    assert len(listed) == len(irrgeo.__all__)
+    for name in irrgeo.__all__:
+        assert hasattr(irrgeo, name), name
+    namespace: dict = {}
+    exec("from irrgeo import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == listed
+    public = {
+        name for name, value in vars(irrgeo).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == listed
 
 
 def test_frac_str():
