@@ -42,7 +42,6 @@ from .geometry import (
     window_inequalities,
 )
 from .number_theory import (
-    Convergent,
     SquareRadicand,
     convergents,
     square_density,
@@ -58,7 +57,6 @@ __all__ = [
     "BadIndex",
     "BasisMismatch",
     "ChainResult",
-    "Convergent",
     "CoverageCensus",
     "DepthExceeded",
     "DescentFamily",

@@ -10,6 +10,7 @@ argument is valid.
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -275,3 +276,37 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
         stop_reason=reason,
         final_pair=cur,
     )
+
+
+# CPython 3.10 and 3.11 write an int in decimal in time quadratic in its
+# digits.  A Decimal keeps base 10**19 limbs, so str() on it is linear, and
+# so are sums and products by a map's small coefficients.  Under these traps
+# any rounding raises, so every Decimal here is an exact integer of exponent
+# 0 and str() gives its plain digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
+def chain_decimals(chain: ChainResult) -> list[tuple[str, str, str]]:
+    """Each kept step's a', b' and output defect in decimal, in step order.
+
+    The chain's start and first defect are run through the family's map on
+    exact Decimals, in linear time per step; the integer chain checked every
+    defect, and the last Decimal pair and defect must equal its last step's.
+    """
+    steps = chain.steps
+    if not steps:
+        return []
+    family = chain.family
+    _, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    ca, cb, da, db, m = map(Decimal, (ca, cb, da, db, steps[0].multiplier))
+    out: list[tuple[str, str, str]] = []
+    with localcontext(_EXACT):
+        x, y = map(Decimal, chain.start)
+        d = Decimal(steps[0].defect_in)
+        for _ in steps:
+            x, y, d = ca * x + cb * y, da * x + db * y, m * d
+            out.append((str(x), str(y), str(d)))
+        last = steps[-1]
+        if (x, y) != last.pair_out or d != last.defect_out:
+            raise AssertionError(f"{family.title}: decimals end at ({x}, {y}), defect {d}, not at the last step")
+    return out

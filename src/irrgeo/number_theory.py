@@ -80,15 +80,9 @@ def square_density(x: int) -> tuple[int, Fraction]:
     return count, Fraction(100 * count, x)
 
 
-class Convergent(NamedTuple):
-    """Continued-fraction convergent p/q of sqrt(radicand)."""
-
-    p: int
-    q: int
-
-
-def convergents(radicand: int, count: int) -> list[Convergent]:
-    """First `count` continued-fraction convergents of sqrt(radicand).
+def convergents(radicand: int, count: int) -> list[tuple[int, int]]:
+    """First `count` continued-fraction convergents p/q of sqrt(radicand),
+    each as the pair (p, q).
 
     Uses the integer recurrence for the periodic expansion of a quadratic
     irrational; radicand must be a non-square integer >= 2.
@@ -102,14 +96,14 @@ def convergents(radicand: int, count: int) -> list[Convergent]:
     m, d, a = 0, 1, a0
     p_prev, q_prev = 1, 0
     p, q = a0, 1
-    out = [Convergent(p, q)]
+    out = [(p, q)]
     for _ in range(1, count):
         m = d * a - m
         d = (radicand - m * m) // d
         a = (a0 + m) // d
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        out.append(Convergent(p, q))
+        out.append((p, q))
     return out[:count]
 
 

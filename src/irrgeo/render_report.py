@@ -22,6 +22,7 @@ from .descent import (
     DescentStep,
     FamilyKind,
     RangeCheckResult,
+    chain_decimals,
     descent_chain,
     descent_step,
     range_check,
@@ -465,10 +466,9 @@ def _resolve_figure(
         if not 1 <= args.convergent <= MAX_CONVERGENT:
             raise _UsageError(f"--convergent counts from 1 to {MAX_CONVERGENT}, got {args.convergent}")
         try:
-            conv = convergents(family.radicand, args.convergent)[args.convergent - 1]
+            a, b = convergents(family.radicand, args.convergent)[-1]
         except SquareRadicand as exc:
             raise _UsageError(str(exc))
-        a, b = conv.p, conv.q
     bits = max(a, b).bit_length()
     if bits > max_bits:
         raise _UsageError(f"pairs are limited to {max_bits} bits, got {bits}")
@@ -551,20 +551,18 @@ def _cmd_chain(args) -> int:
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     chain = descent_chain(family, a, b, args.max_steps)
-    # each integer a step makes goes to decimal once: a step's output
-    # strings are the next step's input ones, on stdout and in the JSON
-    dec = int.__repr__
+    # each integer goes to decimal once: the start's with str, each step's
+    # from chain_decimals; a step's output strings are the next step's input
+    # ones, on stdout and in the JSON
     steps = chain.steps
-    start = (dec(a), dec(b), dec(steps[0].defect_in) if steps else "")
-    outs: list[tuple[str, str, str]] = []
+    start = (str(a), str(b), str(steps[0].defect_in) if steps else "")
+    outs = chain_decimals(chain)
     write = sys.stdout.write
     a_in, b_in, d_in = start
     write(f"family {family.title}  start ({a_in}, {b_in})\n")
-    for i, s in enumerate(steps, start=1):
-        a_out, b_out, d_out = out = dec(s.pair_out[0]), dec(s.pair_out[1]), dec(s.defect_out)
+    for i, (a_out, b_out, d_out) in enumerate(outs, start=1):
         write("step %d: (%s, %s) -> (%s, %s)  defect %s -> %s\n" % (i, a_in, b_in, a_out, b_out, d_in, d_out))
-        outs.append(out)
-        a_in, b_in, d_in = out
+        a_in, b_in, d_in = a_out, b_out, d_out
     write(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
     if args.json:
         _write_chain_json(args.json, chain, start, outs)

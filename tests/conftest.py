@@ -7,9 +7,9 @@ def window_convergents(family: DescentFamily, count: int) -> list[tuple[int, int
     batch = count + 8
     while True:
         pairs = [
-            (c.p, c.q)
-            for c in convergents(family.radicand, batch)
-            if all(w.ok for w in window_inequalities(family, c.p, c.q))
+            (p, q)
+            for p, q in convergents(family.radicand, batch)
+            if all(w.ok for w in window_inequalities(family, p, q))
         ]
         if len(pairs) >= count:
             return pairs[:count]

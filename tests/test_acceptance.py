@@ -184,11 +184,11 @@ def test_criterion_7_convergents_are_best_approximations():
     with _criterion(7, "convergents match the brute-force best-approximation oracle up to q = 500"):
         for radicand in (2, 3, 5, 6, 10, 15, 21, 28):
             count = 8
-            while convergents(radicand, count)[-1].q <= 500:
+            while convergents(radicand, count)[-1][1] <= 500:
                 count *= 2
             convs = convergents(radicand, count)
             improvements = _best_approximations(radicand, 500)
-            conv_pairs = [(c.p, c.q) for c in convs if c.q <= 500]
+            conv_pairs = [(p, q) for p, q in convs if q <= 500]
             # every improvement is a convergent
             assert set(improvements) <= set(conv_pairs)
             # every convergent past the zeroth is an improvement

@@ -18,6 +18,7 @@ from irrgeo.descent import (
     DescentFamily,
     DescentStep,
     FamilyKind,
+    chain_decimals,
     defect_multiplier,
     descent_chain,
     descent_step,
@@ -356,7 +357,7 @@ def _chain_starts(family: DescentFamily) -> list[tuple[int, int]]:
     if family.radicand == 36:  # T_8 is a square: no convergents
         return [(37, 6), (35, 6), (6, 1), (73, 12), (601, 100), (2, 1)]
     cs = convergents(family.radicand, max(_CHAIN_KS))
-    return [(cs[k - 1].p, cs[k - 1].q) for k in _CHAIN_KS]
+    return [cs[k - 1] for k in _CHAIN_KS]
 
 
 def test_chain_equals_iterated_steps():
@@ -397,7 +398,7 @@ def _records() -> dict:
     scene = scene_from_arrangement(arr, census)
     records = (
         chain.steps[0], chain, result, result.witnesses[0], verify_eq1(3),
-        convergents(2, 3)[2], squarefree_decompose(12),
+        squarefree_decompose(12),
         window_inequalities(family, 7, 5)[0], report.checks[0], report, _figure(family),
         scene.polygons[0], scene, arr.big, family, arr, census, result.witnesses[0].value,
     )
@@ -406,7 +407,7 @@ def _records() -> dict:
 
 _RECORD_NAMES = [
     "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
-    "Convergent", "SquarefreeDecomposition",
+    "SquarefreeDecomposition",
     "WindowInequality", "IdentityCheck", "FigureReport", "_Figure",
     "ScenePolygon", "SvgScene", "LatticePolygon",
     "DescentFamily", "Arrangement", "CoverageCensus", "Surd",
@@ -470,6 +471,34 @@ def test_chain_checks_every_step(monkeypatch, family, a, b, kept):
     monkeypatch.setattr(irrgeo.descent, "defect_multiplier", lambda family: m + 1)
     with pytest.raises(AssertionError, match="not .* times it"):
         descent_chain(family, a, b, 32)
+
+
+def test_chain_decimals_are_the_chain_and_check_its_last_step():
+    # the decimals carried from the start equal the integer chain's; a
+    # chain whose last step was altered, in one pair entry or in the defect,
+    # is refused by a raise that python -O keeps (the tests/ suite also runs
+    # under -O)
+    big = convergents(10, 1561)[-1]
+    for family, (a, b), max_steps in (
+        (DescentFamily.sqrt2(), (17, 12), 32),
+        (DescentFamily.hex6(), (22, 9), 32),
+        (DescentFamily.triangular(4), big, 3),
+        (DescentFamily.triangular(2**32), (2**33 - 1, 2), 32),
+    ):
+        chain = descent_chain(family, a, b, max_steps)
+        assert chain.steps
+        expected = [(str(s.pair_out[0]), str(s.pair_out[1]), str(s.defect_out)) for s in chain.steps]
+        assert chain_decimals(chain) == expected
+        last = chain.steps[-1]
+        a_out, b_out = last.pair_out
+        for altered in (
+            last._replace(pair_out=(a_out + 1, b_out)),
+            last._replace(pair_out=(a_out, b_out - 1)),
+            last._replace(defect_out=last.defect_out * 2),
+        ):
+            with pytest.raises(AssertionError, match="not at the last step"):
+                chain_decimals(chain._replace(steps=chain.steps[:-1] + (altered,)))
+    assert chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 0)) == []
 
 
 def test_strict_decrease_on_window_convergents():

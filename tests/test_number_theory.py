@@ -77,29 +77,30 @@ def test_square_density():
 
 
 def test_convergents_sqrt2():
-    got = [(c.p, c.q) for c in convergents(2, 6)]
+    got = convergents(2, 6)
     assert got == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70)]
 
 
 def test_convergents_sqrt6():
-    got = [(c.p, c.q) for c in convergents(6, 6)]
+    got = convergents(6, 6)
     assert got == [(2, 1), (5, 2), (22, 9), (49, 20), (218, 89), (485, 198)]
 
 
 def test_convergents_other_radicands():
-    assert [(c.p, c.q) for c in convergents(3, 4)] == [(1, 1), (2, 1), (5, 3), (7, 4)]
-    assert [(c.p, c.q) for c in convergents(10, 3)] == [(3, 1), (19, 6), (117, 37)]
-    assert [(c.p, c.q) for c in convergents(15, 4)] == [(3, 1), (4, 1), (27, 7), (31, 8)]
-    assert [(c.p, c.q) for c in convergents(21, 6)] == [
+    assert convergents(3, 4) == [(1, 1), (2, 1), (5, 3), (7, 4)]
+    assert convergents(10, 3) == [(3, 1), (19, 6), (117, 37)]
+    assert convergents(15, 4) == [(3, 1), (4, 1), (27, 7), (31, 8)]
+    assert convergents(21, 6) == [
         (4, 1), (5, 1), (9, 2), (23, 5), (32, 7), (55, 12),
     ]
 
 
 def test_convergents_fields_and_count():
     convs = convergents(6, 4)
-    # a convergent is p/q and nothing else
-    assert [tuple(c) for c in convs] == [(2, 1), (5, 2), (22, 9), (49, 20)]
-    assert [c.p * c.p - 6 * c.q * c.q for c in convs] == [-2, 1, -2, 1]
+    # a convergent is the plain pair (p, q)
+    assert convs == [(2, 1), (5, 2), (22, 9), (49, 20)]
+    assert all(type(c) is tuple for c in convs)
+    assert [p * p - 6 * q * q for p, q in convs] == [-2, 1, -2, 1]
     assert convergents(6, 0) == []
     assert len(convergents(6, 1)) == 1
 
@@ -113,17 +114,17 @@ def test_convergents_rejects_squares():
 def test_convergent_invariants():
     for radicand in (2, 3, 5, 6, 10, 15, 21, 28):
         convs = convergents(radicand, 12)
-        for c in convs:
-            assert gcd(c.p, c.q) == 1
+        for p, q in convs:
+            assert gcd(p, q) == 1
             # |p^2 - N q^2| <= 2 sqrt(N), exactly: defect^2 <= 4 N
-            defect = c.p * c.p - radicand * c.q * c.q
+            defect = p * p - radicand * q * q
             assert defect * defect <= 4 * radicand
-        for prev, cur in zip(convs, convs[1:]):
-            det = cur.p * prev.q - prev.p * cur.q
+        for (p0, q0), (p1, q1) in zip(convs, convs[1:]):
+            det = p1 * q0 - p0 * q1
             assert det in (1, -1)
-            assert cur.q >= prev.q
-        for prev, cur in zip(convs[1:], convs[2:]):
-            assert cur.q > prev.q
+            assert q1 >= q0
+        for (_, q0), (_, q1) in zip(convs[1:], convs[2:]):
+            assert q1 > q0
 
 
 def _dist_sq_cmp(p1: int, q1: int, p2: int, q2: int, radicand: int) -> int:
@@ -136,7 +137,7 @@ def _dist_sq_cmp(p1: int, q1: int, p2: int, q2: int, radicand: int) -> int:
 def test_convergents_are_best_approximations_small():
     # every brute-force improvement in |q sqrt(N) - p| is a convergent
     for radicand in (2, 3, 6, 10):
-        convs = [(c.p, c.q) for c in convergents(radicand, 10)]
+        convs = convergents(radicand, 10)
         best = None
         found = []
         for q in range(1, 50):

@@ -18,6 +18,7 @@ from irrgeo.exact_arith import Surd
 from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, Arrangement, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents
 from irrgeo.render_report import (
+    MAX_CHAIN_N,
     MAX_CHAIN_STEPS,
     MAX_CONVERGENT,
     MAX_PAIR_BITS,
@@ -461,11 +462,11 @@ def _report_corpus() -> list[dict]:
     chain at convergent 999 of each, and range --n-max 40."""
     reports = []
     for family in all_figure_families():
-        for c in convergents(family.radicand, 6):
-            reports.append(report_envelope([build_verify_run(family, c.p, c.q)]))
-            reports.append(report_envelope([build_census_run(family, c.p, c.q)]))
-        c = convergents(family.radicand, 999)[-1]
-        reports.append(report_envelope([build_chain_run(family, c.p, c.q, MAX_CHAIN_STEPS)]))
+        for p, q in convergents(family.radicand, 6):
+            reports.append(report_envelope([build_verify_run(family, p, q)]))
+            reports.append(report_envelope([build_census_run(family, p, q)]))
+        p, q = convergents(family.radicand, 999)[-1]
+        reports.append(report_envelope([build_chain_run(family, p, q, MAX_CHAIN_STEPS)]))
     ranges = [build_range_run(range_check(DescentFamily.triangular(n))) for n in range(2, 41)]
     reports.append(report_envelope(ranges))
     return reports
@@ -561,18 +562,25 @@ def test_render_json_contract_beyond_plain_types():
 
 def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
     """(family, pair options, a, b, max_steps): each family from several
-    convergents, up to the largest it accepts; T_8 = 36, which has no
-    convergents; --max-steps 0; and two chains stopped by their first step."""
+    convergents, up to the largest it accepts; three steps from the 4095-bit
+    triangular n = 4 convergent, so the last pair checked is a large one;
+    T_8 = 36, which has no convergents; --max-steps 0; the one step of
+    n = MAX_CHAIN_N, whose coefficients have 64 bits; and two chains stopped
+    by their first step."""
     cases = []
     for family in [DescentFamily.sqrt2(), DescentFamily.hex6()] + [DescentFamily.triangular(n) for n in range(2, 8)]:
         cs = convergents(family.radicand, MAX_CONVERGENT)
-        last = MAX_CONVERGENT if cs[-1].p.bit_length() <= MAX_PAIR_BITS else 1561
+        last = MAX_CONVERGENT if cs[-1][0].bit_length() <= MAX_PAIR_BITS else 1561
         for k in (1, 2, 3, 999, last):
-            c = cs[k - 1]
-            cases.append((family, ["--convergent", str(k)], c.p, c.q, MAX_CHAIN_STEPS))
+            p, q = cs[k - 1]
+            cases.append((family, ["--convergent", str(k)], p, q, MAX_CHAIN_STEPS))
+    p, q = convergents(10, 1561)[-1]
+    assert p.bit_length() == 4095
+    cases.append((DescentFamily.triangular(4), ["--convergent", "1561"], p, q, 3))
     for family, a, b, max_steps in (
         (DescentFamily.triangular(8), 37, 6, MAX_CHAIN_STEPS),
         (DescentFamily.sqrt2(), 99, 70, 0),
+        (DescentFamily.triangular(MAX_CHAIN_N), 2 * MAX_CHAIN_N - 1, 2, MAX_CHAIN_STEPS),
         (DescentFamily.triangular(6), 9, 2, MAX_CHAIN_STEPS),
         (DescentFamily.sqrt2(), 1, 1, MAX_CHAIN_STEPS),
     ):
