@@ -19,7 +19,6 @@ from .descent import (
     descent_chain,
     descent_step,
     range_check,
-    verify_eq1,
 )
 from .exact_arith import RadicandMismatch, Surd
 from .geometry import (
@@ -38,6 +37,7 @@ from .geometry import (
     census_to_descent,
     convex_intersection,
     coverage_census,
+    verify_eq1,
     verify_figure,
     window_inequalities,
 )

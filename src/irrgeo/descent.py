@@ -128,7 +128,7 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     if a < 1 or b < 1:
         raise ValueError(f"need a positive pair, got ({a}, {b})")
     fmap = _MAPS[family.kind](family.n)
-    return _step(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * b * b)
+    return _step(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * (b * b))
 
 
 def _step(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int) -> DescentStep:
@@ -137,7 +137,7 @@ def _step(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int) 
     big_n, (ca, cb), (da, db) = fmap
     a_out = ca * a + cb * b
     b_out = da * a + db * b
-    d_out = a_out * a_out - big_n * b_out * b_out
+    d_out = a_out * a_out - big_n * (b_out * b_out)
     if d_out != m * d_in:
         raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
     return DescentStep(family, (a, b), (a_out, b_out), d_in, d_out, m)
@@ -161,32 +161,6 @@ def defect_multiplier(family: DescentFamily) -> int:
     if ab != 0 or bb != -m * big_n:
         raise AssertionError(f"defect of {family} is not a multiple of a^2 - N*b^2")
     return m
-
-
-class Eq1Certificate(NamedTuple):
-    """Symbolic witness for the area identity behind the triangular figure.
-
-    difference holds the coefficients of a**2, a*b and b**2 in
-    (n+1)*(n*b - a)**2 - (n/2)*(2*a - (n+1)*b)**2; ok records that they
-    are cofactor * (1, 0, -T_n), the coefficients of
-    cofactor * (a**2 - T_n*b**2), so the identity holds exactly when
-    a**2 == T_n * b**2.
-    """
-
-    n: int
-    difference: tuple[Fraction, Fraction, Fraction]
-    cofactor: int
-    ok: bool
-
-
-def verify_eq1(n: int) -> Eq1Certificate:
-    """Prove (n+1)*(n*b-a)**2 - (n/2)*(2*a-(n+1)*b)**2 == (1-n)*(a**2 - T_n*b**2)."""
-    if n < 2:
-        raise BadIndex(f"need n >= 2, got {n}")
-    difference = _square_difference(n + 1, -1, n, Fraction(n, 2), 2, -(n + 1))
-    cofactor = 1 - n
-    ok = difference == (cofactor, 0, -cofactor * triangular(n))
-    return Eq1Certificate(n=n, difference=difference, cofactor=cofactor, ok=ok)
 
 
 class InequalityWitness(NamedTuple):
@@ -254,7 +228,7 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
     m = defect_multiplier(family)
     # each step's pair_out is the next pair_in, so its defect_out is the
     # next defect_in
-    d_in = a * a - fmap.radicand * b * b
+    d_in = a * a - fmap.radicand * (b * b)
     steps: list[DescentStep] = []
     cur = (a, b)
     reason = "max_steps"

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .descent import DescentFamily, FamilyKind
+from .descent import DescentFamily, FamilyKind, _square_difference
 
 ORTHOGONAL = "orthogonal"
 TRIANGULAR = "triangular"
@@ -326,20 +326,19 @@ def _triangle_rows(n: int, a: int, b: int) -> _Shapes:
 class _Figure(NamedTuple):
     """What one family's figure fixes beyond its radicand N, in integers.
 
-    window holds (name, ka, kb) for ka*a > kb*b, then for ka*a < kb*b.
-    overlap_shape is every overlap's basis and corner count: with all
-    sides equal, a square, a 60-degree rhombus or an equilateral triangle.
-    sides gives the overlap side t and the blank side s from (a, b), and
-    next_pair the smaller pair from q*(t, s) without the descent map's
-    forms, each as ((c, d), (e, f), q) for (c*x + d*y, e*x + f*y)/q.
-    Lattice areas per side squared, over unit_den: big_unit for the big
-    figure and each small, overlap_unit for one overlap, blank_unit for
-    the whole blank.  So the big figure has area big_unit*a**2/unit_den,
-    the N smalls big_unit*N*b**2/unit_den, and the two differ by
-    -big_unit*(a**2 - N*b**2)/unit_den.
+    window names the inequalities s > 0 and t > 0, in that order, as
+    reports print them.  overlap_shape is every overlap's basis and corner
+    count: with all sides equal, a square, a 60-degree rhombus or an
+    equilateral triangle.  sides gives the overlap side t and the blank
+    side s from (a, b), and next_pair the smaller pair from q*(t, s)
+    without the descent map's forms, each as ((c, d), (e, f), q) for
+    (c*x + d*y, e*x + f*y)/q.  Lattice areas per side squared, over
+    unit_den: big_unit for the big figure and each small, overlap_unit for
+    one overlap, blank_unit for the whole blank: the big figure has area
+    big_unit*a**2/unit_den and the N smalls big_unit*N*b**2/unit_den.
     """
 
-    window: tuple[tuple[str, int, int], tuple[str, int, int]]
+    window: tuple[str, str]
     build: Callable[[int, int], _Shapes]
     overlap_shape: tuple[str, int]
     doubly_count: int
@@ -353,7 +352,7 @@ class _Figure(NamedTuple):
 
 
 _SQUARES = _Figure(
-    window=(("a > b", 1, 1), ("a < 2b", 1, 2)),
+    window=("a > b", "a < 2b"),
     build=_squares,
     overlap_shape=(ORTHOGONAL, 4),
     doubly_count=1,
@@ -367,7 +366,7 @@ _SQUARES = _Figure(
 )
 
 _HEXAGONS = _Figure(
-    window=(("a > 2b", 1, 2), ("a < 3b", 1, 3)),
+    window=("a > 2b", "a < 3b"),
     build=_hexagons,
     overlap_shape=(TRIANGULAR, 4),
     doubly_count=6,
@@ -384,7 +383,7 @@ _HEXAGONS = _Figure(
 @lru_cache(maxsize=128)
 def _triangle_figure(n: int) -> _Figure:
     return _Figure(
-        window=(("2a > (n+1)b", 2, n + 1), ("a < nb", 1, n)),
+        window=("2a > (n+1)b", "a < nb"),
         build=lambda a, b: _triangle_rows(n, a, b),
         overlap_shape=(TRIANGULAR, 3),
         doubly_count=3 * (n - 1),
@@ -412,18 +411,44 @@ def _figure(family: DescentFamily) -> _Figure:
     return _FIGURES[family.kind](family.n)
 
 
+def _balance(fig: _Figure) -> tuple[int, int, int]:
+    """(a**2, a*b, b**2) of unit_den*q**2 times the excess less the blank, with
+    (T, S) q times the sides; the areas balance when it is -big_unit*q**2*(1, 0, -N)."""
+    (ta, tb), (sa, sb), _ = fig.sides
+    excess = fig.overlap_unit * (fig.doubly_count + 2 * fig.triple_count)
+    return _square_difference(excess, ta, tb, fig.blank_unit, sa, sb)
+
+
+class Eq1Certificate(NamedTuple):
+    """Eq1's left side, (n+1)*(n*b - a)**2 - (n/2)*(2*a - (n+1)*b)**2, as (a**2, a*b, b**2)
+    coefficients; ok says they are cofactor*(1, 0, -T_n), so Eq1 holds iff a**2 == T_n*b**2."""
+
+    n: int
+    difference: tuple[Fraction, Fraction, Fraction]
+    cofactor: int
+    ok: bool
+
+
+def verify_eq1(n: int) -> Eq1Certificate:
+    """Eq1's certificate: its left side is the triangle figure's balance over 2*(n-1)."""
+    family = DescentFamily.triangular(n)  # BadIndex for n < 2
+    difference = tuple(Fraction(c, 2 * (n - 1)) for c in _balance(_figure(family)))
+    cofactor = 1 - n
+    ok = difference == (cofactor, 0, -cofactor * family.radicand)
+    return Eq1Certificate(n=n, difference=difference, cofactor=cofactor, ok=ok)
+
+
 class WindowInequality(NamedTuple):
     name: str
     ok: bool
 
 
 def window_inequalities(family: DescentFamily, a: int, b: int) -> tuple[WindowInequality, ...]:
-    """The strict inequalities a pair must satisfy for the family's figure."""
-    (low, low_a, low_b), (high, high_a, high_b) = _figure(family).window
-    return (
-        WindowInequality(low, low_a * a > low_b * b),
-        WindowInequality(high, high_a * a < high_b * b),
-    )
+    """The strict inequalities a pair must satisfy for the family's figure:
+    the blank side s and then the overlap side t must be positive."""
+    fig = _figure(family)
+    (ta, tb), (sa, sb), _ = fig.sides
+    return tuple(map(WindowInequality, fig.window, (sa * a + sb * b > 0, ta * a + tb * b > 0)))
 
 
 def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:

@@ -434,7 +434,7 @@ MAX_CHAIN_STEPS = 10_000
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes about 3 s (4 s and 92 MB peak with --json) on one Xeon core
+# 10000 takes 2.8-3.4 s and 101 MB peak RSS with --json on one Xeon core
 # under CPython 3.11.
 MAX_RANGE_N = 10_000
 

@@ -20,7 +20,6 @@ from irrgeo.descent import (
     defect_multiplier,
     descent_step,
     range_check,
-    verify_eq1,
 )
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import (
@@ -28,6 +27,7 @@ from irrgeo.geometry import (
     census_to_descent,
     coverage_census,
     polygon_side,
+    verify_eq1,
     verify_figure,
 )
 from irrgeo.number_theory import convergents, square_triangular

@@ -23,10 +23,9 @@ from irrgeo.descent import (
     descent_chain,
     descent_step,
     range_check,
-    verify_eq1,
 )
 from irrgeo.exact_arith import Surd
-from irrgeo.geometry import _figure, build_arrangement, coverage_census, verify_figure, window_inequalities
+from irrgeo.geometry import _figure, build_arrangement, coverage_census, verify_eq1, verify_figure, window_inequalities
 from irrgeo.number_theory import convergents, squarefree_decompose, triangular
 from irrgeo.render_report import scene_from_arrangement
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -26,6 +27,7 @@ from irrgeo.geometry import (
     convex_intersection,
     coverage_census,
     polygon_side,
+    verify_eq1,
     verify_figure,
     window_inequalities,
     _alcove,
@@ -737,6 +739,83 @@ def test_window_is_where_descent_stays_positive():
             for a in range(1, 65 * b + 1):
                 fits = all(w.ok for w in window_inequalities(family, a, b))
                 assert fits == (min(descent_step(family, a, b).pair_out) >= 1), (family, a, b)
+
+
+def _as_python(name: str) -> str:
+    """A window name as a Python expression: "2a > (n+1)b" -> "2*a > (n+1)*b"."""
+    return re.sub(r"(?<=[\dn)])(?=[abn(])", "*", name)
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_window_is_the_signs_of_the_sides():
+    # each window inequality is S > 0 (low) or T > 0 (high), with (T, S) the
+    # figure's side forms, and its printed name says the same; checked on
+    # the pairs where S or T is -1, 0 or 1 and on random pairs
+    rng = random.Random(21)
+    for family in _FIGURE_FAMILIES:
+        fig = _figure(family)
+        (ta, tb), (sa, sb), q = fig.sides
+        assert q >= 1
+        pairs = [(rng.randrange(1, 10**6), rng.randrange(1, 10**4)) for _ in range(200)]
+        for b in range(1, 40):
+            for ka, kb in ((ta, tb), (sa, sb)):
+                # ka*a + kb*b is -1, 0 or 1 where a is near -kb*b/ka
+                pairs += [(a, b) for a in range(max(1, -kb * b // ka - 2), -kb * b // ka + 3)]
+        names = {"a": 0, "b": 0, "n": family.n}
+        for a, b in pairs:
+            t, s = ta * a + tb * b, sa * a + sb * b
+            ineqs = window_inequalities(family, a, b)
+            assert tuple(w.name for w in ineqs) == fig.window
+            assert [w.ok for w in ineqs] == [s > 0, t > 0], (family, a, b)
+            names.update(a=a, b=b)
+            assert [eval(_as_python(w.name), names) for w in ineqs] == [s > 0, t > 0], (family, a, b)
+        # in, out on either side, and on either edge (no pair is out on both)
+        signs = {(_sign(ta * a + tb * b), _sign(sa * a + sb * b)) for a, b in pairs}
+        assert {(1, 1), (1, -1), (-1, 1), (1, 0), (0, 1)} <= signs, family
+
+
+def test_balance_is_the_area_identity():
+    # excess less blank, as (a**2, a*b, b**2) coefficients, is the big figure
+    # less the N smalls: -big_unit*q**2*(a**2 - N*b**2)
+    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [DescentFamily.triangular(n) for n in range(2, 201)]
+    for family in families:
+        fig, big_n = _figure(family), family.radicand
+        q = fig.sides[2]
+        assert geometry._balance(fig) == (-fig.big_unit * q * q, 0, fig.big_unit * q * q * big_n), family
+    assert geometry._balance(_figure(DescentFamily.sqrt2())) == (-1, 0, 2)
+    assert geometry._balance(_figure(DescentFamily.hex6())) == (-3, 0, 18)
+
+
+def test_balance_is_twice_n_minus_1_times_eq1():
+    for n in range(2, 201):
+        cert = verify_eq1(n)
+        assert cert.ok and cert.cofactor == 1 - n
+        balance = geometry._balance(_figure(DescentFamily.triangular(n)))
+        assert balance == tuple(2 * (n - 1) * c for c in cert.difference), n
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("blank_unit", lambda v: v + 1),
+        ("overlap_unit", lambda v: v + 1),
+        ("doubly_count", lambda v: v - 1),
+        ("triple_count", lambda v: v + 1),
+        ("sides", lambda v: (v[0], (v[1][0], v[1][1] - 1), v[2])),
+    ],
+)
+def test_verify_eq1_reads_the_figure_table(monkeypatch, field, change):
+    # verify_eq1 is the table's balance, so a wrong table entry must fail it
+    def corrupt(n):
+        fig = geometry._triangle_figure(n)
+        return fig._replace(**{field: change(getattr(fig, field))})
+
+    monkeypatch.setitem(geometry._FIGURES, FamilyKind.TRIANGULAR, corrupt)
+    for n in range(2, 51):
+        assert verify_eq1(n).ok is False, (field, n)
 
 
 def test_build_tennenbaum():
