@@ -26,10 +26,8 @@ from .geometry import (
     BasisMismatch,
     CoverageCensus,
     DepthExceeded,
-    FigureReport,
     LatticePoint,
     LatticePolygon,
-    MismatchReport,
     ORTHOGONAL,
     OutOfWindow,
     TRIANGULAR,
@@ -62,10 +60,8 @@ __all__ = [
     "DescentFamily",
     "DescentStep",
     "FamilyKind",
-    "FigureReport",
     "LatticePoint",
     "LatticePolygon",
-    "MismatchReport",
     "ORTHOGONAL",
     "OutOfWindow",
     "RadicandMismatch",

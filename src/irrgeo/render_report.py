@@ -9,11 +9,12 @@ in SVG coordinates, where it is formatting, not arithmetic.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .descent import (
     BadIndex,
@@ -31,8 +32,7 @@ from .exact_arith import Surd
 from .geometry import (
     Arrangement,
     CoverageCensus,
-    FigureReport,
-    MismatchReport,
+    IdentityCheck,
     ORTHOGONAL,
     OutOfWindow,
     build_arrangement,
@@ -97,11 +97,8 @@ def _census_block(census: CoverageCensus) -> dict:
     }
 
 
-def _checks_block(report: FigureReport) -> list[dict]:
-    return [
-        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "pass": c.passed}
-        for c in report.checks
-    ]
+def _checks_block(checks: tuple[IdentityCheck, ...]) -> list[dict]:
+    return [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "pass": c.passed} for c in checks]
 
 
 def _run_head(mode: str, family: DescentFamily) -> dict:
@@ -131,14 +128,9 @@ def build_verify_run(family: DescentFamily, a: int, b: int) -> dict:
     run, arr, census = _figure_run("verify", family, a, b)
     if arr is None:
         return run
-    try:
-        fig = verify_figure(arr, census)
-        fig_pass = True
-    except MismatchReport as exc:
-        fig = exc.report
-        fig_pass = False
+    fig_checks = verify_figure(arr, census)
     step = descent_step(family, a, b)
-    checks = _checks_block(fig)
+    checks = _checks_block(fig_checks)
     try:
         measured = census_to_descent(arr, census)
         measured_str = str(list(measured))
@@ -158,7 +150,7 @@ def build_verify_run(family: DescentFamily, a: int, b: int) -> dict:
     run["census"] = _census_block(census)
     run["identity_checks"] = checks
     run["census_pair"] = list(measured) if measured is not None else None
-    run["pass"] = fig_pass and cross_ok
+    run["pass"] = all(c.passed for c in fig_checks) and cross_ok
     return run
 
 
@@ -196,47 +188,48 @@ def render_json(report: dict) -> str:
     this writer does the same work without its generality.
     """
     out: list[str] = []
-    _write_value(report, "\n", out)
+    _write_value(report, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _write_value(x, newline: str, out: list[str]) -> None:
-    """Append x's JSON text to out; newline starts each line at x's depth."""
+def _write_value(x, newline: str, write: Callable[[str], object]) -> None:
+    """Pass x's JSON text to write, piece by piece; newline starts each
+    line at x's depth."""
     if isinstance(x, str):
-        out.append(encode_basestring_ascii(x))
+        write(encode_basestring_ascii(x))
     elif isinstance(x, bool):  # before int: bool is an int
-        out.append("true" if x else "false")
+        write("true" if x else "false")
     elif isinstance(x, int):
-        out.append(int.__repr__(x))
+        write(int.__repr__(x))
     elif x is None:
-        out.append("null")
+        write("null")
     elif isinstance(x, dict):
         if not x:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in x.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys are str, got {type(key).__name__}")
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write_value(value, inner, out)
+            write(sep)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_value(value, inner, write)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif isinstance(x, list):
         if not x:
-            out.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
         for value in x:
-            out.append(sep)
-            _write_value(value, inner, out)
+            write(sep)
+            _write_value(value, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     else:
         raise TypeError(f"reports hold no {type(x).__name__}")
 
@@ -434,8 +427,8 @@ MAX_CHAIN_STEPS = 10_000
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes 2.8-3.4 s and 101 MB peak RSS with --json on one Xeon core
-# under CPython 3.11.
+# 10000 takes 2.9-3.8 s and 31.4 MB peak RSS with --json (the report goes
+# to its file as it is made) on one Xeon core under CPython 3.11.
 MAX_RANGE_N = 10_000
 
 
@@ -476,10 +469,12 @@ def _resolve_figure(
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
+    """Write render_json's bytes to path as they are made, so no string of
+    the whole report is built."""
     if path:
-        text = render_json(report)
         with _writing(path), open(path, "w") as fh:
-            fh.write(text)
+            _write_value(report, "\n", fh.write)
+            fh.write("\n")
 
 
 def _print_head(run: dict, family: DescentFamily, a: int, b: int) -> None:
@@ -654,11 +649,18 @@ def _cmd_svg(args) -> int:
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.run(args)
+        try:
+            args = parser.parse_args(argv)
+            return args.run(args)
+        finally:
+            sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except _WriteError as exc:
         print(exc, file=sys.stderr)
-        return 1
+    except OSError as exc:  # a failed file write is a _WriteError, so this is stdout
+        print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        # stdout still holds what it could not write; at exit the interpreter
+        # would try again and report the failure a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1

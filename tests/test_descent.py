@@ -393,12 +393,12 @@ def _records() -> dict:
     result = range_check(family)
     arr = build_arrangement(family, 7, 5)
     census = coverage_census(arr)
-    report = verify_figure(arr, census)
+    checks = verify_figure(arr, census)
     scene = scene_from_arrangement(arr, census)
     records = (
         chain.steps[0], chain, result, result.witnesses[0], verify_eq1(3),
         squarefree_decompose(12),
-        window_inequalities(family, 7, 5)[0], report.checks[0], report, _figure(family),
+        window_inequalities(family, 7, 5)[0], checks[0], _figure(family),
         scene.polygons[0], scene, arr.big, family, arr, census, result.witnesses[0].value,
     )
     return {type(r).__name__: r for r in records}
@@ -407,7 +407,7 @@ def _records() -> dict:
 _RECORD_NAMES = [
     "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
     "SquarefreeDecomposition",
-    "WindowInequality", "IdentityCheck", "FigureReport", "_Figure",
+    "WindowInequality", "IdentityCheck", "_Figure",
     "ScenePolygon", "SvgScene", "LatticePolygon",
     "DescentFamily", "Arrangement", "CoverageCensus", "Surd",
 ]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -147,6 +148,36 @@ def test_cli_verify_forced_mismatch(capsys, monkeypatch):
     assert "verify: FAIL" in stdout
 
 
+# a census one unit of area off, and the lines verify prints for it: a
+# wrong blank area also spoils the census-derived pair, a wrong big area
+# fails the identities alone
+_OFF_BY_ONE = {
+    "blank_area": ("check blank_area: 9 == 8 FAIL", "check census_pair_matches_descent: error: "),
+    "big_area": ("check big_area: 50 == 49 FAIL", "check census_pair_matches_descent: [3, 2] == [3, 2] ok"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_OFF_BY_ONE))
+def test_cli_verify_identity_failure(field, capsys, monkeypatch, tmp_path):
+    def census_off_by_one(arr):
+        census = coverage_census(arr)
+        return census._replace(**{field: getattr(census, field) + 1})
+
+    monkeypatch.setattr("irrgeo.render_report.coverage_census", census_off_by_one)
+    out = tmp_path / "report.json"
+    code = cli_main(["verify", "--family", "sqrt2", "--a", "7", "--b", "5", "--json", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 2
+    for line in _OFF_BY_ONE[field]:
+        assert line in stdout, line
+    assert "check small_count: 2 == 2 ok" in stdout
+    assert stdout.endswith("verify: FAIL\n")
+    run = json.loads(out.read_text())["runs"][0]
+    assert run["pass"] is False
+    failed = {c["name"] for c in run["identity_checks"] if not c["pass"]}
+    assert field in failed and "small_count" not in failed
+
+
 def test_cli_usage_errors(capsys):
     bad = [
         ["verify", "--family", "pentagon", "--a", "3", "--b", "2"],
@@ -186,6 +217,45 @@ def test_cli_write_failure_exits_1(capsys, tmp_path):
     # chain prints all of stdout before it opens the report
     assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
     assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
+
+
+def _run_into(stdout, argv: list[str], unbuffered: bool) -> tuple[int, str]:
+    """Exit code and stderr of python -m irrgeo argv writing to stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "irrgeo", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
+# unbuffered, the first print fails; buffered, the final flush does
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_stdout_to_full_device(unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        code, err = _run_into(full, ["verify", "--family", "sqrt2", "--a", "7", "--b", "5"], unbuffered)
+    assert (code, err) == (1, "cannot write stdout: No space left on device\n")
+
+
+# unbuffered, the first print fails; buffered, a print past the buffer does
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_stdout_to_closed_pipe(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = _run_into(write_end, ["range", "--family", "triangular", "--n-max", "3000"], unbuffered)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (1, "cannot write stdout: Broken pipe\n")
 
 
 def test_cli_figure_size_limit(capsys, tmp_path):
@@ -558,6 +628,24 @@ def test_render_json_contract_beyond_plain_types():
     for bad in ([1, 2.5], [True, 1.0], {1: [1, 2]}, {_Level.LOW: 1}, [[1, 2], (3, 4)], _List([1.0])):
         with pytest.raises(TypeError):
             render_json(bad)
+
+
+def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
+    # --json writes the report to its file piece by piece, so the largest
+    # report of a range sweep adds little to the run's peak memory
+    argv = ["range", "--family", "triangular", "--n-max", "2000"]
+    cli_main(argv[:-1] + ["3"])  # the parser is built outside the measurement
+    peaks = []
+    for extra in ([], ["--json", str(tmp_path / "range.json")]):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli_main(argv + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "range.json").stat().st_size > 1_000_000
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
