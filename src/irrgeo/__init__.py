@@ -46,7 +46,7 @@ from .number_theory import (
     square_triangular,
     squarefree_decompose,
 )
-from .render_report import SvgScene, cli_main, render_json, render_svg, scene_from_arrangement
+from .render_report import cli_main, render_json, render_svg
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "RangeCheckResult",
     "SquareRadicand",
     "Surd",
-    "SvgScene",
     "TRIANGULAR",
     "build_arrangement",
     "census_to_descent",
@@ -82,7 +81,6 @@ __all__ = [
     "range_check",
     "render_json",
     "render_svg",
-    "scene_from_arrangement",
     "square_density",
     "square_triangular",
     "squarefree_decompose",

@@ -27,7 +27,6 @@ from irrgeo.descent import (
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import _figure, build_arrangement, coverage_census, verify_eq1, verify_figure, window_inequalities
 from irrgeo.number_theory import convergents, squarefree_decompose, triangular
-from irrgeo.render_report import scene_from_arrangement
 
 
 def test_family_constructors():
@@ -394,12 +393,11 @@ def _records() -> dict:
     arr = build_arrangement(family, 7, 5)
     census = coverage_census(arr)
     checks = verify_figure(arr, census)
-    scene = scene_from_arrangement(arr, census)
     records = (
         chain.steps[0], chain, result, result.witnesses[0], verify_eq1(3),
         squarefree_decompose(12),
         window_inequalities(family, 7, 5)[0], checks[0], _figure(family),
-        scene.polygons[0], scene, arr.big, family, arr, census, result.witnesses[0].value,
+        arr.big, family, arr, census, result.witnesses[0].value,
     )
     return {type(r).__name__: r for r in records}
 
@@ -407,8 +405,7 @@ def _records() -> dict:
 _RECORD_NAMES = [
     "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
     "SquarefreeDecomposition",
-    "WindowInequality", "IdentityCheck", "_Figure",
-    "ScenePolygon", "SvgScene", "LatticePolygon",
+    "WindowInequality", "IdentityCheck", "_Figure", "LatticePolygon",
     "DescentFamily", "Arrangement", "CoverageCensus", "Surd",
 ]
 

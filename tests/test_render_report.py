@@ -16,7 +16,7 @@ import irrgeo
 from conftest import all_figure_families
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
-from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, Arrangement, LatticePolygon, coverage_census
+from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents
 from irrgeo.render_report import (
     MAX_CHAIN_N,
@@ -25,6 +25,7 @@ from irrgeo.render_report import (
     MAX_PAIR_BITS,
     MAX_SVG_BITS,
     SQRT3_HALF,
+    _svg_points,
     build_census_run,
     build_range_run,
     build_verify_run,
@@ -32,7 +33,6 @@ from irrgeo.render_report import (
     frac_str,
     render_json,
     report_envelope,
-    scene_from_arrangement,
     surd_str,
 )
 
@@ -176,6 +176,11 @@ def test_cli_verify_identity_failure(field, capsys, monkeypatch, tmp_path):
     assert run["pass"] is False
     failed = {c["name"] for c in run["identity_checks"] if not c["pass"]}
     assert field in failed and "small_count" not in failed
+    # a wrong blank area gives no census pair; a wrong big area leaves it right
+    if field == "blank_area":
+        assert run["census_pair"] is None and "census_pair_matches_descent" in failed
+    else:
+        assert run["census_pair"] == [3, 2] and "census_pair_matches_descent" not in failed
 
 
 def test_cli_usage_errors(capsys):
@@ -236,13 +241,21 @@ def _run_into(stdout, argv: list[str], unbuffered: bool) -> tuple[int, str]:
     return proc.returncode, proc.stderr
 
 
-# unbuffered, the first print fails; buffered, the final flush does
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_cli_stdout_to_full_device(unbuffered):
+# unbuffered, the first print fails; buffered, the final flush does; help
+# text goes through argparse, which must not drop the failure either
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        pytest.param(argv, unbuffered, id=f"{prefix}{unbuffered}")
+        for prefix, argv in (("", ["verify", "--family", "sqrt2", "--a", "7", "--b", "5"]), ("help-", ["verify", "--help"]))
+        for unbuffered in (False, True)
+    ],
+)
+def test_cli_stdout_to_full_device(argv, unbuffered):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     with open("/dev/full", "w") as full:
-        code, err = _run_into(full, ["verify", "--family", "sqrt2", "--a", "7", "--b", "5"], unbuffered)
+        code, err = _run_into(full, argv, unbuffered)
     assert (code, err) == (1, "cannot write stdout: No space left on device\n")
 
 
@@ -443,7 +456,7 @@ def _ref_scene_points(poly: LatticePolygon) -> tuple[tuple[float, float], ...]:
 
 
 def test_svg_points_from_ints_match_fraction_projection():
-    # the scene divides each integer corner by den; a correctly rounded
+    # the SVG divides each integer corner by den; a correctly rounded
     # int/int division must give float(Fraction) on every corner, for
     # dens up to 2**40 and coordinates up to the bit length svg accepts
     rng = random.Random(1016)
@@ -455,10 +468,7 @@ def test_svg_points_from_ints_match_fraction_projection():
         side = Fraction(rng.randrange(1, 2**bits), den)
         corners = rng.choice(_SVG_SHAPES)
         poly = LatticePolygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
-        arr = Arrangement(big=poly, smalls=(poly,), family=DescentFamily.sqrt2(), a=1, b=1)
-        scene = scene_from_arrangement(arr, coverage_census(arr))
-        want = _ref_scene_points(poly)
-        assert [p.points for p in scene.polygons] == [want, want], (basis, poly)
+        assert _svg_points(poly, basis == ORTHOGONAL) == _ref_scene_points(poly), (basis, poly)
 
 
 def test_cli_svg_out_of_window(capsys, tmp_path):
@@ -646,6 +656,24 @@ def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "range.json").stat().st_size > 1_000_000
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
+    # svg writes the drawing to its file polygon by polygon, so its peak
+    # memory stays near the census it draws from
+    pair = ["--family", "triangular", "--n", "32", "--convergent", "40"]
+    cli_main(["census", "--family", "sqrt2", "--a", "7", "--b", "5"])  # the parser is built outside the measurement
+    peaks = []
+    for argv in (["census", *pair], ["svg", *pair, "--out", str(tmp_path / "x.svg")]):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli_main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "x.svg").stat().st_size > 400_000
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
