@@ -1,6 +1,6 @@
 """Exact quadratic surds rat + coef*sqrt(radicand) over arbitrary-precision
-rationals: sums, differences, equality and exact signs, but no product or
-ordering.
+rationals: sums, differences and exact signs, but no product or ordering.
+Equality is the record's: two surds are equal when their fields are.
 
 No floating point anywhere; every sign reduces to integer arithmetic.
 """
@@ -115,30 +115,6 @@ class Surd(_SurdFields):
             raise AssertionError(f"sqrt({self.radicand}) compared equal to a rational")
         return rs if lhs > rhs else cs
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Surd):
-            if self.rat != other.rat or self.coef != other.coef:
-                return False
-            return self.coef == 0 or self.radicand == other.radicand
-        if isinstance(other, (int, Fraction)):
-            return self.coef == 0 and self.rat == other
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        # not tuple.__ne__, which tells apart equal rationals over two radicands
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        if self.coef == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.coef, self.radicand))
-
     # no product or ordering: a tuple subclass would otherwise fall back to
     # tuple repetition and field order; None makes each operator a TypeError
     __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
-
-    def __repr__(self) -> str:
-        if self.coef == 0:
-            return f"Surd({self.rat})"
-        return f"Surd({self.rat} + {self.coef}*sqrt({self.radicand}))"

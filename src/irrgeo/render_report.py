@@ -173,18 +173,17 @@ def build_range_run(result: RangeCheckResult) -> dict:
     }
 
 
-def render_json(report: dict) -> str:
-    """The report as the json module writes it with indent=2, plus a final
-    newline, byte for byte, for the types reports hold: dicts with str
-    keys, lists, str, int, bool and None; anything else raises TypeError.
+def render_json(report: dict, write: Callable[[str], object]) -> None:
+    """Pass write, piece by piece, the report as the json module writes it
+    with indent=2, plus a final newline, byte for byte, for the types
+    reports hold: dicts with str keys, lists, str, int, bool and None;
+    anything else raises TypeError.
 
     With an indent the json module falls back to its pure-Python encoder;
     this writer does the same work without its generality.
     """
-    out: list[str] = []
-    _write_value(report, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
+    _write_value(report, "\n", write)
+    write("\n")
 
 
 def _write_value(x, newline: str, write: Callable[[str], object]) -> None:
@@ -273,9 +272,11 @@ class _WriteError(Exception):
 
 @contextmanager
 def _writing(path: str):
-    """Turn a failure to write path into a one-line error for the CLI."""
+    """Open path for writing and yield the file; a failure to open, write
+    or close it becomes a one-line error for the CLI."""
     try:
-        yield
+        with open(path, "w") as fh:
+            yield fh
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -453,12 +454,11 @@ def _resolve_figure(
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
-    """Write render_json's bytes to path as they are made, so no string of
+    """Write the report to path as render_json makes it, so no string of
     the whole report is built."""
     if path:
-        with _writing(path), open(path, "w") as fh:
-            _write_value(report, "\n", fh.write)
-            fh.write("\n")
+        with _writing(path) as fh:
+            render_json(report, fh.write)
 
 
 def _print_head(run: dict, family: DescentFamily, a: int, b: int) -> None:
@@ -531,29 +531,24 @@ def _cmd_chain(args) -> int:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     chain = descent_chain(family, a, b, args.max_steps)
     # each integer goes to decimal once: the start's with str, each step's
-    # from chain_decimals; a step's output strings are the next step's input
-    # ones, on stdout and in the JSON
+    # from chain_decimals; row i is step i's output and step i + 1's input,
+    # on stdout and in the JSON
     steps = chain.steps
-    start = (str(a), str(b), str(steps[0].defect_in) if steps else "")
-    outs = chain_decimals(chain)
+    rows = [(str(a), str(b), str(steps[0].defect_in) if steps else "")] + chain_decimals(chain)
     write = sys.stdout.write
-    a_in, b_in, d_in = start
-    write(f"family {family.title}  start ({a_in}, {b_in})\n")
-    for i, (a_out, b_out, d_out) in enumerate(outs, start=1):
+    write(f"family {family.title}  start ({rows[0][0]}, {rows[0][1]})\n")
+    for i, ((a_in, b_in, d_in), (a_out, b_out, d_out)) in enumerate(zip(rows, rows[1:]), start=1):
         write("step %d: (%s, %s) -> (%s, %s)  defect %s -> %s\n" % (i, a_in, b_in, a_out, b_out, d_in, d_out))
-        a_in, b_in, d_in = a_out, b_out, d_out
     write(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
     if args.json:
-        _write_chain_json(args.json, chain, start, outs)
+        _write_chain_json(args.json, chain, rows)
     return 0
 
 
-def _write_chain_json(
-    path: str, chain: ChainResult, start: tuple[str, str, str], outs: list[tuple[str, str, str]]
-) -> None:
+def _write_chain_json(path: str, chain: ChainResult, rows: list[tuple[str, str, str]]) -> None:
     """Write the chain's report, the bytes render_json would give, one step
-    at a time: render_json writes the run around an empty steps list, and
-    each step fills _CHAIN_STEP from its input and output decimals."""
+    at a time: render_json gives the run around an empty steps list, and
+    each step fills _CHAIN_STEP from its input and output rows."""
     run = _run_head("chain", chain.family) | {
         "input_pair": list(chain.start),
         "steps": [],
@@ -561,16 +556,16 @@ def _write_chain_json(
         "final_pair": list(chain.final_pair),
         "pass": True,
     }
-    head, tail = render_json(report_envelope([run])).split('"steps": []')
-    with _writing(path), open(path, "w") as fh:
+    parts: list[str] = []
+    render_json(report_envelope([run]), parts.append)
+    head, tail = "".join(parts).split('"steps": []')
+    with _writing(path) as fh:
         fh.write(head + '"steps": [')
         sep = "\n        "
-        a_in, b_in, d_in = start
-        for a_out, b_out, d_out in outs:
+        for (a_in, b_in, d_in), (a_out, b_out, d_out) in zip(rows, rows[1:]):
             fh.write(_CHAIN_STEP % (sep, a_in, b_in, a_out, b_out, d_in, d_out))
             sep = ",\n        "
-            a_in, b_in, d_in = a_out, b_out, d_out
-        fh.write(("\n      ]" if outs else "]") + tail)
+        fh.write(("\n      ]" if chain.steps else "]") + tail)
 
 
 def _cmd_range(args) -> int:
@@ -602,8 +597,9 @@ def _cmd_range(args) -> int:
 def _cmd_sequence(args) -> int:
     if args.limit < 0:
         raise _UsageError("--limit must be nonnegative")
-    terms = square_triangular(args.limit)
-    print(" ".join(map(str, terms)))
+    # print converts and writes one term at a time, so no string of the
+    # whole line is built
+    print(*square_triangular(args.limit))
     return 0
 
 
@@ -623,7 +619,7 @@ def _cmd_svg(args) -> int:
         print(f"cannot build figure: {exc}", file=sys.stderr)
         return 2
     census = coverage_census(arr)
-    with _writing(args.out), open(args.out, "w") as fh:
+    with _writing(args.out) as fh:
         render_svg(arr, census, fh.write)
     print(f"wrote {args.out}")
     return 0

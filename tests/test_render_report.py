@@ -1,3 +1,4 @@
+import contextlib
 import enum
 import json
 import os
@@ -17,7 +18,7 @@ from conftest import all_figure_families
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, LatticePolygon, coverage_census
-from irrgeo.number_theory import convergents
+from irrgeo.number_theory import convergents, square_triangular
 from irrgeo.render_report import (
     MAX_CHAIN_N,
     MAX_CHAIN_STEPS,
@@ -100,10 +101,17 @@ def test_build_verify_run_window_fail_is_shallow():
     assert "census" not in run
 
 
+def _json_text(x) -> str:
+    """The text render_json passes its writer for x."""
+    parts: list[str] = []
+    render_json(x, parts.append)
+    return "".join(parts)
+
+
 def test_render_json_round_trip_and_determinism():
     run = build_verify_run(DescentFamily.sqrt2(), 7, 5)
-    text1 = render_json(report_envelope([run]))
-    text2 = render_json(report_envelope([build_verify_run(DescentFamily.sqrt2(), 7, 5)]))
+    text1 = _json_text(report_envelope([run]))
+    text2 = _json_text(report_envelope([build_verify_run(DescentFamily.sqrt2(), 7, 5)]))
     assert text1 == text2
     assert text1.endswith("\n")
     parsed = json.loads(text1)
@@ -208,20 +216,26 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_write_failure_exits_1(capsys, tmp_path):
-    missing = tmp_path / "missing"
+    # a file that cannot be opened, and where there is one, a file that
+    # opens but takes no byte, so the write or the close fails
+    reasons = {str(tmp_path / "missing" / "x"): "No such file or directory"}
+    if os.path.exists("/dev/full"):
+        reasons["/dev/full"] = "No space left on device"
     pair = ["--family", "sqrt2", "--a", "7", "--b", "5"]
-    for argv in (
-        ["verify", *pair, "--json", str(missing / "x.json")],
-        ["svg", *pair, "--out", str(missing / "x.svg")],
-        ["chain", "--family", "sqrt2", "--a", "17", "--b", "12", "--json", str(missing / "x.json")],
-    ):
-        code = cli_main(argv)
-        captured = capsys.readouterr()
-        assert code == 1, argv
-        assert captured.err == f"cannot write {argv[-1]}: No such file or directory\n"
-    # chain prints all of stdout before it opens the report
-    assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
-    assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
+    for path, reason in reasons.items():
+        for argv in (
+            ["verify", *pair, "--json", path],
+            ["range", "--family", "triangular", "--n-max", "10", "--json", path],
+            ["svg", *pair, "--out", path],
+            ["chain", "--family", "sqrt2", "--a", "17", "--b", "12", "--json", path],
+        ):
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert captured.err == f"cannot write {path}: {reason}\n", argv
+        # chain prints all of stdout before it opens the report
+        assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
+        assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
 
 
 def _run_into(stdout, argv: list[str], unbuffered: bool) -> tuple[int, str]:
@@ -554,7 +568,7 @@ def _report_corpus() -> list[dict]:
 
 def test_render_json_matches_json_module_on_reports():
     for report in _report_corpus():
-        assert render_json(report) == _reference_json(report)
+        assert _json_text(report) == _reference_json(report)
 
 
 _AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "√", "\u2028", "\U0001f600", "/", " "]
@@ -588,7 +602,7 @@ def test_render_json_matches_json_module_on_random_trees():
     for _ in range(600):
         tree = _random_tree(rng, 0)
         expected = _reference_json(tree)
-        assert render_json(tree) == expected
+        assert _json_text(tree) == expected
         nested_empties += expected.count(": []") + expected.count(": {}")
         big_ints += any(len(word) > 1000 for word in expected.split())
     assert nested_empties >= 100 and big_ints >= 100
@@ -596,8 +610,8 @@ def test_render_json_matches_json_module_on_random_trees():
 
 @pytest.mark.parametrize("bad", [1.5, (1, 2), {3}, [1, 2.0], {"x": (1,)}, {"y": [{"z": {4}}]}, {1: 2}])
 def test_render_json_refuses_other_types(bad):
-    with pytest.raises(TypeError):
-        render_json(bad)
+    with pytest.raises(TypeError, match="reports hold no|report keys are str"):
+        render_json(bad, [].append)
 
 
 class _Level(enum.IntEnum):
@@ -634,10 +648,10 @@ _WRITER_CONTRACT = [
 def test_render_json_contract_beyond_plain_types():
     # bools, subclasses and empty nests give the json module's bytes
     for x in _WRITER_CONTRACT:
-        assert render_json(x) == _reference_json(x)
+        assert _json_text(x) == _reference_json(x)
     for bad in ([1, 2.5], [True, 1.0], {1: [1, 2]}, {_Level.LOW: 1}, [[1, 2], (3, 4)], _List([1.0])):
-        with pytest.raises(TypeError):
-            render_json(bad)
+        with pytest.raises(TypeError, match="reports hold no|report keys are str"):
+            render_json(bad, [].append)
 
 
 def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
@@ -656,6 +670,56 @@ def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "range.json").stat().st_size > 1_000_000
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_every_json_report_goes_through_render_json(capsys, monkeypatch, tmp_path):
+    # render_json is the one JSON writer: it writes each command's --json
+    # file, which keeps the json module's bytes of the whole report
+    calls = []
+
+    def counting(report, write):
+        calls.append(report)
+        render_json(report, write)
+
+    monkeypatch.setattr("irrgeo.render_report.render_json", counting)
+    sqrt2 = DescentFamily.sqrt2()
+    cases = (
+        (["verify", "--family", "sqrt2", "--a", "7", "--b", "5"], [build_verify_run(sqrt2, 7, 5)]),
+        (["census", "--family", "sqrt2", "--a", "7", "--b", "5"], [build_census_run(sqrt2, 7, 5)]),
+        (
+            ["range", "--family", "triangular", "--n-max", "10"],
+            [build_range_run(range_check(DescentFamily.triangular(n))) for n in range(2, 11)],
+        ),
+        (["chain", "--family", "sqrt2", "--a", "17", "--b", "12"], [build_chain_run(sqrt2, 17, 12, 32)]),
+    )
+    out = tmp_path / "report.json"
+    for argv, runs in cases:
+        calls.clear()
+        assert cli_main(argv + ["--json", str(out)]) == 0, argv
+        assert calls, argv
+        assert out.read_text() == _reference_json(report_envelope(runs)), argv
+    capsys.readouterr()
+
+
+def test_sequence_is_written_as_it_is_converted(capsys, tmp_path):
+    # sequence writes each term as it turns it into decimal, so its peak
+    # memory stays near that of the terms themselves
+    limit = int("9" * 1000)
+    argv = ["sequence", "--limit", str(limit)]
+    cli_main(["sequence", "--limit", "1"])  # the parser is built outside the measurement
+    out = tmp_path / "sequence.txt"
+    peaks = []
+    for run in (lambda: square_triangular(limit), lambda: cli_main(argv)):
+        with open(out, "w") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert out.read_text() == " ".join(map(str, square_triangular(limit))) + "\n"
+    assert peaks[1] <= 2 * peaks[0], peaks
+    capsys.readouterr()
 
 
 def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
@@ -719,7 +783,7 @@ def test_chain_stdout_matches_json_report(capsys, tmp_path):
         run = build_chain_run(family, a, b, max_steps)
         assert capsys.readouterr().out == _reference_chain_stdout(run), argv
         assert out.read_text() == _reference_json(report_envelope([run])), argv
-        head = render_json(report_envelope([run | {"steps": []}]))
+        head = _json_text(report_envelope([run | {"steps": []}]))
         assert head.count('"steps": []') == 1
         lengths.append(len(run["steps"]))
     assert {0, 1} <= set(lengths) and max(lengths) >= 2000
