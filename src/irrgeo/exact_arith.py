@@ -17,14 +17,6 @@ class RadicandMismatch(ValueError):
     """Arithmetic attempted on surds over different irrational radicands."""
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def _validate_squarefree(radicand: int) -> None:
     if radicand < 2:
         raise ValueError(f"radicand must be >= 2, got {radicand}")
@@ -96,24 +88,24 @@ class Surd(_SurdFields):
         return self + -other
 
     def sign(self) -> int:
-        """Exact sign via integer arithmetic only.
+        """Exact sign from the integer numerators and denominators.
 
-        For rat and coef of opposite signs, compare rat**2 against
-        coef**2 * radicand; the larger square decides.  Equality cannot
-        occur: it would make sqrt(radicand) rational.
+        The signs of rat and coef are their numerators'.  When they are
+        opposite, rat**2 against coef**2 * radicand decides, compared as
+        (rn*cd)**2 against (cn*rd)**2 * radicand; the larger square wins.
+        Equality cannot occur: it would make sqrt(radicand) rational.
         """
-        if self.coef == 0:
-            return _sign(self.rat)
-        if self.rat == 0:
-            return _sign(self.coef)
-        rs, cs = _sign(self.rat), _sign(self.coef)
-        if rs == cs:
-            return rs
-        lhs = self.rat * self.rat
-        rhs = self.coef * self.coef * self.radicand
-        if lhs == rhs:
-            raise AssertionError(f"sqrt({self.radicand}) compared equal to a rational")
-        return rs if lhs > rhs else cs
+        rn, rd = self.rat.numerator, self.rat.denominator
+        cn, cd = self.coef.numerator, self.coef.denominator
+        rs = (rn > 0) - (rn < 0)
+        cs = (cn > 0) - (cn < 0)
+        if rs * cs < 0:
+            lhs = (rn * cd) ** 2
+            rhs = (cn * rd) ** 2 * self.radicand
+            if lhs == rhs:
+                raise AssertionError(f"sqrt({self.radicand}) compared equal to a rational")
+            return rs if lhs > rhs else cs
+        return rs or cs
 
     # no product or ordering: a tuple subclass would otherwise fall back to
     # tuple repetition and field order; None makes each operator a TypeError

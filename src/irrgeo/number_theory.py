@@ -1,11 +1,19 @@
 """Integer-side support: factorization, squarefree decomposition, square
 counting, continued-fraction convergents, and the square triangular
-numbers."""
+numbers.
+
+`factorize` removes the primes below 1000 with one gcd against their
+product, then splits what is left with Pollard's rho (BIT 15, 1975) and
+proves each piece prime with Miller-Rabin over the 13 prime bases 2..41.
+That test is exact only below psi_13 = 3317044064679887385961981, the least
+strong pseudoprime to all 13 bases (Sorenson & Webster, Math. Comp. 86,
+2017); a larger piece it cannot prove composite is refused.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 
@@ -27,8 +35,79 @@ def triangular(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def _primes_below(limit: int) -> list[int]:
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+# the primes 5..997 and their product: one gcd finds which of them divide n
+_SMALL_PRIMES = _primes_below(1000)[2:]
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+# with no prime factor below 1000, a number below 1000**2 is 1 or a prime
+_SMALL_BOUND = 1000 * 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin over _MR_BASES for an odd m > 41.
+
+    False is a proof that m is composite; True is one only below psi_13, so
+    a larger m that passes every base raises ValueError instead.
+    """
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot prove {m} prime: Miller-Rabin over the primes 2..41 is exact "
+            f"only below psi_13 = {_MR_EXACT_BELOW}"
+        )
+    return True
+
+
+def _rho_divisor(m: int) -> int:
+    """A divisor 1 < d < m of an odd composite m, by Pollard's rho on
+    x**2 + c with Floyd's cycle detection; a run that closes its cycle on
+    m itself starts again with the next c."""
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            d = gcd(x - y, m)
+        if d != m:
+            return d
+        c += 1
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, as {prime: exponent}."""
+    """Prime factorization as {prime: exponent}, primes in ascending order.
+
+    2 and 3 are divided out first, then the primes 5..997 that divide
+    gcd(n, their product).  A cofactor below 1000**2 is then 1 or a prime.
+    A larger one is split by Pollard's rho until Miller-Rabin over the
+    bases 2..41 proves every piece prime.  That proof holds below psi_13 =
+    3317044064679887385961981 (Sorenson & Webster, 2017); a piece at or
+    above it that the test cannot show composite raises ValueError.
+    """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
     out: dict[int, int] = {}
@@ -36,16 +115,30 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # remaining factors are coprime to 6; step through 6k +/- 1
-    p = 5
-    while p * p <= n:
-        for q in (p, p + 2):
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
-        p += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    g = gcd(n, _SMALL_PRODUCT)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if p * p > g:  # g is squarefree, so what is left of it is one prime
+            p = g
+        if g % p == 0:
+            g //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    large: list[int] = []
+    work = [n] if n > 1 else []
+    while work:
+        m = work.pop()
+        if m < _SMALL_BOUND or _is_prime(m):
+            large.append(m)
+        else:
+            d = _rho_divisor(m)
+            work += (d, m // d)
+    for p in sorted(large):
+        out[p] = out.get(p, 0) + 1
     return out
 
 

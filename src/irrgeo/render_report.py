@@ -412,7 +412,7 @@ MAX_CHAIN_STEPS = 10_000
 # core under CPython 3.11.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes 2.9-3.8 s and 31.4 MB peak RSS with --json (the report goes
+# 10000 takes 1.5-2.1 s and 30.6 MB peak RSS with --json (the report goes
 # to its file as it is made) on one Xeon core under CPython 3.11.
 MAX_RANGE_N = 10_000
 

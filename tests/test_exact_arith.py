@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from irrgeo.exact_arith import RadicandMismatch, Surd
+from irrgeo.number_theory import convergents
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 105]
 
@@ -105,3 +106,35 @@ def test_surd_sign_against_high_precision_oracle():
         approx = dec(rat) + dec(coef) * Decimal(radicand).sqrt()
         expected = 0 if rat == 0 and coef == 0 else (1 if approx > 0 else -1)
         assert x.sign() == expected
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _fraction_sign(rat: Fraction, coef: Fraction, radicand: int) -> int:
+    """The sign oracle in Fractions: rat + coef*sqrt(N) has the sign of
+    rat or coef, whichever term is larger, judged by rat**2 against
+    coef**2 * N; 0 only when both are 0."""
+    if rat == 0 or coef == 0 or _sign(rat) == _sign(coef):
+        return _sign(rat) or _sign(coef)
+    return _sign(rat) if rat * rat > coef * coef * radicand else _sign(coef)
+
+
+def test_surd_sign_matches_a_fraction_oracle_on_a_grid():
+    squarefree = [n for n in range(2, 201) if all(n % (k * k) for k in range(2, 15))]
+    rng = random.Random(2017)
+    for radicand in squarefree:
+        # near misses: p/q from the convergents of sqrt(N), so rat**2 and
+        # coef**2 * N differ by a small defect
+        (p, q), (p2, q2) = convergents(radicand, 6)[-2:]
+        mags = [Fraction(0), Fraction(1), Fraction(p, q), Fraction(p2, q2)]
+        mags += [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(3)]
+        values = sorted({s * m for m in mags for s in (1, -1)})
+        for rat in values:
+            for coef in values:
+                # a common positive scale keeps the sign and varies both
+                # denominators
+                scale = Fraction(rng.randint(1, 999), rng.randint(1, 999))
+                rat_s, coef_s = rat * scale, coef * scale
+                assert Surd(rat_s, coef_s, radicand).sign() == _fraction_sign(rat_s, coef_s, radicand)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -28,6 +29,85 @@ def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def _trial_factor(n: int) -> dict[int, int]:
+    """The factorization oracle: plain trial division by 2 and every odd d."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _triangular_oracle(n: int) -> dict[int, int]:
+    """T_n = n * (n + 1) / 2 from the trial factorizations of n and n + 1,
+    which are coprime, so their exponents add and one 2 comes off."""
+    out = _trial_factor(n)
+    for p, e in _trial_factor(n + 1).items():
+        out[p] = out.get(p, 0) + e
+    out[2] -= 1
+    return {p: out[p] for p in sorted(out) if out[p]}
+
+
+def _assert_factors(n: int, expected: dict[int, int]) -> None:
+    got = factorize(n)
+    assert got == expected, n
+    assert list(got) == sorted(got), n
+
+
+def test_factorize_every_triangular_number_against_trial_division():
+    for n in range(1, 20_001):
+        _assert_factors(triangular(n), _triangular_oracle(n))
+    rng = random.Random(25)
+    for n in rng.sample(range(20_001, 100_001), 3000):
+        _assert_factors(triangular(n), _triangular_oracle(n))
+
+
+def test_factorize_numbers_past_the_small_primes():
+    # psi_12, the least strong pseudoprime to the bases 2..37, must be split
+    # (base 41 proves it composite); 3825123056546413051 is a strong
+    # pseudoprime to the bases 2..23
+    cases = {
+        318665857834031151167461: {399165290221: 1, 798330580441: 1},
+        3825123056546413051: {149491: 1, 747451: 1, 34233211: 1},
+        1009**9: {1009: 9},
+        (2**31 - 1) ** 2: {2**31 - 1: 2},
+        1013**2 * 1019: {1013: 2, 1019: 1},
+        2**5 * 3 * 5**2 * 997 * 1009**2 * 1013: {2: 5, 3: 1, 5: 2, 997: 1, 1009: 2, 1013: 1},
+    }
+    for n, expected in cases.items():
+        assert all(_trial_factor(p) == {p: 1} for p in expected)
+        _assert_factors(n, expected)
+    primes = [p for p in range(1001, 1200) if _trial_factor(p) == {p: 1}]
+    for i, p in enumerate(primes):
+        for q in primes[i:]:
+            _assert_factors(p * q, {p: 2} if p == q else {p: 1, q: 1})
+    # 70 of these 200 have two prime factors above 1000
+    rng = random.Random(2017)
+    for _ in range(200):
+        n = rng.randrange(1, 10**12)
+        _assert_factors(n, _trial_factor(n))
+
+
+def test_factorize_refuses_what_miller_rabin_cannot_prove():
+    # psi_13 passes Miller-Rabin over every base 2..41, and 2**89 - 1 is a
+    # Mersenne prime above psi_13; both are refused at once instead of
+    # being trial-divided, naming the bound
+    for n in (3317044064679887385961981, 2**89 - 1):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="psi_13 = 3317044064679887385961981"):
+            factorize(n)
+        assert time.perf_counter() - start < 1.0
+    # a number above the bound still factors when every piece the test
+    # cannot prove composite lies below it
+    assert 1009**9 > 3317044064679887385961981
+    assert factorize(1009**9) == {1009: 9}
 
 
 def test_squarefree_examples():
