@@ -588,13 +588,27 @@ class IdentityCheck(NamedTuple):
     passed: bool
 
 
-def _check(name: str, lhs, rhs) -> IdentityCheck:
+def _check(name: str, lhs: int, rhs: int) -> IdentityCheck:
     return IdentityCheck(name=name, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, den > 0, as str(Fraction(num, den)) writes it: reduced
+    p/q, or p when q = 1."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _area_check(name: str, x: Fraction, y: Fraction | int, num: int, den: int) -> IdentityCheck:
+    """x - y, a census area less another or 0, against num/den, den > 0, by
+    one integer cross-product; no Fraction is built."""
+    p, q = x.numerator * y.denominator - y.numerator * x.denominator, x.denominator * y.denominator
+    return IdentityCheck(name, _ratio_str(p, q), _ratio_str(num, den), p * den == num * q)
 
 
 def verify_figure(arr: Arrangement, census: CoverageCensus) -> tuple[IdentityCheck, ...]:
     """Compare every measured census quantity against its closed form,
-    evaluated in integers and made one Fraction to compare and print.
+    evaluated in integers and compared by integer cross-products.
 
     Returns every check, passed or failed; the figure verifies when all pass.
     """
@@ -611,24 +625,23 @@ def verify_figure(arr: Arrangement, census: CoverageCensus) -> tuple[IdentityChe
     basis, count = fig.overlap_shape
     shape_ok = sum(1 for r, c in zip(overlaps, corners) if c == count and r.basis == basis)
     unit, sides_den = fig.unit_den, fig.unit_den * q * q
-    balance = Fraction(-fig.big_unit * (a * a - big_n * b * b), unit)
+    balance = -fig.big_unit * (a * a - big_n * b * b)  # over unit
     exactly2 = fig.overlap_unit * fig.doubly_count * t * t
     exactly3 = fig.overlap_unit * fig.triple_count * t * t
-
     return (
         _check("small_count", len(arr.smalls), big_n),
         _check("doubly_region_count", len(census.doubly_covered_regions), fig.doubly_count),
         _check("triple_region_count", len(census.distinct_triple_regions), fig.triple_count),
         _check("overlap_sides_equal_t", sides_ok, len(overlaps)),
         _check("overlap_shapes", shape_ok, len(overlaps)),
-        _check("big_area", census.big_area, Fraction(fig.big_unit * a * a, unit)),
-        _check("total_small_area", census.total_small_area, Fraction(fig.big_unit * big_n * b * b, unit)),
-        _check("exactly2_area", census.exactly2_area, Fraction(exactly2, sides_den)),
-        _check("exactly3_area", census.exactly3_area, Fraction(exactly3, sides_den)),
-        _check("excess_area", census.excess_area, Fraction(exactly2 + 2 * exactly3, sides_den)),
-        _check("blank_area", census.blank_area, Fraction(fig.blank_unit * s * s, sides_den)),
-        _check("excess_minus_blank", census.excess_area - census.blank_area, balance),
-        _check("raw_area_balance", census.total_small_area - census.big_area, balance),
+        _area_check("big_area", census.big_area, 0, fig.big_unit * a * a, unit),
+        _area_check("total_small_area", census.total_small_area, 0, fig.big_unit * big_n * b * b, unit),
+        _area_check("exactly2_area", census.exactly2_area, 0, exactly2, sides_den),
+        _area_check("exactly3_area", census.exactly3_area, 0, exactly3, sides_den),
+        _area_check("excess_area", census.excess_area, 0, exactly2 + 2 * exactly3, sides_den),
+        _area_check("blank_area", census.blank_area, 0, fig.blank_unit * s * s, sides_den),
+        _area_check("excess_minus_blank", census.excess_area, census.blank_area, balance, unit),
+        _area_check("raw_area_balance", census.total_small_area, census.big_area, balance, unit),
         _check("max_depth", census.max_depth, 3 if fig.triple_count else 2),
     )
 

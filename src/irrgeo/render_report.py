@@ -299,8 +299,9 @@ def _add_pair_options(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parse_args keeps no state in it.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of this process and each command's own parser, by
+    name; parse_args keeps no state in them.
 
     argparse is imported here, on the first command line parsed, so that
     importing irrgeo does not load it.
@@ -362,7 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pair_options(sub)
     sub.add_argument("--out", required=True, metavar="PATH")
 
-    return parser
+    # a copy: the top-level parser reads its own to parse the command word
+    return parser, dict(subs.choices)
 
 
 def _resolve_family(name: str, n: int | None) -> DescentFamily:
@@ -626,10 +628,19 @@ def _cmd_svg(args) -> int:
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    """Run one command line; argv defaults to sys.argv[1:].
+
+    A line that starts with a command's name is parsed by that command's
+    own parser, as the top-level parser would hand it the rest, so the
+    help, errors and run are the same; every other line (no command, an
+    unknown one, top-level help) goes to the top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
     try:
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
             return args.run(args)
         finally:
             sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit

@@ -9,7 +9,7 @@ each call short is the bound itself, not the choice of values.
 import random
 import time
 
-from irrgeo import cli_main
+from irrgeo import cli_main, render_report
 
 _HUGE = str(2**5000 + 7)  # past every pair bound
 _TOO_LONG = "9" * 5000  # more digits than CPython turns into an int
@@ -86,3 +86,37 @@ def test_every_argv_is_answered_or_refused(capsys, tmp_path):
         codes[code] += 1
     # the draw reaches answers, refusals and failed figures alike
     assert min(codes.values()) >= 5, codes
+
+
+def _outcome(argv, tmp_path, capsys) -> tuple:
+    """cli_main's exit code (argparse's help exits through SystemExit), its
+    stdout and stderr, and the bytes of the file the fuzzed argvs name."""
+    written = tmp_path / "f"
+    written.unlink(missing_ok=True)
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, written.read_bytes() if written.exists() else None
+
+
+def test_command_parsers_answer_as_the_top_level_parser(capsys, tmp_path, monkeypatch):
+    # cli_main parses a line that starts with a command by that command's
+    # own parser; with that table emptied, the top-level parser parses
+    # every line, and each must give the same exit code, output and file
+    rng = random.Random(3)
+    argvs = [_argv(rng, tmp_path) for _ in range(300)]
+    argvs += [[], ["--help"], ["-h", "verify"], [""], ["nonsense"], ["nonsense", "--help"]]
+    argvs += [[command, "--help"] for command in _OPTIONS]
+    argvs += [["verify", "-h", "--family"], ["verify", "--", "--family", "sqrt2"], ["census", "--famil", "hex6"]]
+    split = [_outcome(argv, tmp_path, capsys) for argv in argvs]
+    parser, commands = render_report._build_parser()
+    assert sorted(commands) == sorted(_OPTIONS)
+    monkeypatch.setattr(render_report, "_build_parser", lambda: (parser, {}))
+    for argv, want in zip(argvs, split):
+        assert _outcome(argv, tmp_path, capsys) == want, argv
+    # the draw reaches help, usage errors, answers and written reports
+    codes = {code for code, *_ in split}
+    assert {0, 1, 2} <= codes
+    assert sum(1 for *_, data in split if data) >= 10

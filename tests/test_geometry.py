@@ -1403,6 +1403,50 @@ def test_verify_figure_mismatch():
             assert failed == reading, (family, field, failed)
 
 
+def _fraction_sides(arr: Arrangement, census) -> dict[str, tuple[Fraction, Fraction]]:
+    """Each area check's two sides as Fractions: the census area, or the
+    difference of two, and its closed form from the figure table."""
+    fig = _figure(arr.family)
+    a, b, big_n = arr.a, arr.b, arr.family.radicand
+    (ta, tb), (sa, sb), q = fig.sides
+    t, s = Fraction(ta * a + tb * b, q), Fraction(sa * a + sb * b, q)
+    unit = Fraction(1, fig.unit_den)
+    exactly2 = fig.overlap_unit * fig.doubly_count * t * t * unit
+    exactly3 = fig.overlap_unit * fig.triple_count * t * t * unit
+    balance = -fig.big_unit * (a * a - big_n * b * b) * unit
+    return {
+        "big_area": (census.big_area, fig.big_unit * a * a * unit),
+        "total_small_area": (census.total_small_area, fig.big_unit * big_n * b * b * unit),
+        "exactly2_area": (census.exactly2_area, exactly2),
+        "exactly3_area": (census.exactly3_area, exactly3),
+        "excess_area": (census.excess_area, exactly2 + 2 * exactly3),
+        "blank_area": (census.blank_area, fig.blank_unit * s * s * unit),
+        "excess_minus_blank": (census.excess_area - census.blank_area, balance),
+        "raw_area_balance": (census.total_small_area - census.big_area, balance),
+    }
+
+
+def test_verify_figure_writes_and_compares_areas_as_fractions():
+    # verify_figure compares areas by integer cross-products; each side must
+    # read as str(Fraction) writes it and pass exactly when the Fractions
+    # are equal, on every reference figure and with each area moved by 1
+    seen = {"negative": 0, "integer": 0, "failed": 0}
+    for arr in _reference_figures():
+        census = coverage_census(arr)
+        moved = [census._replace(**{f: getattr(census, f) + d}) for f in _CHECKS_READING for d in (1, -1)]
+        for c in [census] + moved:
+            sides = _fraction_sides(arr, c)
+            checks = [check for check in verify_figure(arr, c) if check.name in sides]
+            assert len(checks) == len(sides)
+            for check in checks:
+                lhs, rhs = sides[check.name]
+                assert check == (check.name, str(lhs), str(rhs), lhs == rhs), (arr.family, arr.a, arr.b)
+                seen["negative"] += lhs < 0
+                seen["integer"] += lhs.denominator == 1
+                seen["failed"] += lhs != rhs
+    assert min(seen.values()) >= 100, seen
+
+
 def test_figure_table_matches_fraction_closed_forms():
     # the table's integer forms against the paper's closed forms, written
     # here in Fractions: the sides t and s, the unit areas and the next pair

@@ -110,6 +110,26 @@ def test_factorize_refuses_what_miller_rabin_cannot_prove():
     assert factorize(1009**9) == {1009: 9}
 
 
+def test_factorize_answers_or_refuses_in_bounded_time():
+    # a square piece splits at its root, where rho would need about 2**30
+    # steps; a piece whose least prime is above 2**60 (here two Mersenne
+    # primes) is refused once rho has taken its step budget
+    big = 2**61 - 1
+    cases = (
+        (5 * big**2, {5: 1, big: 2}),
+        (big**2 * (2**31 - 1) ** 4, {2**31 - 1: 4, big: 2}),
+        (big * (2**89 - 1), None),
+    )
+    for n, expected in cases:
+        start = time.perf_counter()
+        if expected is None:
+            with pytest.raises(ValueError, match="Pollard's rho found no divisor"):
+                factorize(n)
+        else:
+            _assert_factors(n, expected)
+        assert time.perf_counter() - start < 5.0, n
+
+
 def test_squarefree_examples():
     d = squarefree_decompose(8)
     assert (d.squarefree, d.root) == (2, 2)
