@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact_arith import Surd
@@ -193,7 +192,7 @@ def range_check(family: DescentFamily) -> RangeCheckResult:
         ("a_out_positive", a_out, "> 0"),
         ("a_out_shrinks", a_out - sqrt_n, "< 0"),
         ("b_out_positive", b_out, "> 0"),
-        ("b_out_shrinks", b_out - Fraction(1), "< 0"),
+        ("b_out_shrinks", b_out - 1, "< 0"),
     )
     witnesses = []
     for name, value, require in conditions:

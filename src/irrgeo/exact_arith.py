@@ -1,6 +1,8 @@
 """Exact quadratic surds rat + coef*sqrt(radicand) over arbitrary-precision
 rationals: sums, differences and exact signs, but no product or ordering.
 Equality is the record's: two surds are equal when their fields are.
+An int part stays an int and a Fraction part a Fraction (3 == Fraction(3),
+and the two hash alike); any other number becomes a Fraction.
 
 No floating point anywhere; every sign reduces to integer arithmetic.
 """
@@ -25,9 +27,13 @@ def _validate_squarefree(radicand: int) -> None:
         raise ValueError(f"radicand must be squarefree, got {radicand}")
 
 
+def _exact(x: Fraction | int) -> Fraction | int:
+    return x if type(x) in (int, Fraction) else Fraction(x)
+
+
 class _SurdFields(NamedTuple):
-    rat: Fraction
-    coef: Fraction
+    rat: Fraction | int
+    coef: Fraction | int
     radicand: int
 
 
@@ -43,7 +49,7 @@ class Surd(_SurdFields):
 
     def __new__(cls, rat: Fraction | int, coef: Fraction | int, radicand: int) -> "Surd":
         _validate_squarefree(radicand)
-        return tuple.__new__(cls, (Fraction(rat), Fraction(coef), radicand))
+        return tuple.__new__(cls, (_exact(rat), _exact(coef), radicand))
 
     @classmethod
     def of(cls, rat: Fraction | int, coef: Fraction | int, radicand: int) -> "Surd":
@@ -56,10 +62,9 @@ class Surd(_SurdFields):
         if radicand < 1:
             raise ValueError(f"radicand must be positive, got {radicand}")
         dec = squarefree_decompose(radicand)
-        rat = Fraction(rat)
-        coef = Fraction(coef) * dec.root
+        rat, coef = _exact(rat), _exact(coef) * dec.root
         if dec.squarefree == 1:
-            return cls(rat=rat + coef, coef=Fraction(0), radicand=2)
+            return cls(rat=rat + coef, coef=0, radicand=2)
         return cls(rat=rat, coef=coef, radicand=dec.squarefree)
 
     def _merge_radicand(self, other: "Surd") -> int:

@@ -270,6 +270,10 @@ class _WriteError(Exception):
     pass
 
 
+class _ParserExit(Exception):
+    """argparse ended the line after printing help; args[0] is the status."""
+
+
 @contextmanager
 def _writing(path: str):
     """Open path for writing and yield the file; a failure to open, write
@@ -311,6 +315,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             raise _UsageError(message)
+
+        def exit(self, status=0, message=None):
+            # only the help action gets here (error is above), its text
+            # already printed; cli_main returns the status
+            raise _ParserExit(status)
 
         def _print_message(self, message, file=None):
             # argparse's own drops an OSError, so help sent to a full disk
@@ -414,7 +423,7 @@ MAX_CHAIN_STEPS = 10_000
 # core under CPython 3.11.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes 1.5-2.1 s and 30.6 MB peak RSS with --json (the report goes
+# 10000 takes 0.9-1.7 s and 31.5 MB peak RSS with --json (the report goes
 # to its file as it is made) on one Xeon core under CPython 3.11.
 MAX_RANGE_N = 10_000
 
@@ -628,7 +637,8 @@ def _cmd_svg(args) -> int:
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command line; argv defaults to sys.argv[1:].
+    """Run one command line and return its exit status, help included;
+    argv defaults to sys.argv[1:].
 
     A line that starts with a command's name is parsed by that command's
     own parser, as the top-level parser would hand it the rest, so the
@@ -644,6 +654,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             return args.run(args)
         finally:
             sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
+    except _ParserExit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
     except _WriteError as exc:

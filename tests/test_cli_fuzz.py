@@ -89,14 +89,11 @@ def test_every_argv_is_answered_or_refused(capsys, tmp_path):
 
 
 def _outcome(argv, tmp_path, capsys) -> tuple:
-    """cli_main's exit code (argparse's help exits through SystemExit), its
-    stdout and stderr, and the bytes of the file the fuzzed argvs name."""
+    """cli_main's exit code, its stdout and stderr, and the bytes of the
+    file the fuzzed argvs name."""
     written = tmp_path / "f"
     written.unlink(missing_ok=True)
-    try:
-        code = cli_main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = cli_main(argv)
     out, err = capsys.readouterr()
     return code, out, err, written.read_bytes() if written.exists() else None
 

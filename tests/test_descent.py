@@ -318,6 +318,72 @@ def test_range_check_perfect_square_radicand():
     assert not result.works
 
 
+_SMALL_PRIMES = [p for p in range(2, 142) if all(p % d for d in range(2, p))]
+
+
+def _square_split(m: int) -> tuple[int, int]:
+    """(f, r) with m = f * r**2 and f squarefree, by trial division; every
+    m here is at most 20,001 < 142**2, so a cofactor left over is prime."""
+    f = r = 1
+    for p in _SMALL_PRIMES:
+        while m % (p * p) == 0:
+            m //= p * p
+            r *= p
+        if m % p == 0:
+            m //= p
+            f *= p
+    return f * m, r
+
+
+def _witness_oracle(big_n: int, f: int, r: int, ca: int, cb: int, da: int, db: int) -> list:
+    """(name, text, sign) of the four range witnesses x + y*sqrt(N) at
+    (a, b) = (sqrt(N), 1), N = f * r**2: the sign from x**2 against
+    y**2 * N, the text as "x/1 + y*r/1*sqrt(f)", or "x + y*r/1" when N is
+    a perfect square."""
+    out = []
+    for name, x, y in (
+        ("a_out_positive", cb, ca),
+        ("a_out_shrinks", cb, ca - 1),
+        ("b_out_positive", db, da),
+        ("b_out_shrinks", db - 1, da),
+    ):
+        if x * y >= 0:
+            sign = (x > 0) - (x < 0) or (y > 0) - (y < 0)
+        else:
+            lhs, rhs = x * x, y * y * big_n
+            sign = 0 if lhs == rhs else (x > 0) - (x < 0) if lhs > rhs else (y > 0) - (y < 0)
+        text = f"{x + y * r}/1" if f == 1 else f"{x}/1 + {y * r}/1*sqrt({f})"
+        out.append((name, text, sign))
+    return out
+
+
+def test_range_witnesses_match_an_integer_oracle():
+    from irrgeo.render_report import surd_str
+
+    # the maps as the paper states them: a' = ca*a + cb*b, b' = da*a + db*b
+    cases = [(DescentFamily.sqrt2(), 2, 2, 1, (-1, 2), (1, -1)), (DescentFamily.hex6(), 6, 6, 1, (3, -6), (-1, 3))]
+    for n in range(2, 20_001):
+        # T_n = u * v with u and v coprime
+        u, v = (n // 2, n + 1) if n % 2 == 0 else (n, (n + 1) // 2)
+        (fu, ru), (fv, rv) = _square_split(u), _square_split(v)
+        t, h = u * v, (n + 1) // 2
+        maps = ((n, -t), (-1, n)) if n % 2 == 0 else ((-h, t), (1, -h))
+        cases.append((DescentFamily.triangular(n), t, fu * fv, ru * rv, *maps))
+    squares = []
+    for family, big_n, f, r, (ca, cb), (da, db) in cases:
+        assert big_n == f * r * r
+        if f == 1:
+            squares.append(family.n)
+        result = range_check(family)
+        got = [(w.name, surd_str(w.value), w.sign) for w in result.witnesses]
+        assert got == _witness_oracle(big_n, f, r, ca, cb, da, db), family
+        for w in result.witnesses:
+            assert type(w.value.rat) is int and type(w.value.coef) is int, (family, w)
+            assert w.ok == (w.sign > 0 if w.require == "> 0" else w.sign < 0)
+        assert result.works == all(w.ok for w in result.witnesses)
+    assert squares == [8, 49, 288, 1681, 9800]
+
+
 def test_chain_sqrt2_example():
     chain = descent_chain(DescentFamily.sqrt2(), 17, 12, 32)
     assert [s.pair_out for s in chain.steps] == [(7, 5), (3, 2), (1, 1)]

@@ -138,3 +138,63 @@ def test_surd_sign_matches_a_fraction_oracle_on_a_grid():
                 scale = Fraction(rng.randint(1, 999), rng.randint(1, 999))
                 rat_s, coef_s = rat * scale, coef * scale
                 assert Surd(rat_s, coef_s, radicand).sign() == _fraction_sign(rat_s, coef_s, radicand)
+
+
+def test_surd_keeps_int_and_fraction_parts():
+    # an int part stays an int, a Fraction part a Fraction; the record
+    # still compares and hashes by value, as 3 == Fraction(3) does
+    x, y = Surd(3, 1, 2), Surd(Fraction(3), Fraction(1), 2)
+    assert x == y and hash(x) == hash(y)
+    assert (type(x.rat), type(x.coef)) == (int, int)
+    assert (type(y.rat), type(y.coef)) == (Fraction, Fraction)
+    for value, want in (
+        (Surd.of(5, -3, 12), (5, -6, 3)),
+        (Surd.of(0, 1, 2), (0, 1, 2)),
+        (Surd.of(1, 1, 9), (4, 0, 2)),  # a perfect square folds into rat
+        (Surd.of(-7, 2, 36), (5, 0, 2)),
+    ):
+        assert tuple(value) == want
+        assert (type(value.rat), type(value.coef)) == (int, int), value
+    for value, want in (
+        (Surd.of(Fraction(1, 2), Fraction(1, 3), 18), (Fraction(1, 2), Fraction(1), 2)),
+        (Surd.of(Fraction(1, 2), Fraction(1, 3), 9), (Fraction(3, 2), 0, 2)),
+    ):
+        assert tuple(value) == want
+        assert type(value.rat) is Fraction, value
+    # any other number is read exactly as Fraction reads it
+    assert tuple(Surd(0.5, "1/3", 2)) == (Fraction(1, 2), Fraction(1, 3), 2)
+    assert tuple(Surd.of("1/3", 0.25, 8)) == (Fraction(1, 3), Fraction(1, 2), 2)
+    assert type(Surd(True, 1, 2).rat) is Fraction
+
+
+def test_surd_int_and_fraction_mixes_stay_exact():
+    z = Surd(1, 1, 2)
+    for total, want in (
+        (z + Fraction(1, 3), (Fraction(4, 3), 1, 2)),
+        (z - Fraction(1, 3), (Fraction(2, 3), 1, 2)),
+        (z + Surd(Fraction(1, 2), Fraction(-2, 3), 2), (Fraction(3, 2), Fraction(1, 3), 2)),
+        (z - Surd(Fraction(1, 2), Fraction(-2, 3), 2), (Fraction(1, 2), Fraction(5, 3), 2)),
+        (Surd(Fraction(1, 3), 0, 2) + Surd(Fraction(2, 3), 2, 3), (1, 2, 3)),
+        (z - 1, (0, 1, 2)),
+    ):
+        assert tuple(total) == want
+    # Fraction arithmetic keeps its type even at a whole value; the text
+    # of the two is the same ("1/1")
+    whole = (Surd(Fraction(1, 3), 0, 2) + Surd(Fraction(2, 3), 2, 3)).rat
+    assert type(whole) is Fraction and (whole.numerator, whole.denominator) == (1, 1)
+    assert type((z - 1).rat) is int
+
+
+def test_surd_sign_matches_a_fraction_oracle_on_large_int_parts():
+    # int parts up to 10**40: random ones, and near misses x = p, y = -q
+    # from convergents p/q of sqrt(N), where x**2 - N*y**2 is small
+    squarefree = [n for n in range(2, 201) if all(n % (k * k) for k in range(2, 15))]
+    rng = random.Random(27)
+    for radicand in squarefree:
+        pairs = [(p, q) for p, q in convergents(radicand, 120) if p < 10**40][-4:]
+        pairs += [(rng.randint(1, 10**40), rng.randint(1, 10**40)) for _ in range(4)]
+        for p, q in pairs:
+            for x, y in ((p, -q), (-p, q), (p, q), (-p, -q), (p, 0), (0, -q)):
+                got = Surd(x, y, radicand)
+                assert (type(got.rat), type(got.coef)) == (int, int)
+                assert got.sign() == _fraction_sign(Fraction(x), Fraction(y), radicand), (x, y, radicand)

@@ -255,6 +255,25 @@ def _run_into(stdout, argv: list[str], unbuffered: bool) -> tuple[int, str]:
     return proc.returncode, proc.stderr
 
 
+def test_cli_help_returns_0_in_process(capsys, monkeypatch):
+    # help is an answer like any other: cli_main returns 0 (it raises no
+    # SystemExit), and prints what python -m irrgeo prints, at the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = ["verify", "census", "chain", "range", "sequence", "density", "svg"]
+    for argv in [["--help"], ["-h", "verify"]] + [[command, "--help"] for command in commands]:
+        assert cli_main(argv) == 0, argv
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "irrgeo", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, captured.out, captured.err), argv
+        assert captured.out.startswith("usage: irrgeo") and captured.err == "", argv
+
+
 # unbuffered, the first print fails; buffered, the final flush does; help
 # text goes through argparse, which must not drop the failure either
 @pytest.mark.parametrize(
