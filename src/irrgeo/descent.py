@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exact_arith import Surd
 from .number_theory import triangular
@@ -127,19 +127,23 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     if a < 1 or b < 1:
         raise ValueError(f"need a positive pair, got ({a}, {b})")
     fmap = _MAPS[family.kind](family.n)
-    return _step(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * (b * b))
+    return next(_steps(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * (b * b)))
 
 
-def _step(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int) -> DescentStep:
-    """The step of fmap, with multiplier m, from (a, b) of defect d_in;
-    the output defect is computed from squares and must be m * d_in."""
+def _steps(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int) -> Iterator[DescentStep]:
+    """The steps of fmap, with multiplier m, from (a, b) of defect d_in on,
+    each from the last one's output pair and defect; each output defect is
+    computed from squares and must be m times the input defect."""
     big_n, (ca, cb), (da, db) = fmap
-    a_out = ca * a + cb * b
-    b_out = da * a + db * b
-    d_out = a_out * a_out - big_n * (b_out * b_out)
-    if d_out != m * d_in:
-        raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
-    return DescentStep(family, (a, b), (a_out, b_out), d_in, d_out, m)
+    while True:
+        a_out = ca * a + cb * b
+        b_out = da * a + db * b
+        d_out = a_out * a_out - big_n * (b_out * b_out)
+        if d_out != m * d_in:
+            raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
+        # DescentStep._make without its field count check: six are given
+        yield tuple.__new__(DescentStep, (family, (a, b), (a_out, b_out), d_in, d_out, m))
+        a, b, d_in = a_out, b_out, d_out
 
 
 def _square_difference(c, p, q, d, r, s) -> tuple:
@@ -224,16 +228,15 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     fmap = _MAPS[family.kind](family.n)
-    m = defect_multiplier(family)
-    # each step's pair_out is the next pair_in, so its defect_out is the
-    # next defect_in
-    d_in = a * a - fmap.radicand * (b * b)
+    # one record per kept step, each drawn only under the cap: the kernel
+    # computes a step when it is drawn
+    kernel = _steps(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * (b * b))
     steps: list[DescentStep] = []
     cur = (a, b)
     reason = "max_steps"
     while len(steps) < max_steps:
-        step = _step(family, fmap, m, *cur, d_in)
-        a_out, b_out = step.pair_out
+        step = next(kernel)
+        a_out, b_out = pair_out = step.pair_out
         if a_out < 1 or b_out < 1:
             reason = "nonpositive"
             break
@@ -241,7 +244,7 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
             reason = "no_decrease"
             break
         steps.append(step)
-        cur, d_in = step.pair_out, step.defect_out
+        cur = pair_out
     return ChainResult(
         family=family,
         start=(a, b),

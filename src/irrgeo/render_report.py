@@ -274,12 +274,19 @@ class _ParserExit(Exception):
     """argparse ended the line after printing help; args[0] is the status."""
 
 
+# A report or SVG goes to its file piece by piece, up to 17.9 MB in all (the
+# chain of triangular n = 4 from convergent 1561); a 1 MiB buffer hands it
+# to the system in few writes, where the default 8 KB one makes a write
+# every 8 KB.
+_FILE_BUFFER = 1 << 20
+
+
 @contextmanager
 def _writing(path: str):
     """Open path for writing and yield the file; a failure to open, write
     or close it becomes a one-line error for the CLI."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", buffering=_FILE_BUFFER) as fh:
             yield fh
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -419,11 +426,11 @@ MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
 # n = 64 at convergent 584 (a 998-bit pair, an 11.6 MB SVG written to its
-# file as it is drawn) takes 1.3-1.6 s and 26 MB peak RSS on one Xeon
+# file as it is drawn) takes 0.7-0.9 s and 27.4 MB peak RSS on one Xeon
 # core under CPython 3.11.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes 0.9-1.7 s and 31.5 MB peak RSS with --json (the report goes
+# 10000 takes 1.0-1.8 s and 32.7 MB peak RSS with --json (the report goes
 # to its file as it is made) on one Xeon core under CPython 3.11.
 MAX_RANGE_N = 10_000
 
@@ -657,12 +664,17 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except _ParserExit as exc:
         return exc.args[0]
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        message = f"usage error: {exc}"
     except _WriteError as exc:
-        print(exc, file=sys.stderr)
+        message = str(exc)
     except OSError as exc:  # a failed file write is a _WriteError, so this is stdout
-        print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        message = f"cannot write stdout: {exc.strerror or exc}"
         # stdout still holds what it could not write; at exit the interpreter
         # would try again and report the failure a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except MemoryError:
+        # printed below, once this block has let go of the traceback and,
+        # through it, of the run's objects
+        message = "out of memory"
+    print(message, file=sys.stderr)
     return 1

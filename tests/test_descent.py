@@ -406,12 +406,21 @@ def test_chain_descent_failure():
     assert chain.final_pair == (9, 2)
 
 
-def test_chain_max_steps():
-    chain = descent_chain(DescentFamily.sqrt2(), 99, 70, 2)
+def test_chain_max_steps(monkeypatch):
+    family = DescentFamily.sqrt2()
+    chain = descent_chain(family, 99, 70, 2)
     assert len(chain.steps) == 2
     assert chain.stop_reason == "max_steps"
-    chain = descent_chain(DescentFamily.sqrt2(), 99, 70, 0)
+    chain = descent_chain(family, 99, 70, 0)
     assert chain.steps == () and chain.stop_reason == "max_steps"
+    # no step is computed past the cap: with a wrong multiplier every step
+    # fails its check, so a chain of at most 0 steps must not raise and one
+    # of at most 1 must
+    monkeypatch.setattr(irrgeo.descent, "defect_multiplier", lambda family: 5)
+    chain = descent_chain(family, 99, 70, 0)
+    assert chain.steps == () and chain.stop_reason == "max_steps" and chain.final_pair == (99, 70)
+    with pytest.raises(AssertionError, match="not 5 times it"):
+        descent_chain(family, 99, 70, 1)
 
 
 _CHAIN_KS = (1, 2, 3, 5, 8, 13, 34, 89, 200)

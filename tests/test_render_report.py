@@ -26,6 +26,7 @@ from irrgeo.render_report import (
     MAX_PAIR_BITS,
     MAX_SVG_BITS,
     SQRT3_HALF,
+    _FILE_BUFFER,
     _svg_points,
     build_census_run,
     build_range_run,
@@ -227,6 +228,9 @@ def test_cli_write_failure_exits_1(capsys, tmp_path):
             ["verify", *pair, "--json", path],
             ["range", "--family", "triangular", "--n-max", "10", "--json", path],
             ["svg", *pair, "--out", path],
+            # a report larger than the file's buffer, which fills and
+            # fails mid-write, before the close
+            ["chain", "--family", "triangular", "--n", "4", "--convergent", "700", "--max-steps", "10000", "--json", path],
             ["chain", "--family", "sqrt2", "--a", "17", "--b", "12", "--json", path],
         ):
             code = cli_main(argv)
@@ -236,6 +240,25 @@ def test_cli_write_failure_exits_1(capsys, tmp_path):
         # chain prints all of stdout before it opens the report
         assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
         assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
+
+
+def test_cli_out_of_memory_exits_1(capsys, monkeypatch):
+    # a MemoryError mid-run gives one stderr line and exit 1, after the
+    # stdout lines already printed, not a traceback
+    calls = []
+
+    def exhausted(family):
+        calls.append(family)
+        if len(calls) == 3:
+            raise MemoryError
+        return range_check(family)
+
+    monkeypatch.setattr("irrgeo.render_report.range_check", exhausted)
+    assert cli_main(["range", "--family", "triangular", "--n-max", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "out of memory\n"
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.out == "n=2: works\nn=3: works\n"
 
 
 def _run_into(stdout, argv: list[str], unbuffered: bool) -> tuple[int, str]:
@@ -675,7 +698,8 @@ def test_render_json_contract_beyond_plain_types():
 
 def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
     # --json writes the report to its file piece by piece, so the largest
-    # report of a range sweep adds little to the run's peak memory
+    # report of a range sweep adds little to the run's peak memory beyond
+    # the file's fixed buffer
     argv = ["range", "--family", "triangular", "--n-max", "2000"]
     cli_main(argv[:-1] + ["3"])  # the parser is built outside the measurement
     peaks = []
@@ -688,7 +712,7 @@ def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
         finally:
             tracemalloc.stop()
     assert (tmp_path / "range.json").stat().st_size > 1_000_000
-    assert peaks[1] <= 1.25 * peaks[0], peaks
+    assert peaks[1] - _FILE_BUFFER <= 1.25 * peaks[0], peaks
 
 
 def test_every_json_report_goes_through_render_json(capsys, monkeypatch, tmp_path):
@@ -743,7 +767,8 @@ def test_sequence_is_written_as_it_is_converted(capsys, tmp_path):
 
 def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
     # svg writes the drawing to its file polygon by polygon, so its peak
-    # memory stays near the census it draws from
+    # memory, less the file's fixed buffer, stays near the census it draws
+    # from
     pair = ["--family", "triangular", "--n", "32", "--convergent", "40"]
     cli_main(["census", "--family", "sqrt2", "--a", "7", "--b", "5"])  # the parser is built outside the measurement
     peaks = []
@@ -756,7 +781,7 @@ def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
         finally:
             tracemalloc.stop()
     assert (tmp_path / "x.svg").stat().st_size > 400_000
-    assert peaks[1] <= 2 * peaks[0], peaks
+    assert peaks[1] - _FILE_BUFFER <= 1.5 * peaks[0], peaks
 
 
 def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
