@@ -26,7 +26,6 @@ from .geometry import (
     BasisMismatch,
     CoverageCensus,
     DepthExceeded,
-    LatticePoint,
     LatticePolygon,
     ORTHOGONAL,
     OutOfWindow,
@@ -60,7 +59,6 @@ __all__ = [
     "DescentFamily",
     "DescentStep",
     "FamilyKind",
-    "LatticePoint",
     "LatticePolygon",
     "ORTHOGONAL",
     "OutOfWindow",

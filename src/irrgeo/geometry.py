@@ -16,10 +16,10 @@ in a NamedTuple, so tuple equality is equality of point sets.  Validity,
 areas, edge lengths, the overlap shapes, containment and intersection are
 integer comparisons and differences of the bounds, and so are the census's
 area sums, over one denominator, and the figure table's forms; the corners
-(ints, over den) are computed on each read, for drawing and for the public
-constructor, which accepts only a list that is exactly the corners of its
-bounds.  Two polygons intersect by taking the larger lower and the smaller
-upper bounds; the census reads the bounds to find the pairs worth clipping.
+(ints, over den) are computed on each read, for drawing.  The one
+constructor takes the bounds and checks them.  Two polygons intersect by
+taking the larger lower and the smaller upper bounds; the census reads the
+bounds to find the pairs worth clipping.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ class DepthExceeded(ValueError):
     """Four smalls share interior points; no figure here does that."""
 
 
-class LatticePoint(NamedTuple):
-    u: Fraction
-    v: Fraction
-
-
 _IntPoint = tuple[int, int]
 
 
@@ -80,32 +75,17 @@ class LatticePolygon(_Bounds):
     every bound an integer over den.
 
     The bounds are reduced by their gcd with den and tight, so the record
-    is canonical and tuple equality is equality of point sets.  ints
-    (the corners times den) and vertices (the same as Fractions) run
-    counter-clockwise from the lexicographically smallest corner.
-    LatticePolygon(vertices, basis) takes exactly such a corner list, in
-    any rotation; _alcove builds one from its bounds.
+    is canonical and tuple equality is equality of point sets.
+    LatticePolygon(basis, den, lu, hu, lv, hv, lw, hw) checks the bounds
+    as _alcove does, and copy and pickle rebuild through it.  ints (the
+    corners times den) and vertices (the same as (u, v) Fraction pairs)
+    run counter-clockwise from the lexicographically smallest corner.
     """
 
     __slots__ = ()
 
-    def __new__(cls, vertices: Iterable, basis: str) -> "LatticePolygon":
-        pts = [(Fraction(u), Fraction(v)) for u, v in vertices]
-        if len(pts) < 3:
-            raise ValueError(f"need at least 3 vertices, got {len(pts)}")
-        den = lcm(*(x.denominator for p in pts for x in p))
-        ints = [(u.numerator * (den // u.denominator), v.numerator * (den // v.denominator)) for u, v in pts]
-        us, vs = [x for x, _ in ints], [y for _, y in ints]
-        ws = [x + y for x, y in ints]
-        poly = _alcove(basis, den, min(us), max(us), min(vs), max(vs), min(ws), max(ws))
-        start = ints.index(min(ints))
-        if poly.den != den or tuple(ints[start:] + ints[:start]) != poly.ints:
-            raise ValueError("vertices must be the corners of their bounds on u, v and u + v, counter-clockwise")
-        return poly
-
-    def __reduce__(self):
-        # copy and pickle rebuild from the fields, not through __new__
-        return LatticePolygon._make, (tuple(self),)
+    def __new__(cls, basis: str, den: int, lu: int, hu: int, lv: int, hv: int, lw: int, hw: int) -> "LatticePolygon":
+        return _alcove(basis, den, lu, hu, lv, hv, lw, hw)
 
     @property
     def ints(self) -> tuple[_IntPoint, ...]:
@@ -116,9 +96,11 @@ class LatticePolygon(_Bounds):
         return tuple(c for c, after in zip(corners, corners[1:] + corners[:1]) if c != after)
 
     @property
-    def vertices(self) -> tuple[LatticePoint, ...]:
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The corners as Fractions; the program draws from ints, and only
+        the benchmark's coordinate size count reads these."""
         den = self.den
-        return tuple(LatticePoint(Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
 
     def _edges(self) -> tuple[int, int, int, int, int, int]:
         """The u or v extents times den of the six edges, edge i leaving the
@@ -448,11 +430,11 @@ class CoverageCensus(NamedTuple):
     """Complete exact accounting of how the smalls cover the big figure.
 
     All areas are lattice areas, summed in integers, each made a Fraction
-    once.  pair_keys/triple_keys index into smalls; regions are aligned
-    with their keys.  Depth is capped at 3 by construction (DepthExceeded
-    otherwise).  coverage_census dedups the regions once, in first-seen
-    order; the doubly covered ones are the distinct pair regions that are
-    no triple region.
+    once.  The pair and triple regions run in the order of their smalls'
+    index pairs and triples.  Depth is capped at 3 by construction
+    (DepthExceeded otherwise).  coverage_census dedups the regions once, in
+    first-seen order; the doubly covered ones are the distinct pair regions
+    that are no triple region.
     """
 
     big_area: Fraction
@@ -462,9 +444,7 @@ class CoverageCensus(NamedTuple):
     excess_area: Fraction
     exactly2_area: Fraction
     exactly3_area: Fraction
-    pair_keys: tuple[tuple[int, int], ...]
     pair_regions: tuple[LatticePolygon, ...]
-    triple_keys: tuple[tuple[int, int, int], ...]
     triple_regions: tuple[LatticePolygon, ...]
     max_depth: int
     distinct_pair_regions: tuple[LatticePolygon, ...]
@@ -570,9 +550,7 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
         excess_area=Fraction(small - union, whole),
         exactly2_area=Fraction(exactly2, whole),
         exactly3_area=Fraction(triple, whole),
-        pair_keys=tuple(pairs),
         pair_regions=tuple(pairs.values()),
-        triple_keys=tuple(triples),
         triple_regions=tuple(triples.values()),
         max_depth=max_depth,
         distinct_pair_regions=distinct_pairs,

@@ -25,7 +25,16 @@ from irrgeo.descent import (
     range_check,
 )
 from irrgeo.exact_arith import Surd
-from irrgeo.geometry import _figure, build_arrangement, coverage_census, verify_eq1, verify_figure, window_inequalities
+from irrgeo.geometry import (
+    TRIANGULAR,
+    LatticePolygon,
+    _figure,
+    build_arrangement,
+    coverage_census,
+    verify_eq1,
+    verify_figure,
+    window_inequalities,
+)
 from irrgeo.number_theory import convergents, squarefree_decompose, triangular
 
 
@@ -516,6 +525,7 @@ def test_copy_and_pickle_rebuild_through_the_checks():
         (DescentFamily._make((FamilyKind.SQRT2, 2)), BadIndex, "sqrt2 takes no index n"),
         (arr._replace(big=arr.smalls[0], smalls=(arr.big,)), ValueError, "small 0 is not inside the big figure"),
         (Surd._make((1, 1, 12)), ValueError, "radicand must be squarefree, got 12"),
+        (LatticePolygon._make((TRIANGULAR, 1, 0, 5, 0, 1, 0, 1)), ValueError, "not attained"),
     )
     for record, error, message in unchecked:
         for rebuild in _REBUILDS:

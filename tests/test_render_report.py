@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import irrgeo
+from _lattice import corner_polygon
 from conftest import all_figure_families
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
@@ -505,8 +506,8 @@ _SVG_SHAPES = (
 def _ref_scene_points(poly: LatticePolygon) -> tuple[tuple[float, float], ...]:
     """The projection as it was written on Fraction vertices."""
     points = []
-    for p in poly.vertices:
-        u, v = float(p.u), float(p.v)
+    for u, v in poly.vertices:
+        u, v = float(u), float(v)
         points.append((u, -v) if poly.basis == ORTHOGONAL else (u + v / 2, -v * SQRT3_HALF))
     return tuple(points)
 
@@ -523,7 +524,7 @@ def test_svg_points_from_ints_match_fraction_projection():
         x, y = (Fraction(rng.randrange(-(2**bits), 2**bits), den) for _ in range(2))
         side = Fraction(rng.randrange(1, 2**bits), den)
         corners = rng.choice(_SVG_SHAPES)
-        poly = LatticePolygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
+        poly = corner_polygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
         assert _svg_points(poly, basis == ORTHOGONAL) == _ref_scene_points(poly), (basis, poly)
 
 
