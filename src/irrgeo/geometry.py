@@ -457,17 +457,12 @@ def _twice_area(polys: Iterable[LatticePolygon], den: int) -> int:
     off their bounds; den is a multiple of every polygon's denominator.
 
     Twice a polygon's area times its own d**2 is its u, v box less the two
-    corners that u + v cuts off, so it depends only on d, the u and v
-    extents and the legs of those two corners; it is computed once per
-    distinct shape, times the number of polygons of that shape.
+    corners that u + v cuts off:
+    2(hu - lu)(hv - lv) - (lw - lu - lv)**2 - (hu + hv - hw)**2.
     """
-    shapes: dict[tuple[int, ...], int] = {}
-    for _, d, lu, hu, lv, hv, lw, hw in polys:
-        shape = (d, hu - lu, hv - lv, lw - lu - lv, hu + hv - hw)
-        shapes[shape] = shapes.get(shape, 0) + 1
     return sum(
-        count * (2 * eu * ev - low * low - high * high) * (den // d) ** 2
-        for (d, eu, ev, low, high), count in shapes.items()
+        (2 * (hu - lu) * (hv - lv) - (lw - lu - lv) ** 2 - (hu + hv - hw) ** 2) * (den // d) ** 2
+        for _, d, lu, hu, lv, hv, lw, hw in polys
     )
 
 

@@ -14,6 +14,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .descent import (
@@ -60,7 +61,7 @@ def surd_str(x: Surd) -> str:
     return f"{frac_str(x.rat)} + {frac_str(x.coef)}*sqrt({x.radicand})"
 
 
-def report_envelope(runs: list[dict]) -> dict:
+def report_envelope(runs: list[dict] | GeneratorType) -> dict:
     return {"version": SCHEMA_VERSION, "runs": runs}
 
 
@@ -176,8 +177,8 @@ def build_range_run(result: RangeCheckResult) -> dict:
 def render_json(report: dict, write: Callable[[str], object]) -> None:
     """Pass write, piece by piece, the report as the json module writes it
     with indent=2, plus a final newline, byte for byte, for the types
-    reports hold: dicts with str keys, lists, str, int, bool and None;
-    anything else raises TypeError.
+    reports hold: dicts with str keys, lists (or generators, drawn as they
+    are written), str, int, bool and None; anything else raises TypeError.
 
     With an indent the json module falls back to its pure-Python encoder;
     this writer does the same work without its generality.
@@ -188,7 +189,7 @@ def render_json(report: dict, write: Callable[[str], object]) -> None:
 
 def _write_value(x, newline: str, write: Callable[[str], object]) -> None:
     """Pass x's JSON text to write, piece by piece; newline starts each
-    line at x's depth."""
+    line at x's depth.  A container is empty if its loop wrote nothing."""
     if isinstance(x, str):
         write(encode_basestring_ascii(x))
     elif isinstance(x, bool):  # before int: bool is an int
@@ -198,9 +199,6 @@ def _write_value(x, newline: str, write: Callable[[str], object]) -> None:
     elif x is None:
         write("null")
     elif isinstance(x, dict):
-        if not x:
-            write("{}")
-            return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in x.items():
@@ -211,18 +209,15 @@ def _write_value(x, newline: str, write: Callable[[str], object]) -> None:
             write(": ")
             _write_value(value, inner, write)
             sep = "," + inner
-        write(newline + "}")
-    elif isinstance(x, list):
-        if not x:
-            write("[]")
-            return
+        write("{}" if sep[0] == "{" else newline + "}")
+    elif isinstance(x, (list, GeneratorType)):
         inner = newline + "  "
         sep = "[" + inner
         for value in x:
             write(sep)
             _write_value(value, inner, write)
             sep = "," + inner
-        write(newline + "]")
+        write("[]" if sep[0] == "[" else newline + "]")
     else:
         raise TypeError(f"reports hold no {type(x).__name__}")
 
@@ -244,21 +239,21 @@ def _svg_points(poly: LatticePolygon, orthogonal: bool) -> tuple[tuple[float, fl
 def render_svg(arr: Arrangement, census: CoverageCensus, write: Callable[[str], object]) -> None:
     """Pass the figure's SVG text to write, line by line, layered back to
     front: big, smalls, double then triple overlaps, each at its coverage
-    depth color."""
+    depth color, each projected as it is written.  The viewBox is the big
+    figure's: it holds every small (Arrangement checks that) and overlap."""
     orthogonal = arr.big.basis == ORTHOGONAL
-    layers = (arr.big,), arr.smalls, census.distinct_pair_regions, census.distinct_triple_regions
-    polys = [(_svg_points(p, orthogonal), DEPTH_FILL[depth]) for depth, layer in enumerate(layers) for p in layer]
-    xs = [x for points, _ in polys for x, _ in points]
-    ys = [y for points, _ in polys for _, y in points]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xs, ys = zip(*_svg_points(arr.big, orthogonal))
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     span = max(x1 - x0, y1 - y0) or 1.0
     margin = 0.04 * span
     viewbox = (x0 - margin, y0 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)
     write('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%.6f %.6f %.6f %.6f">\n' % viewbox)
     write('<g stroke="#333333" stroke-width="%.6f" stroke-linejoin="round">\n' % (0.008 * span))
-    for points, fill in polys:
-        write('<polygon fill="%s" points="%s"/>\n' % (fill, " ".join("%.6f,%.6f" % xy for xy in points)))
+    layers = (arr.big,), arr.smalls, census.distinct_pair_regions, census.distinct_triple_regions
+    for depth, layer in enumerate(layers):
+        for p in layer:
+            points = " ".join("%.6f,%.6f" % xy for xy in _svg_points(p, orthogonal))
+            write('<polygon fill="%s" points="%s"/>\n' % (DEPTH_FILL[depth], points))
     write("</g>\n</svg>\n")
 
 
@@ -426,12 +421,12 @@ MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
 # n = 64 at convergent 584 (a 998-bit pair, an 11.6 MB SVG written to its
-# file as it is drawn) takes 0.7-0.9 s and 27.4 MB peak RSS on one Xeon
+# file as it is drawn) takes 0.9-1.1 s and 26.3 MB peak RSS on one Xeon
 # core under CPython 3.11.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes 1.0-1.8 s and 32.7 MB peak RSS with --json (the report goes
-# to its file as it is made) on one Xeon core under CPython 3.11.
+# 10000 takes 1.0-1.4 s and 17.6 MB peak RSS with --json, 16.6 MB without
+# (each run is printed and written as it is decided), on one Xeon core.
 MAX_RANGE_N = 10_000
 
 
@@ -472,9 +467,9 @@ def _resolve_figure(
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
-    """Write the report to path as render_json makes it, so no string of
-    the whole report is built."""
-    if path:
+    """Write the report to path, if one is given, as render_json makes it,
+    so no string of the whole report is built."""
+    if path is not None:
         with _writing(path) as fh:
             render_json(report, fh.write)
 
@@ -558,7 +553,7 @@ def _cmd_chain(args) -> int:
     for i, ((a_in, b_in, d_in), (a_out, b_out, d_out)) in enumerate(zip(rows, rows[1:]), start=1):
         write("step %d: (%s, %s) -> (%s, %s)  defect %s -> %s\n" % (i, a_in, b_in, a_out, b_out, d_in, d_out))
     write(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
-    if args.json:
+    if args.json is not None:
         _write_chain_json(args.json, chain, rows)
     return 0
 
@@ -597,18 +592,26 @@ def _cmd_range(args) -> int:
         DescentFamily(FamilyKind(args.family), indices[0])
     except BadIndex:  # range reads the index from --n-max, not from --n
         raise _UsageError(f"range --family {args.family} {'takes no' if sweep else 'needs'} --n-max")
-    runs = []
     verdicts: dict[str, list[str]] = {"works": [], "fails": []}
-    for n in indices:
-        result = range_check(_resolve_family(args.family, n))
-        runs.append(build_range_run(result))
-        verdict = "works" if result.works else "fails"
-        verdicts[verdict].append(str(n))
-        print(f"n={n}: {verdict}" if sweep else f"{result.family.title}: {verdict}")
+
+    def decided():  # prints and yields each run as it is decided
+        for n in indices:
+            result = range_check(_resolve_family(args.family, n))
+            verdict = "works" if result.works else "fails"
+            verdicts[verdict].append(str(n))
+            try:  # this runs in the report's _writing, which would take a failed print for its own
+                print(f"n={n}: {verdict}" if sweep else f"{result.family.title}: {verdict}")
+            except OSError as exc:
+                raise _WriteError(f"cannot write stdout: {exc.strerror or exc}") from exc
+            yield build_range_run(result)
+
+    runs = decided()
+    _write_json(args.json, report_envelope(runs))
+    for _ in runs:  # without --json, only this loop draws them
+        pass
     if sweep:
         for verdict, ns in verdicts.items():
             print(f"{verdict}: " + (",".join(ns) or "none"))
-    _write_json(args.json, report_envelope(runs))
     return 0
 
 

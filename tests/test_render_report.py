@@ -1,5 +1,6 @@
 import contextlib
 import enum
+import itertools
 import json
 import os
 import random
@@ -16,9 +17,10 @@ import pytest
 import irrgeo
 from _lattice import corner_polygon
 from conftest import all_figure_families
+from test_geometry import _random_arrangements, _reference_figures
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
-from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, LatticePolygon, coverage_census
+from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents, square_triangular
 from irrgeo.render_report import (
     MAX_CHAIN_N,
@@ -26,6 +28,7 @@ from irrgeo.render_report import (
     MAX_CONVERGENT,
     MAX_PAIR_BITS,
     MAX_SVG_BITS,
+    DEPTH_FILL,
     SQRT3_HALF,
     _FILE_BUFFER,
     _svg_points,
@@ -35,6 +38,7 @@ from irrgeo.render_report import (
     cli_main,
     frac_str,
     render_json,
+    render_svg,
     report_envelope,
     surd_str,
 )
@@ -697,6 +701,40 @@ def test_render_json_contract_beyond_plain_types():
             render_json(bad, [].append)
 
 
+def _as_generators(x):
+    """x with every list, at every depth, made a generator of its items."""
+    if isinstance(x, dict):
+        return {key: _as_generators(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return (_as_generators(value) for value in x)
+    return x
+
+
+def test_render_json_writes_a_generator_as_its_list():
+    # a generator is written as the list it yields, an empty one as [],
+    # and each item is drawn only once the one before it is written
+    rng = random.Random(9)
+    for tree in [_random_tree(rng, 0) for _ in range(300)] + _WRITER_CONTRACT:
+        assert _json_text(_as_generators(tree)) == _reference_json(tree)
+    parts: list[str] = []
+    drawn = []
+
+    def items():
+        for i in range(3):
+            drawn.append("".join(parts))
+            yield [i]
+
+    render_json({"runs": items()}, parts.append)
+    assert drawn == [
+        '{\n  "runs": ',
+        '{\n  "runs": [\n    [\n      0\n    ]',
+        '{\n  "runs": [\n    [\n      0\n    ],\n    [\n      1\n    ]',
+    ]
+    assert "".join(parts) == _reference_json({"runs": [[0], [1], [2]]})
+    with pytest.raises(TypeError, match="reports hold no float"):
+        render_json({"runs": (x for x in [1, 2.5])}, [].append)
+
+
 def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
     # --json writes the report to its file piece by piece, so the largest
     # report of a range sweep adds little to the run's peak memory beyond
@@ -783,6 +821,94 @@ def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "x.svg").stat().st_size > 400_000
     assert peaks[1] - _FILE_BUFFER <= 1.5 * peaks[0], peaks
+
+
+def test_range_is_written_as_it_is_decided(tmp_path):
+    # range prints and writes each run as it decides it, so its peak memory,
+    # less the file's buffer, grows with --n-max only by the summary's
+    # lists of n (about 60 B per n), not by a list of runs (1.5 kB per n)
+    out = tmp_path / "range.json"
+    peaks = {}
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        cli_main(["range", "--family", "triangular", "--n-max", "3"])  # the parser is built outside the measurement
+        for n_max in (1000, 4000):
+            tracemalloc.start()
+            try:
+                assert cli_main(["range", "--family", "triangular", "--n-max", str(n_max), "--json", str(out)]) == 0
+                peaks[n_max] = tracemalloc.get_traced_memory()[1] - _FILE_BUFFER
+            finally:
+                tracemalloc.stop()
+    assert len(json.loads(out.read_text())["runs"]) == 3999
+    assert peaks[4000] - peaks[1000] < 150 * 3000, peaks
+
+
+# range prints its runs while its report is being written, so a failed
+# print happens inside the report's writing; it is still stdout's failure
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_range_report_leaves_stdout_failures_to_stdout(unbuffered, tmp_path):
+    argv = ["range", "--family", "triangular", "--n-max", "3000", "--json", str(tmp_path / "range.json")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert _run_into(write_end, argv, unbuffered) == (1, "cannot write stdout: Broken pipe\n")
+    finally:
+        os.close(write_end)
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            assert _run_into(full, argv, unbuffered) == (1, "cannot write stdout: No space left on device\n")
+
+
+def test_an_empty_path_is_refused(capsys):
+    # an empty PATH names no file, so every report fails to open it, as
+    # svg's drawing does, and the command exits 1
+    pair = ["--family", "sqrt2", "--a", "7", "--b", "5"]
+    for argv in (
+        ["verify", *pair, "--json", ""],
+        ["census", *pair, "--json", ""],
+        ["chain", *pair, "--json", ""],
+        ["range", "--family", "triangular", "--n-max", "10", "--json", ""],
+        ["svg", *pair, "--out", ""],
+    ):
+        assert cli_main(argv) == 1, argv
+        assert capsys.readouterr().err == "cannot write : No such file or directory\n", argv
+
+
+def _reference_svg(arr, census) -> str:
+    """The SVG with its viewBox taken from every corner drawn, as render_svg
+    drew it before it read the viewBox off the big figure alone."""
+    orthogonal = arr.big.basis == ORTHOGONAL
+    layers = (arr.big,), arr.smalls, census.distinct_pair_regions, census.distinct_triple_regions
+    polys = [(_svg_points(p, orthogonal), DEPTH_FILL[depth]) for depth, layer in enumerate(layers) for p in layer]
+    xs = [x for points, _ in polys for x, _ in points]
+    ys = [y for points, _ in polys for _, y in points]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    span = max(x1 - x0, y1 - y0) or 1.0
+    margin = 0.04 * span
+    viewbox = (x0 - margin, y0 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)
+    lines = ['<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%.6f %.6f %.6f %.6f">\n' % viewbox]
+    lines.append('<g stroke="#333333" stroke-width="%.6f" stroke-linejoin="round">\n' % (0.008 * span))
+    for points, fill in polys:
+        lines.append('<polygon fill="%s" points="%s"/>\n' % (fill, " ".join("%.6f,%.6f" % xy for xy in points)))
+    lines.append("</g>\n</svg>\n")
+    return "".join(lines)
+
+
+def test_big_figure_bounds_the_drawing():
+    # render_svg reads its viewBox off the big figure alone; every corner
+    # drawn lies inside it, so the bytes are those of the all-corner box,
+    # on every figure and arrangement the census reference runs on
+    drawn = 0
+    for arr in itertools.chain(_reference_figures(), _random_arrangements()):
+        try:
+            census = coverage_census(arr)
+        except DepthExceeded:
+            continue
+        parts: list[str] = []
+        render_svg(arr, census, parts.append)
+        assert "".join(parts) == _reference_svg(arr, census), (arr.family, arr.a, arr.b)
+        drawn += 1
+    assert drawn >= 400, drawn  # 98 figures, 348 arrangements under depth 4
 
 
 def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
