@@ -10,7 +10,7 @@ argument is valid.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -262,27 +262,28 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
-def chain_decimals(chain: ChainResult) -> list[tuple[str, str, str]]:
-    """Each kept step's a', b' and output defect in decimal, in step order.
+def chain_decimals(chain: ChainResult) -> Iterator[tuple[str, str, str]]:
+    """Yield each kept step's a', b' and output defect in decimal, in step
+    order, computing each row when it is drawn.
 
     The chain's start and first defect are run through the family's map on
     exact Decimals, in linear time per step; the integer chain checked every
     defect, and the last Decimal pair and defect must equal its last step's.
+    The arithmetic goes through the exact context's own methods, so the
+    current context is never changed.
     """
     steps = chain.steps
     if not steps:
-        return []
+        return
     family = chain.family
     _, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
     ca, cb, da, db, m = map(Decimal, (ca, cb, da, db, steps[0].multiplier))
-    out: list[tuple[str, str, str]] = []
-    with localcontext(_EXACT):
-        x, y = map(Decimal, chain.start)
-        d = Decimal(steps[0].defect_in)
-        for _ in steps:
-            x, y, d = ca * x + cb * y, da * x + db * y, m * d
-            out.append((str(x), str(y), str(d)))
-        last = steps[-1]
-        if (x, y) != last.pair_out or d != last.defect_out:
-            raise AssertionError(f"{family.title}: decimals end at ({x}, {y}), defect {d}, not at the last step")
-    return out
+    x, y = map(Decimal, chain.start)
+    d = Decimal(steps[0].defect_in)
+    fma, mul = _EXACT.fma, _EXACT.multiply
+    for _ in steps:
+        x, y, d = fma(ca, x, mul(cb, y)), fma(da, x, mul(db, y)), mul(m, d)
+        yield str(x), str(y), str(d)
+    last = steps[-1]
+    if (x, y) != last.pair_out or d != last.defect_out:  # exact in any context
+        raise AssertionError(f"{family.title}: decimals end at ({x}, {y}), defect {d}, not at the last step")

@@ -459,10 +459,18 @@ def _twice_area(polys: Iterable[LatticePolygon], den: int) -> int:
     Twice a polygon's area times its own d**2 is its u, v box less the two
     corners that u + v cuts off:
     2(hu - lu)(hv - lv) - (lw - lu - lv)**2 - (hu + hv - hw)**2.
+    So it depends only on d, the u and v extents and the legs of those two
+    corners; it is computed once per distinct shape, times the number of
+    polygons of that shape (a figure of many polygons has few shapes, and
+    at large pairs each product is of thousands of bits).
     """
+    shapes: dict[tuple[int, ...], int] = {}
+    for _, d, lu, hu, lv, hv, lw, hw in polys:
+        shape = (d, hu - lu, hv - lv, lw - lu - lv, hu + hv - hw)
+        shapes[shape] = shapes.get(shape, 0) + 1
     return sum(
-        (2 * (hu - lu) * (hv - lv) - (lw - lu - lv) ** 2 - (hu + hv - hw) ** 2) * (den // d) ** 2
-        for _, d, lu, hu, lv, hv, lw, hw in polys
+        count * (2 * eu * ev - low * low - high * high) * (den // d) ** 2
+        for (d, eu, ev, low, high), count in shapes.items()
     )
 
 

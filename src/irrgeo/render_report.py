@@ -236,6 +236,17 @@ def _svg_points(poly: LatticePolygon, orthogonal: bool) -> tuple[tuple[float, fl
     return tuple((x / den + y / den / 2, -(y / den) * SQRT3_HALF) for x, y in poly.ints)
 
 
+# Every float of magnitude 2**53 or more is an integer, whose "%d" digits
+# are the bytes "%.6f" writes before its ".000000"; "%.6f" gets them by an
+# exact binary-to-decimal conversion, about ten times slower near 2**1000.
+_FLOAT_INT = 2.0**53
+
+
+def _svg_num(x: float) -> str:
+    """x as "%.6f" writes it."""
+    return "%d.000000" % x if abs(x) >= _FLOAT_INT else "%.6f" % x
+
+
 def render_svg(arr: Arrangement, census: CoverageCensus, write: Callable[[str], object]) -> None:
     """Pass the figure's SVG text to write, line by line, layered back to
     front: big, smalls, double then triple overlaps, each at its coverage
@@ -252,7 +263,7 @@ def render_svg(arr: Arrangement, census: CoverageCensus, write: Callable[[str], 
     layers = (arr.big,), arr.smalls, census.distinct_pair_regions, census.distinct_triple_regions
     for depth, layer in enumerate(layers):
         for p in layer:
-            points = " ".join("%.6f,%.6f" % xy for xy in _svg_points(p, orthogonal))
+            points = " ".join(f"{_svg_num(x)},{_svg_num(y)}" for x, y in _svg_points(p, orthogonal))
             write('<polygon fill="%s" points="%s"/>\n' % (DEPTH_FILL[depth], points))
     write("</g>\n</svg>\n")
 
@@ -274,6 +285,11 @@ class _ParserExit(Exception):
 # to the system in few writes, where the default 8 KB one makes a write
 # every 8 KB.
 _FILE_BUFFER = 1 << 20
+# Before its buffer, a text file keeps each str it is given as an object
+# until they hold _CHUNK_SIZE characters, 8192 by default.  render_json
+# gives it about one str per token, so 8192 characters of them held about
+# 50 kB; 1024 characters hold a few kB, and the buffer gets the same bytes.
+_TEXT_CHUNK = 1024
 
 
 @contextmanager
@@ -282,6 +298,7 @@ def _writing(path: str):
     or close it becomes a one-line error for the CLI."""
     try:
         with open(path, "w", buffering=_FILE_BUFFER) as fh:
+            fh._CHUNK_SIZE = _TEXT_CHUNK
             yield fh
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -392,7 +409,7 @@ def _resolve_family(name: str, n: int | None) -> DescentFamily:
 # and clips only pairs whose u, v and u + v ranges overlap, about n**3 / 2
 # bound tests: at n = 64 (2080 smalls) 131,040 tests keep the 6,048 pairs
 # that share area.  n = 64 at convergent 2048 (a 3498-bit pair) verifies
-# in about 0.5 s on one Xeon core under CPython 3.11.
+# in 0.25-0.27 s at 38.5 MB peak RSS on one Xeon core under CPython 3.11.
 MAX_FIGURE_N = 64
 # CPython turns no int of more than 4300 decimal digits into a string, and
 # 2**14284 < 10**4300, so every printed integer must stay below 2**14284.
@@ -416,16 +433,18 @@ MAX_CHAIN_N = 2**32
 MAX_CONVERGENT = 2048
 # The longest chains measured from pairs below 2**4096 end by themselves
 # after about 3200 steps (sqrt2); the cap bounds the work whatever
-# --max-steps asks.
+# --max-steps asks.  The largest report (triangular n = 4 from convergent
+# 1561: 2644 steps, 17.9 MB) takes 0.17-0.19 s at 22.2 MB peak RSS, its
+# steps' text written as it is made.
 MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
 # n = 64 at convergent 584 (a 998-bit pair, an 11.6 MB SVG written to its
-# file as it is drawn) takes 0.9-1.1 s and 26.3 MB peak RSS on one Xeon
+# file as it is drawn) takes 0.24-0.26 s and 26.3 MB peak RSS on one Xeon
 # core under CPython 3.11.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes 1.0-1.4 s and 17.6 MB peak RSS with --json, 16.6 MB without
+# 10000 takes 0.93-1.22 s and 17.3 MB peak RSS with --json, 16.2 MB without
 # (each run is printed and written as it is decided), on one Xeon core.
 MAX_RANGE_N = 10_000
 
@@ -543,25 +562,33 @@ def _cmd_chain(args) -> int:
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     chain = descent_chain(family, a, b, args.max_steps)
-    # each integer goes to decimal once: the start's with str, each step's
-    # from chain_decimals; row i is step i's output and step i + 1's input,
-    # on stdout and in the JSON
     steps = chain.steps
-    rows = [(str(a), str(b), str(steps[0].defect_in) if steps else "")] + chain_decimals(chain)
-    write = sys.stdout.write
-    write(f"family {family.title}  start ({rows[0][0]}, {rows[0][1]})\n")
-    for i, ((a_in, b_in, d_in), (a_out, b_out, d_out)) in enumerate(zip(rows, rows[1:]), start=1):
-        write("step %d: (%s, %s) -> (%s, %s)  defect %s -> %s\n" % (i, a_in, b_in, a_out, b_out, d_in, d_out))
-    write(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
-    if args.json is not None:
-        _write_chain_json(args.json, chain, rows)
+    # each integer goes to decimal once: the start's with str, each step's
+    # output from chain_decimals, which is also the next step's input; each
+    # step goes to stdout and to the report when it is drawn
+    a_in, b_in, d_in = str(a), str(b), str(steps[0].defect_in) if steps else ""
+    with _chain_report(args.json, chain) as report:
+        _print(f"family {family.title}  start ({a_in}, {b_in})\n")
+        sep = "\n        "
+        for i, (a_out, b_out, d_out) in enumerate(chain_decimals(chain), start=1):
+            _print("step %d: (%s, %s) -> (%s, %s)  defect %s -> %s\n" % (i, a_in, b_in, a_out, b_out, d_in, d_out))
+            if report is not None:
+                report.write(_CHAIN_STEP % (sep, a_in, b_in, a_out, b_out, d_in, d_out))
+                sep = ",\n        "
+            a_in, b_in, d_in = a_out, b_out, d_out
+        _print(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
     return 0
 
 
-def _write_chain_json(path: str, chain: ChainResult, rows: list[tuple[str, str, str]]) -> None:
-    """Write the chain's report, the bytes render_json would give, one step
-    at a time: render_json gives the run around an empty steps list, and
-    each step fills _CHAIN_STEP from its input and output rows."""
+@contextmanager
+def _chain_report(path: Optional[str], chain: ChainResult):
+    """Open chain's report at path, write what comes before its steps,
+    yield the file for them, and write what comes after; without a path,
+    yield None.  The report is the bytes render_json would give: it gives
+    the run around an empty steps list, and each step fills _CHAIN_STEP."""
+    if path is None:
+        yield None
+        return
     run = _run_head("chain", chain.family) | {
         "input_pair": list(chain.start),
         "steps": [],
@@ -574,11 +601,17 @@ def _write_chain_json(path: str, chain: ChainResult, rows: list[tuple[str, str, 
     head, tail = "".join(parts).split('"steps": []')
     with _writing(path) as fh:
         fh.write(head + '"steps": [')
-        sep = "\n        "
-        for (a_in, b_in, d_in), (a_out, b_out, d_out) in zip(rows, rows[1:]):
-            fh.write(_CHAIN_STEP % (sep, a_in, b_in, a_out, b_out, d_in, d_out))
-            sep = ",\n        "
+        yield fh
         fh.write(("\n      ]" if chain.steps else "]") + tail)
+
+
+def _print(text: str) -> None:
+    """Write text to stdout; a failure is stdout's, also where it happens
+    while a report is open, whose _writing would take it for its own."""
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def _cmd_range(args) -> int:
@@ -592,26 +625,28 @@ def _cmd_range(args) -> int:
         DescentFamily(FamilyKind(args.family), indices[0])
     except BadIndex:  # range reads the index from --n-max, not from --n
         raise _UsageError(f"range --family {args.family} {'takes no' if sweep else 'needs'} --n-max")
-    verdicts: dict[str, list[str]] = {"works": [], "fails": []}
+    works: list[int] = []  # the n whose map shrinks pairs: four at most (criterion 2)
 
     def decided():  # prints and yields each run as it is decided
         for n in indices:
             result = range_check(_resolve_family(args.family, n))
+            if result.works:
+                works.append(n)
             verdict = "works" if result.works else "fails"
-            verdicts[verdict].append(str(n))
-            try:  # this runs in the report's _writing, which would take a failed print for its own
-                print(f"n={n}: {verdict}" if sweep else f"{result.family.title}: {verdict}")
-            except OSError as exc:
-                raise _WriteError(f"cannot write stdout: {exc.strerror or exc}") from exc
+            _print(f"n={n}: {verdict}\n" if sweep else f"{result.family.title}: {verdict}\n")
             yield build_range_run(result)
 
     runs = decided()
     _write_json(args.json, report_envelope(runs))
     for _ in runs:  # without --json, only this loop draws them
         pass
-    if sweep:
-        for verdict, ns in verdicts.items():
-            print(f"{verdict}: " + (",".join(ns) or "none"))
+    if sweep:  # each summary line is written one n at a time
+        for verdict, ns in (("works", works), ("fails", (n for n in indices if n not in works))):
+            sep = f"{verdict}: "
+            for n in ns:
+                sys.stdout.write(f"{sep}{n}")
+                sep = ","
+            sys.stdout.write("\n" if sep == "," else f"{sep}none\n")
     return 0
 
 

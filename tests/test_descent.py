@@ -569,7 +569,7 @@ def test_chain_decimals_are_the_chain_and_check_its_last_step():
         chain = descent_chain(family, a, b, max_steps)
         assert chain.steps
         expected = [(str(s.pair_out[0]), str(s.pair_out[1]), str(s.defect_out)) for s in chain.steps]
-        assert chain_decimals(chain) == expected
+        assert list(chain_decimals(chain)) == expected
         last = chain.steps[-1]
         a_out, b_out = last.pair_out
         for altered in (
@@ -578,8 +578,8 @@ def test_chain_decimals_are_the_chain_and_check_its_last_step():
             last._replace(defect_out=last.defect_out * 2),
         ):
             with pytest.raises(AssertionError, match="not at the last step"):
-                chain_decimals(chain._replace(steps=chain.steps[:-1] + (altered,)))
-    assert chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 0)) == []
+                list(chain_decimals(chain._replace(steps=chain.steps[:-1] + (altered,))))
+    assert list(chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 0))) == []
 
 
 def test_strict_decrease_on_window_convergents():

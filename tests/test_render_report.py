@@ -1,7 +1,9 @@
 import contextlib
+import decimal
 import enum
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -18,7 +20,7 @@ import irrgeo
 from _lattice import corner_polygon
 from conftest import all_figure_families
 from test_geometry import _random_arrangements, _reference_figures
-from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
+from irrgeo.descent import DescentFamily, FamilyKind, chain_decimals, descent_chain, range_check
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents, square_triangular
@@ -31,6 +33,7 @@ from irrgeo.render_report import (
     DEPTH_FILL,
     SQRT3_HALF,
     _FILE_BUFFER,
+    _svg_num,
     _svg_points,
     build_census_run,
     build_range_run,
@@ -242,9 +245,14 @@ def test_cli_write_failure_exits_1(capsys, tmp_path):
             captured = capsys.readouterr()
             assert code == 1, argv
             assert captured.err == f"cannot write {path}: {reason}\n", argv
-        # chain prints all of stdout before it opens the report
-        assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
-        assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
+        # chain opens its report before it prints; one that cannot be
+        # opened stops it before any stdout, and one that fails later, at
+        # the close, after all of it
+        if reason == "No such file or directory":
+            assert captured.out == ""
+        else:
+            assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
+            assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
 
 
 def test_cli_out_of_memory_exits_1(capsys, monkeypatch):
@@ -530,6 +538,20 @@ def test_svg_points_from_ints_match_fraction_projection():
         corners = rng.choice(_SVG_SHAPES)
         poly = corner_polygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
         assert _svg_points(poly, basis == ORTHOGONAL) == _ref_scene_points(poly), (basis, poly)
+
+
+def test_svg_numbers_are_written_as_percent_6f():
+    # a float of magnitude 2**53 or more is written through "%d", which
+    # must give "%.6f"'s bytes: on both sides of +-2**53, at it, at the
+    # largest float, and on random floats of every exponent
+    edge = 2.0**53
+    xs = [edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf), 2**53 - 1.5, sys.float_info.max]
+    rng = random.Random(53)
+    xs += [math.ldexp(rng.random(), rng.randint(-30, 1024)) for _ in range(20_000)]
+    xs += [0.0, 1e-7, 0.5, 123456.5]
+    for x in xs:
+        for signed in (x, -x):
+            assert _svg_num(signed) == "%.6f" % signed, signed
 
 
 def test_cli_svg_out_of_window(capsys, tmp_path):
@@ -839,23 +861,68 @@ def test_range_is_written_as_it_is_decided(tmp_path):
             finally:
                 tracemalloc.stop()
     assert len(json.loads(out.read_text())["runs"]) == 3999
-    assert peaks[4000] - peaks[1000] < 150 * 3000, peaks
+    assert peaks[4000] - peaks[1000] < 10 * 3000, peaks
 
 
-# range prints its runs while its report is being written, so a failed
+# range and chain print while their report is being written, so a failed
 # print happens inside the report's writing; it is still stdout's failure
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_range_report_leaves_stdout_failures_to_stdout(unbuffered, tmp_path):
-    argv = ["range", "--family", "triangular", "--n-max", "3000", "--json", str(tmp_path / "range.json")]
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        assert _run_into(write_end, argv, unbuffered) == (1, "cannot write stdout: Broken pipe\n")
-    finally:
-        os.close(write_end)
-    if os.path.exists("/dev/full"):
-        with open("/dev/full", "w") as full:
-            assert _run_into(full, argv, unbuffered) == (1, "cannot write stdout: No space left on device\n")
+    for argv in (
+        ["range", "--family", "triangular", "--n-max", "3000", "--json", str(tmp_path / "range.json")],
+        # about 3.5 MB of stdout, many times stdout's buffer
+        ["chain", "--family", "triangular", "--n", "4", "--convergent", "700", "--max-steps", "10000", "--json", str(tmp_path / "chain.json")],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            assert _run_into(write_end, argv, unbuffered) == (1, "cannot write stdout: Broken pipe\n"), argv
+        finally:
+            os.close(write_end)
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                assert _run_into(full, argv, unbuffered) == (1, "cannot write stdout: No space left on device\n"), argv
+
+
+def test_chain_keeps_no_step_text(tmp_path):
+    # chain prints and writes each step's decimals when it draws them, so
+    # its peak memory, less the file's buffer, is about that of the integer
+    # chain it prints: the largest accepted pair, 2644 steps and a 17.9 MB
+    # report
+    family, (a, b) = DescentFamily.triangular(4), convergents(10, 1561)[-1]
+    argv = ["chain", "--family", "triangular", "--n", "4", "--convergent", "1561", "--max-steps", str(MAX_CHAIN_STEPS)]
+    peaks = []
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        cli_main(["chain", "--family", "sqrt2", "--a", "17", "--b", "12"])  # the parser is built outside the measurement
+        for run in (
+            lambda: descent_chain(family, a, b, MAX_CHAIN_STEPS),
+            lambda: cli_main(argv + ["--json", str(tmp_path / "chain.json")]),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert (tmp_path / "chain.json").stat().st_size > 17_000_000
+    assert peaks[1] - _FILE_BUFFER <= 1.2 * peaks[0], peaks
+
+
+def test_chain_leaves_the_decimal_context_as_it_was(capsys, tmp_path):
+    # chain_decimals does its arithmetic in an exact Decimal context; the
+    # caller's stays current, after a chain that completes and after one
+    # whose report cannot be written
+    argv = ["chain", "--family", "triangular", "--n", "4", "--convergent", "700", "--max-steps", "10000", "--json"]
+    before = decimal.getcontext()
+    assert cli_main(argv + [str(tmp_path / "chain.json")]) == 0
+    assert decimal.getcontext() is before
+    failing = ["/dev/full"] if os.path.exists("/dev/full") else []
+    for path in failing + [str(tmp_path / "missing" / "x")]:
+        assert cli_main(argv + [path]) == 1, path
+        assert decimal.getcontext() is before, path
+    rows = chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 5))
+    next(rows)
+    assert decimal.getcontext() is before  # also while the generator is suspended
 
 
 def test_an_empty_path_is_refused(capsys):
