@@ -10,7 +10,7 @@ argument is valid.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -260,17 +260,21 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
 # any rounding raises, so every Decimal here is an exact integer of exponent
 # 0 and str() gives its plain digits.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+# Steps computed under one entry of the exact context: entering it costs
+# about a third of a step, and a batch's rows are all that is held.
+_BATCH = 16
 
 
 def chain_decimals(chain: ChainResult) -> Iterator[tuple[str, str, str]]:
     """Yield each kept step's a', b' and output defect in decimal, in step
-    order, computing each row when it is drawn.
+    order, computing them _BATCH steps at a time as they are drawn.
 
     The chain's start and first defect are run through the family's map on
     exact Decimals, in linear time per step; the integer chain checked every
     defect, and the last Decimal pair and defect must equal its last step's.
-    The arithmetic goes through the exact context's own methods, so the
-    current context is never changed.
+    Each batch runs under the exact context and is yielded after the
+    caller's context is restored, so that context is current whenever the
+    generator is suspended.
     """
     steps = chain.steps
     if not steps:
@@ -280,10 +284,13 @@ def chain_decimals(chain: ChainResult) -> Iterator[tuple[str, str, str]]:
     ca, cb, da, db, m = map(Decimal, (ca, cb, da, db, steps[0].multiplier))
     x, y = map(Decimal, chain.start)
     d = Decimal(steps[0].defect_in)
-    fma, mul = _EXACT.fma, _EXACT.multiply
-    for _ in steps:
-        x, y, d = fma(ca, x, mul(cb, y)), fma(da, x, mul(db, y)), mul(m, d)
-        yield str(x), str(y), str(d)
+    for i in range(0, len(steps), _BATCH):
+        rows = []
+        with localcontext(_EXACT):
+            for _ in steps[i : i + _BATCH]:
+                x, y, d = ca * x + cb * y, da * x + db * y, m * d
+                rows.append((str(x), str(y), str(d)))
+        yield from rows
     last = steps[-1]
     if (x, y) != last.pair_out or d != last.defect_out:  # exact in any context
         raise AssertionError(f"{family.title}: decimals end at ({x}, {y}), defect {d}, not at the last step")

@@ -434,8 +434,9 @@ MAX_CONVERGENT = 2048
 # The longest chains measured from pairs below 2**4096 end by themselves
 # after about 3200 steps (sqrt2); the cap bounds the work whatever
 # --max-steps asks.  The largest report (triangular n = 4 from convergent
-# 1561: 2644 steps, 17.9 MB) takes 0.17-0.19 s at 22.2 MB peak RSS, its
-# steps' text written as it is made.
+# 1561: 2644 steps, 17.9 MB) takes 0.19-0.36 s on a shared Xeon core at
+# 20.7-20.9 MB peak RSS, each step's text one f-string written as it is
+# made.
 MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
@@ -538,25 +539,6 @@ def _cmd_census(args) -> int:
     return 0 if run["pass"] else 2
 
 
-# One step object of runs[0].steps as render_json writes it, at that
-# depth: the separator before it, then pair_in, pair_out, defect_in and
-# defect_out in decimal.
-_CHAIN_STEP = (
-    "%s{\n"
-    '          "pair_in": [\n'
-    "            %s,\n"
-    "            %s\n"
-    "          ],\n"
-    '          "pair_out": [\n'
-    "            %s,\n"
-    "            %s\n"
-    "          ],\n"
-    '          "defect_in": %s,\n'
-    '          "defect_out": %s\n'
-    "        }"
-)
-
-
 def _cmd_chain(args) -> int:
     family, a, b = _resolve_figure(args, drawn=False)
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
@@ -571,9 +553,14 @@ def _cmd_chain(args) -> int:
         _print(f"family {family.title}  start ({a_in}, {b_in})\n")
         sep = "\n        "
         for i, (a_out, b_out, d_out) in enumerate(chain_decimals(chain), start=1):
-            _print("step %d: (%s, %s) -> (%s, %s)  defect %s -> %s\n" % (i, a_in, b_in, a_out, b_out, d_in, d_out))
+            _print(f"step {i}: ({a_in}, {b_in}) -> ({a_out}, {b_out})  defect {d_in} -> {d_out}\n")
             if report is not None:
-                report.write(_CHAIN_STEP % (sep, a_in, b_in, a_out, b_out, d_in, d_out))
+                # one step object of runs[0].steps as render_json writes it
+                report.write(
+                    f'{sep}{{\n          "pair_in": [\n            {a_in},\n            {b_in}\n          ],\n'
+                    f'          "pair_out": [\n            {a_out},\n            {b_out}\n          ],\n'
+                    f'          "defect_in": {d_in},\n          "defect_out": {d_out}\n        }}'
+                )
                 sep = ",\n        "
             a_in, b_in, d_in = a_out, b_out, d_out
         _print(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
@@ -585,7 +572,7 @@ def _chain_report(path: Optional[str], chain: ChainResult):
     """Open chain's report at path, write what comes before its steps,
     yield the file for them, and write what comes after; without a path,
     yield None.  The report is the bytes render_json would give: it gives
-    the run around an empty steps list, and each step fills _CHAIN_STEP."""
+    the run around an empty steps list, and _cmd_chain writes each step."""
     if path is None:
         yield None
         return

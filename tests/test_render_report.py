@@ -20,7 +20,7 @@ import irrgeo
 from _lattice import corner_polygon
 from conftest import all_figure_families
 from test_geometry import _random_arrangements, _reference_figures
-from irrgeo.descent import DescentFamily, FamilyKind, chain_decimals, descent_chain, range_check
+from irrgeo.descent import _BATCH, DescentFamily, FamilyKind, chain_decimals, descent_chain, range_check
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents, square_triangular
@@ -923,6 +923,16 @@ def test_chain_leaves_the_decimal_context_as_it_was(capsys, tmp_path):
     rows = chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 5))
     next(rows)
     assert decimal.getcontext() is before  # also while the generator is suspended
+    # rows come in batches of _BATCH steps: inside a batch, at its end and
+    # after it, each row is the step's and the caller's context is current
+    chain = descent_chain(DescentFamily.sqrt2(), *convergents(2, 200)[-1], MAX_CHAIN_STEPS)
+    assert len(chain.steps) > 2 * _BATCH + 1
+    rows = chain_decimals(chain)
+    for step in chain.steps[: 2 * _BATCH + 1]:
+        assert next(rows) == (*map(str, step.pair_out), str(step.defect_out))
+        assert decimal.getcontext() is before
+    rows.close()  # in the middle of the third batch
+    assert decimal.getcontext() is before
 
 
 def test_an_empty_path_is_refused(capsys):
@@ -1007,9 +1017,9 @@ def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
 
 
 def test_chain_stdout_matches_json_report(capsys, tmp_path):
-    # chain streams its JSON one step at a time from a fixed template; its
-    # stdout and its file must be the bytes of the line-by-line reference
-    # and of json.dumps on the whole report
+    # chain streams its JSON one step object at a time, each made by one
+    # f-string; its stdout and its file must be the bytes of the
+    # line-by-line reference and of json.dumps on the whole report
     out = tmp_path / "chain.json"
     lengths = []
     for family, pair, a, b, max_steps in _chain_cases():
