@@ -411,19 +411,22 @@ def _resolve_family(name: str, n: int | None) -> DescentFamily:
 # that share area.  n = 64 at convergent 2048 (a 3498-bit pair) verifies
 # in 0.25-0.27 s at 38.5 MB peak RSS on one Xeon core under CPython 3.11.
 MAX_FIGURE_N = 64
-# CPython turns no int of more than 4300 decimal digits into a string, and
-# 2**14284 < 10**4300, so every printed integer must stay below 2**14284.
-# With a, b < 2**4096:
+# By default CPython turns no int of more than 4300 decimal digits into a
+# string, and 2**14284 < 10**4300, so every printed integer must stay below
+# 2**14284.  With a, b < 2**bits:
 # - verify and census (n <= 64, so N and every map coefficient are below
-#   2**12) print the pair, one descent step (a', b' below 2**4108, the
-#   defects below 2**8229) and census areas, quadratic in a and b with
-#   small rational coefficients: all below 2**(2*4096 + 64);
+#   2**12) print the pair, one descent step (a', b' below 2**(bits + 12),
+#   the defects below 2**(2*bits + 37)) and census areas, quadratic in a
+#   and b with small rational coefficients: all below 2**(2*bits + 64);
 # - chain (n <= 2**32, so N = T_n and every coefficient are below 2**64)
 #   prints the pairs and defects of the steps it keeps.  Every map has
 #   b' = da*a + db*b with da = +-1, so a kept step (0 < b' < b) had
 #   a < (1 + |db|)*b and gives a' < (|ca|*(1 + |db|) + |cb|)*b < 2**128*b;
-#   pairs stay below 2**(4096 + 128), defects below 2**(2*(4096 + 128)).
-# Every bound is far below 2**14284.
+#   pairs stay below 2**(bits + 128), defects below 2**(2*(bits + 128)).
+# Every printed integer is below 2**(2*bits + 256), at 4096 bits far below
+# 2**14284.  A lower limit (PYTHONINTMAXSTRDIGITS or -X int_max_str_digits,
+# down to 640 digits) lowers the bound to what it still prints: 935 bits at
+# 640 digits (_printed_pair_bits).
 MAX_PAIR_BITS = 4096
 MAX_CHAIN_N = 2**32
 # The K-th convergent costs K steps of the recurrence, so K is capped
@@ -434,9 +437,9 @@ MAX_CONVERGENT = 2048
 # The longest chains measured from pairs below 2**4096 end by themselves
 # after about 3200 steps (sqrt2); the cap bounds the work whatever
 # --max-steps asks.  The largest report (triangular n = 4 from convergent
-# 1561: 2644 steps, 17.9 MB) takes 0.19-0.36 s on a shared Xeon core at
-# 20.7-20.9 MB peak RSS, each step's text one f-string written as it is
-# made.
+# 1561: 2644 steps, 17.9 MB) takes 0.16-0.22 s on a shared Xeon core at
+# 21.4-21.6 MB peak RSS, each batch of 16 steps' text joined and written
+# at once (20.8-21.0 MB with one write per step).
 MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
@@ -450,13 +453,24 @@ MAX_SVG_BITS = 1000
 MAX_RANGE_N = 10_000
 
 
+def _printed_pair_bits() -> int:
+    """MAX_PAIR_BITS, or the largest bits whose 2**(2*bits + 256) the
+    int-string limit still prints where that limit is below 4300 digits."""
+    # 0 is no limit, as is every CPython before 3.10.7, which has none
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not 0 < digits < 4300:
+        return MAX_PAIR_BITS
+    return min(MAX_PAIR_BITS, ((10**digits).bit_length() - 1 - 256) // 2)
+
+
 def _resolve_figure(
-    args, drawn: bool = True, max_bits: int = MAX_PAIR_BITS
+    args, drawn: bool = True, max_bits: Optional[int] = None
 ) -> tuple[DescentFamily, int, int]:
     """The family named by --family/--n and the pair by --a/--b or --convergent.
 
     drawn: the command builds the figure, so its row count is bounded by
-    MAX_FIGURE_N rather than MAX_CHAIN_N; a and b must be below 2**max_bits.
+    MAX_FIGURE_N rather than MAX_CHAIN_N; a and b must be below 2**max_bits,
+    by default the _printed_pair_bits() of a command that prints them.
     """
     family = _resolve_family(args.family, args.n)
     max_n, what = (MAX_FIGURE_N, "figures") if drawn else (MAX_CHAIN_N, "chains")
@@ -481,6 +495,8 @@ def _resolve_figure(
         except SquareRadicand as exc:
             raise _UsageError(str(exc))
     bits = max(a, b).bit_length()
+    if max_bits is None:
+        max_bits = _printed_pair_bits()
     if bits > max_bits:
         raise _UsageError(f"pairs are limited to {max_bits} bits, got {bits}")
     return family, a, b
@@ -547,22 +563,28 @@ def _cmd_chain(args) -> int:
     steps = chain.steps
     # each integer goes to decimal once: the start's with str, each step's
     # output from chain_decimals, which is also the next step's input; each
-    # step goes to stdout and to the report when it is drawn
+    # batch of steps goes to stdout and to the report in one write each
     a_in, b_in, d_in = str(a), str(b), str(steps[0].defect_in) if steps else ""
     with _chain_report(args.json, chain) as report:
         _print(f"family {family.title}  start ({a_in}, {b_in})\n")
-        sep = "\n        "
-        for i, (a_out, b_out, d_out) in enumerate(chain_decimals(chain), start=1):
-            _print(f"step {i}: ({a_in}, {b_in}) -> ({a_out}, {b_out})  defect {d_in} -> {d_out}\n")
+        done, sep = 0, "\n        "
+        for rows in chain_decimals(chain):
+            lines, objects = [], []
+            for i, (a_out, b_out, d_out) in enumerate(rows, start=done + 1):
+                lines.append(f"step {i}: ({a_in}, {b_in}) -> ({a_out}, {b_out})  defect {d_in} -> {d_out}\n")
+                if report is not None:
+                    # one step object of runs[0].steps as render_json writes it
+                    objects.append(
+                        f'{sep}{{\n          "pair_in": [\n            {a_in},\n            {b_in}\n          ],\n'
+                        f'          "pair_out": [\n            {a_out},\n            {b_out}\n          ],\n'
+                        f'          "defect_in": {d_in},\n          "defect_out": {d_out}\n        }}'
+                    )
+                    sep = ",\n        "
+                a_in, b_in, d_in = a_out, b_out, d_out
+            done += len(rows)
+            _print("".join(lines))
             if report is not None:
-                # one step object of runs[0].steps as render_json writes it
-                report.write(
-                    f'{sep}{{\n          "pair_in": [\n            {a_in},\n            {b_in}\n          ],\n'
-                    f'          "pair_out": [\n            {a_out},\n            {b_out}\n          ],\n'
-                    f'          "defect_in": {d_in},\n          "defect_out": {d_out}\n        }}'
-                )
-                sep = ",\n        "
-            a_in, b_in, d_in = a_out, b_out, d_out
+                report.write("".join(objects))
         _print(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
     return 0
 
@@ -572,7 +594,7 @@ def _chain_report(path: Optional[str], chain: ChainResult):
     """Open chain's report at path, write what comes before its steps,
     yield the file for them, and write what comes after; without a path,
     yield None.  The report is the bytes render_json would give: it gives
-    the run around an empty steps list, and _cmd_chain writes each step."""
+    the run around an empty steps list, and _cmd_chain writes the steps."""
     if path is None:
         yield None
         return

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -12,6 +13,7 @@ import pytest
 import irrgeo.descent
 from conftest import window_convergents
 from irrgeo.descent import (
+    _INT_BITS,
     _MAPS,
     _Map,
     BadIndex,
@@ -555,21 +557,26 @@ def test_chain_checks_every_step(monkeypatch, family, a, b, kept):
 
 
 def test_chain_decimals_are_the_chain_and_check_its_last_step():
-    # the decimals carried from the start equal the integer chain's; a
-    # chain whose last step was altered, in one pair entry or in the defect,
-    # is refused by a raise that python -O keeps (the tests/ suite also runs
-    # under -O)
+    # the decimals carried from the start equal the integer chain's, on
+    # Decimals from a large start, on ints from a small one, and across the
+    # switch between them; a chain whose last step was altered, in one pair
+    # entry or in the defect, is refused by a raise that python -O keeps
+    # (the tests/ suite also runs under -O)
     big = convergents(10, 1561)[-1]
+    crossing = convergents(2, 1500)[-1]
     for family, (a, b), max_steps in (
         (DescentFamily.sqrt2(), (17, 12), 32),
         (DescentFamily.hex6(), (22, 9), 32),
         (DescentFamily.triangular(4), big, 3),
         (DescentFamily.triangular(2**32), (2**33 - 1, 2), 32),
+        (DescentFamily.sqrt2(), crossing, 10_000),
     ):
         chain = descent_chain(family, a, b, max_steps)
         assert chain.steps
+        if (a, b) == crossing:
+            assert chain.steps[0].pair_in[1].bit_length() >= _INT_BITS > chain.steps[-1].pair_in[1].bit_length()
         expected = [(str(s.pair_out[0]), str(s.pair_out[1]), str(s.defect_out)) for s in chain.steps]
-        assert list(chain_decimals(chain)) == expected
+        assert list(itertools.chain.from_iterable(chain_decimals(chain))) == expected
         last = chain.steps[-1]
         a_out, b_out = last.pair_out
         for altered in (

@@ -20,7 +20,7 @@ import irrgeo
 from _lattice import corner_polygon
 from conftest import all_figure_families
 from test_geometry import _random_arrangements, _reference_figures
-from irrgeo.descent import _BATCH, DescentFamily, FamilyKind, chain_decimals, descent_chain, range_check
+from irrgeo.descent import _BATCH, _INT_BITS, DescentFamily, FamilyKind, chain_decimals, descent_chain, range_check
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents, square_triangular
@@ -414,6 +414,29 @@ def test_cli_rejects_oversized_integers(capsys, tmp_path):
     for argv in accepted:
         assert cli_main(argv) == 0, argv
     assert "stop: no_decrease after 2644 steps" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="CPython before 3.10.7 has no int-string limit")
+def test_a_lowered_int_string_limit_lowers_the_pair_bound():
+    # at the lowest limit CPython accepts, 640 digits, each of these once
+    # ended in a traceback from str() of an int; printed integers stay
+    # below 2**(2*bits + 256), so pairs are held to 935 bits
+    limit = {"PYTHONINTMAXSTRDIGITS": "640"}
+    for argv, bits in (
+        (["chain", "--family", "triangular", "--n", "4", "--convergent", "1561", "--max-steps", "10"], 4095),
+        (["verify", "--family", "triangular", "--n", "4", "--convergent", "1561"], 4095),
+        (["census", "--family", "sqrt2", "--convergent", "2048"], 2604),
+    ):
+        assert _run_alone(argv, env=limit) == (1, "", f"usage error: pairs are limited to 935 bits, got {bits}\n"), argv
+    p, q = convergents(10, 350)[-1]  # in triangular n = 4's window, scaled to 935 bits
+    a, b = p << (935 - p.bit_length()), q << (935 - p.bit_length())
+    pair = ["--family", "triangular", "--n", "4", "--a", str(a), "--b", str(b)]
+    for argv in (["verify", *pair], ["census", *pair], ["chain", *pair, "--max-steps", "10000"]):
+        code, out, err = _run_alone(argv, env=limit)
+        assert (code, err) == (0, ""), argv
+        assert out == _run_alone(argv)[1], argv
+    past = ["chain", "--family", "triangular", "--n", "4", "--a", str(2 * a), "--b", str(2 * b)]
+    assert _run_alone(past, env=limit) == (1, "", "usage error: pairs are limited to 935 bits, got 936\n")
 
 
 def test_cli_census(capsys):
@@ -920,19 +943,24 @@ def test_chain_leaves_the_decimal_context_as_it_was(capsys, tmp_path):
     for path in failing + [str(tmp_path / "missing" / "x")]:
         assert cli_main(argv + [path]) == 1, path
         assert decimal.getcontext() is before, path
-    rows = chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 5))
+    rows = itertools.chain.from_iterable(chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 5)))
     next(rows)
     assert decimal.getcontext() is before  # also while the generator is suspended
     # rows come in batches of _BATCH steps: inside a batch, at its end and
-    # after it, each row is the step's and the caller's context is current
-    chain = descent_chain(DescentFamily.sqrt2(), *convergents(2, 200)[-1], MAX_CHAIN_STEPS)
-    assert len(chain.steps) > 2 * _BATCH + 1
-    rows = chain_decimals(chain)
-    for step in chain.steps[: 2 * _BATCH + 1]:
-        assert next(rows) == (*map(str, step.pair_out), str(step.defect_out))
+    # after it, each row is the step's and the caller's context is current;
+    # from convergent 200 (about 254 bits) every step is walked on ints, and
+    # from convergent 1500 the first three batches on Decimals
+    for k in (200, 1500):
+        chain = descent_chain(DescentFamily.sqrt2(), *convergents(2, k)[-1], MAX_CHAIN_STEPS)
+        assert len(chain.steps) > 2 * _BATCH + 1
+        assert (chain.steps[2 * _BATCH].pair_in[1].bit_length() >= _INT_BITS) == (k == 1500)
+        batches = chain_decimals(chain)
+        rows = itertools.chain.from_iterable(batches)
+        for step in chain.steps[: 2 * _BATCH + 1]:
+            assert next(rows) == (*map(str, step.pair_out), str(step.defect_out))
+            assert decimal.getcontext() is before
+        batches.close()  # in the middle of the third batch
         assert decimal.getcontext() is before
-    rows.close()  # in the middle of the third batch
-    assert decimal.getcontext() is before
 
 
 def test_an_empty_path_is_refused(capsys):
@@ -1037,10 +1065,10 @@ def test_chain_stdout_matches_json_report(capsys, tmp_path):
     assert {0, 1} <= set(lengths) and max(lengths) >= 2000
 
 
-def _run_alone(argv: list[str], *flags: str) -> tuple[int, str, str]:
+def _run_alone(argv: list[str], *flags: str, env: dict[str, str] | None = None) -> tuple[int, str, str]:
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "irrgeo", *argv],
-        env={**os.environ, "PYTHONPATH": SRC},
+        env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
         capture_output=True,
         text=True,
         timeout=60,
