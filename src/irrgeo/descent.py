@@ -10,9 +10,6 @@ argument is valid.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from contextlib import nullcontext
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -254,60 +251,3 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
         stop_reason=reason,
         final_pair=cur,
     )
-
-
-# CPython 3.10 and 3.11 write an int in decimal in time quadratic in its
-# digits.  A Decimal keeps base 10**19 limbs, so str() on it is linear, and
-# so are sums and products by a map's small coefficients.  Under these traps
-# any rounding raises, so every Decimal here is an exact integer of exponent
-# 0 and str() gives its plain digits.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-# Below 2**700 an int step and its str() cost less than a Decimal step.
-# With triangular n = 4's map on one Xeon core under CPython 3.11 they took
-# 0.85 against 1.64 us at 200 bits and 1.98 against 2.19 at 600, but 2.03
-# against 1.81 at 700 and 17.6 against 4.5 at 2500; 3.13 crosses over there
-# too.  A step whose input b is below 2**700 prints pairs below
-# 2**(700 + 128) and a defect below 2**(2*(700 + 128)), as render_report's
-# MAX_PAIR_BITS comment shows: at most 499 digits, under 640, the lowest
-# int-string limit CPython accepts.
-_INT_BITS = 700
-# Steps computed and yielded together: entering the exact context costs
-# about a third of a step, and a batch's rows are all that is held.
-_BATCH = 16
-
-
-def chain_decimals(chain: ChainResult) -> Iterator[list[tuple[str, str, str]]]:
-    """Yield each kept step's a', b' and output defect in decimal, in step
-    order, as lists of the rows of _BATCH steps, computed as they are drawn.
-
-    The chain's start and first defect are run through the family's map:
-    on exact Decimals, in linear time per step, while the input b has
-    _INT_BITS bits or more, then, converted once, on ints, which are
-    cheaper there (b shrinks at every kept step, so the switch comes once).
-    The records only say where the switch falls; the integer chain checked
-    every defect, and the walk's last pair and defect must equal its last
-    step's.  The exact context is entered only around Decimal arithmetic,
-    so the caller's is current whenever the generator is suspended.
-    """
-    steps = chain.steps
-    if not steps:
-        return
-    family = chain.family
-    _, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
-    coefficients = (ca, cb, da, db, steps[0].multiplier)
-    x, y, d = *chain.start, steps[0].defect_in
-    # bit lengths of the input b never grow, so their negations are sorted
-    switch = bisect_right(steps, -_INT_BITS, key=lambda s: -s.pair_in[1].bit_length())
-    for kind, first, stop in ((Decimal, 0, switch), (int, switch, len(steps))):
-        ca, cb, da, db, m = map(kind, coefficients)
-        x, y, d = kind(x), kind(y), kind(d)
-        for i in range(first, stop, _BATCH):
-            rows = []
-            with localcontext(_EXACT) if kind is Decimal else nullcontext():
-                for _ in range(i, min(i + _BATCH, stop)):
-                    x, y, d = ca * x + cb * y, da * x + db * y, m * d
-                    rows.append((str(x), str(y), str(d)))
-            yield rows
-    last = steps[-1]
-    if (x, y) != last.pair_out or d != last.defect_out:
-        raise AssertionError(f"{family.title}: decimals end at ({x}, {y}), defect {d}, not at the last step")

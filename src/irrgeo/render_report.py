@@ -12,6 +12,7 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
@@ -24,10 +25,10 @@ from .descent import (
     DescentStep,
     FamilyKind,
     RangeCheckResult,
-    chain_decimals,
     descent_chain,
     descent_step,
     range_check,
+    _MAPS,
 )
 from .exact_arith import Surd
 from .geometry import (
@@ -428,6 +429,23 @@ MAX_FIGURE_N = 64
 # down to 640 digits) lowers the bound to what it still prints: 935 bits at
 # 640 digits (_printed_pair_bits).
 MAX_PAIR_BITS = 4096
+# CPython 3.10 and 3.11 write an int in decimal in time quadratic in its
+# digits.  A Decimal keeps base 10**19 limbs, so str() on it is linear, and
+# so are sums and products by a map's small coefficients.  Under these traps
+# any rounding raises, so every Decimal of a chain's walk is an exact
+# integer of exponent 0 and str() gives its plain digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+# Below 2**700 an int step and its str() cost less than a Decimal step.
+# With triangular n = 4's map on one Xeon core under CPython 3.11 they took
+# 0.85 against 1.64 us at 200 bits and 1.98 against 2.19 at 600, but 2.03
+# against 1.81 at 700 and 17.6 against 4.5 at 2500; 3.13 crosses over there
+# too.  By the bound above, a step whose input b is below 2**700 prints
+# pairs below 2**(700 + 128) and a defect below 2**(2*(700 + 128)): at most
+# 499 digits, under 640, the lowest int-string limit CPython accepts.
+_INT_BITS = 700
+# Steps printed and written together, with one write to each output: a
+# batch's text is all that is held.
+_BATCH = 16
 MAX_CHAIN_N = 2**32
 # The K-th convergent costs K steps of the recurrence, so K is capped
 # before the work; the pair it gives is then held to MAX_PAIR_BITS.  Of
@@ -437,9 +455,9 @@ MAX_CONVERGENT = 2048
 # The longest chains measured from pairs below 2**4096 end by themselves
 # after about 3200 steps (sqrt2); the cap bounds the work whatever
 # --max-steps asks.  The largest report (triangular n = 4 from convergent
-# 1561: 2644 steps, 17.9 MB) takes 0.16-0.22 s on a shared Xeon core at
-# 21.4-21.6 MB peak RSS, each batch of 16 steps' text joined and written
-# at once (20.8-21.0 MB with one write per step).
+# 1561: 2644 steps, 17.9 MB) takes 0.17-0.31 s on a shared Xeon core
+# under CPython 3.11 at 21.1-21.3 MB peak RSS, each batch of 16 steps'
+# text joined and written at once (20.8-21.0 MB with one write per step).
 MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
@@ -560,17 +578,43 @@ def _cmd_chain(args) -> int:
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     chain = descent_chain(family, a, b, args.max_steps)
-    steps = chain.steps
-    # each integer goes to decimal once: the start's with str, each step's
-    # output from chain_decimals, which is also the next step's input; each
-    # batch of steps goes to stdout and to the report in one write each
-    a_in, b_in, d_in = str(a), str(b), str(steps[0].defect_in) if steps else ""
     with _chain_report(args.json, chain) as report:
-        _print(f"family {family.title}  start ({a_in}, {b_in})\n")
-        done, sep = 0, "\n        "
-        for rows in chain_decimals(chain):
+        _print(f"family {family.title}  start ({a}, {b})\n")
+        if chain.steps:
+            _chain_steps(chain, report)
+        _print(f"stop: {chain.stop_reason} after {len(chain.steps)} steps\n")
+    return 0
+
+
+def _chain_steps(chain: ChainResult, report) -> None:
+    """Print chain's kept steps, and write them to report unless it is None,
+    a batch of _BATCH steps at a time with one write to each.
+
+    A walk of the family's map from the start reaches each step's a', b'
+    and output defect, which go to decimal once and are also the next
+    step's input.  The walk runs on exact Decimals, in linear time per
+    step, until a batch starts below 2**_INT_BITS in b, then, converted
+    once, on ints, which are cheaper there (b shrinks at every kept step,
+    so the switch comes once).  The records only say where the switch
+    falls; the integer chain checked every defect, and the walk's last
+    pair and defect must equal its last step's.
+    """
+    steps = chain.steps
+    (a, b), d = chain.start, steps[0].defect_in
+    a_in, b_in, d_in = str(a), str(b), str(d)
+    _, (ca, cb), (da, db) = _MAPS[chain.family.kind](chain.family.n)
+    ca, cb, da, db, m, a, b, d = map(Decimal, (ca, cb, da, db, steps[0].multiplier, a, b, d))
+    sep = "\n        "
+    # one exact context for the whole walk: int arithmetic, str() and the
+    # writes do not read it
+    with localcontext(_EXACT):
+        for first in range(0, len(steps), _BATCH):
+            if type(b) is Decimal and steps[first].pair_in[1].bit_length() < _INT_BITS:
+                ca, cb, da, db, m, a, b, d = map(int, (ca, cb, da, db, m, a, b, d))
             lines, objects = [], []
-            for i, (a_out, b_out, d_out) in enumerate(rows, start=done + 1):
+            for i in range(first + 1, min(first + _BATCH, len(steps)) + 1):
+                a, b, d = ca * a + cb * b, da * a + db * b, m * d
+                a_out, b_out, d_out = str(a), str(b), str(d)
                 lines.append(f"step {i}: ({a_in}, {b_in}) -> ({a_out}, {b_out})  defect {d_in} -> {d_out}\n")
                 if report is not None:
                     # one step object of runs[0].steps as render_json writes it
@@ -581,12 +625,12 @@ def _cmd_chain(args) -> int:
                     )
                     sep = ",\n        "
                 a_in, b_in, d_in = a_out, b_out, d_out
-            done += len(rows)
             _print("".join(lines))
             if report is not None:
                 report.write("".join(objects))
-        _print(f"stop: {chain.stop_reason} after {len(steps)} steps\n")
-    return 0
+    last = steps[-1]
+    if (a, b) != last.pair_out or d != last.defect_out:
+        raise AssertionError(f"{chain.family.title}: decimals end at ({a}, {b}), defect {d}, not at the last step")
 
 
 @contextmanager

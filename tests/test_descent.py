@@ -1,5 +1,4 @@
 import copy
-import itertools
 import os
 import pickle
 import random
@@ -13,14 +12,12 @@ import pytest
 import irrgeo.descent
 from conftest import window_convergents
 from irrgeo.descent import (
-    _INT_BITS,
     _MAPS,
     _Map,
     BadIndex,
     DescentFamily,
     DescentStep,
     FamilyKind,
-    chain_decimals,
     defect_multiplier,
     descent_chain,
     descent_step,
@@ -556,12 +553,15 @@ def test_chain_checks_every_step(monkeypatch, family, a, b, kept):
         descent_chain(family, a, b, 32)
 
 
-def test_chain_decimals_are_the_chain_and_check_its_last_step():
-    # the decimals carried from the start equal the integer chain's, on
-    # Decimals from a large start, on ints from a small one, and across the
-    # switch between them; a chain whose last step was altered, in one pair
-    # entry or in the defect, is refused by a raise that python -O keeps
-    # (the tests/ suite also runs under -O)
+def test_chain_decimals_are_the_chain_and_check_its_last_step(capsys, monkeypatch):
+    # the digits chain prints, carried from the start, are the integer
+    # chain's, on Decimals from a large start, on ints from a small one, and
+    # across the switch between them; a chain whose last step was altered,
+    # in one pair entry or in the defect, is refused by a raise that
+    # python -O keeps (the tests/ suite also runs under -O)
+    from irrgeo import render_report
+    from irrgeo.render_report import _INT_BITS, cli_main
+
     big = convergents(10, 1561)[-1]
     crossing = convergents(2, 1500)[-1]
     for family, (a, b), max_steps in (
@@ -575,8 +575,16 @@ def test_chain_decimals_are_the_chain_and_check_its_last_step():
         assert chain.steps
         if (a, b) == crossing:
             assert chain.steps[0].pair_in[1].bit_length() >= _INT_BITS > chain.steps[-1].pair_in[1].bit_length()
-        expected = [(str(s.pair_out[0]), str(s.pair_out[1]), str(s.defect_out)) for s in chain.steps]
-        assert list(itertools.chain.from_iterable(chain_decimals(chain))) == expected
+        argv = ["chain", "--family", family.label, "--a", str(a), "--b", str(b), "--max-steps", str(max_steps)]
+        if family.n is not None:
+            argv += ["--n", str(family.n)]
+        assert cli_main(argv) == 0
+        expected = [
+            f"step {i}: ({s.pair_in[0]}, {s.pair_in[1]}) -> ({s.pair_out[0]}, {s.pair_out[1]})"
+            f"  defect {s.defect_in} -> {s.defect_out}"
+            for i, s in enumerate(chain.steps, start=1)
+        ]
+        assert capsys.readouterr().out.splitlines()[1:-1] == expected
         last = chain.steps[-1]
         a_out, b_out = last.pair_out
         for altered in (
@@ -584,9 +592,14 @@ def test_chain_decimals_are_the_chain_and_check_its_last_step():
             last._replace(pair_out=(a_out, b_out - 1)),
             last._replace(defect_out=last.defect_out * 2),
         ):
+            altered_chain = chain._replace(steps=chain.steps[:-1] + (altered,))
+            monkeypatch.setattr(render_report, "descent_chain", lambda *args: altered_chain)
             with pytest.raises(AssertionError, match="not at the last step"):
-                list(chain_decimals(chain._replace(steps=chain.steps[:-1] + (altered,))))
-    assert list(chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 0))) == []
+                cli_main(argv)
+        monkeypatch.undo()
+        capsys.readouterr()  # what the refused chains printed
+    assert cli_main(["chain", "--family", "sqrt2", "--a", "99", "--b", "70", "--max-steps", "0"]) == 0
+    assert not [line for line in capsys.readouterr().out.splitlines() if line.startswith("step")]
 
 
 def test_strict_decrease_on_window_convergents():

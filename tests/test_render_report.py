@@ -20,7 +20,7 @@ import irrgeo
 from _lattice import corner_polygon
 from conftest import all_figure_families
 from test_geometry import _random_arrangements, _reference_figures
-from irrgeo.descent import _BATCH, _INT_BITS, DescentFamily, FamilyKind, chain_decimals, descent_chain, range_check
+from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, coverage_census
 from irrgeo.number_theory import convergents, square_triangular
@@ -32,7 +32,9 @@ from irrgeo.render_report import (
     MAX_SVG_BITS,
     DEPTH_FILL,
     SQRT3_HALF,
+    _BATCH,
     _FILE_BUFFER,
+    _INT_BITS,
     _svg_num,
     _svg_points,
     build_census_run,
@@ -931,10 +933,11 @@ def test_chain_keeps_no_step_text(tmp_path):
     assert peaks[1] - _FILE_BUFFER <= 1.2 * peaks[0], peaks
 
 
-def test_chain_leaves_the_decimal_context_as_it_was(capsys, tmp_path):
-    # chain_decimals does its arithmetic in an exact Decimal context; the
-    # caller's stays current, after a chain that completes and after one
-    # whose report cannot be written
+def test_chain_leaves_the_decimal_context_as_it_was(capsys, monkeypatch, tmp_path):
+    # chain walks its digits in an exact Decimal context; the caller's is
+    # current again after a chain that completes, after one whose report
+    # cannot be written and after one whose walk does not end at its last
+    # step
     argv = ["chain", "--family", "triangular", "--n", "4", "--convergent", "700", "--max-steps", "10000", "--json"]
     before = decimal.getcontext()
     assert cli_main(argv + [str(tmp_path / "chain.json")]) == 0
@@ -943,24 +946,15 @@ def test_chain_leaves_the_decimal_context_as_it_was(capsys, tmp_path):
     for path in failing + [str(tmp_path / "missing" / "x")]:
         assert cli_main(argv + [path]) == 1, path
         assert decimal.getcontext() is before, path
-    rows = itertools.chain.from_iterable(chain_decimals(descent_chain(DescentFamily.sqrt2(), 99, 70, 5)))
-    next(rows)
-    assert decimal.getcontext() is before  # also while the generator is suspended
-    # rows come in batches of _BATCH steps: inside a batch, at its end and
-    # after it, each row is the step's and the caller's context is current;
-    # from convergent 200 (about 254 bits) every step is walked on ints, and
-    # from convergent 1500 the first three batches on Decimals
-    for k in (200, 1500):
-        chain = descent_chain(DescentFamily.sqrt2(), *convergents(2, k)[-1], MAX_CHAIN_STEPS)
-        assert len(chain.steps) > 2 * _BATCH + 1
-        assert (chain.steps[2 * _BATCH].pair_in[1].bit_length() >= _INT_BITS) == (k == 1500)
-        batches = chain_decimals(chain)
-        rows = itertools.chain.from_iterable(batches)
-        for step in chain.steps[: 2 * _BATCH + 1]:
-            assert next(rows) == (*map(str, step.pair_out), str(step.defect_out))
-            assert decimal.getcontext() is before
-        batches.close()  # in the middle of the third batch
-        assert decimal.getcontext() is before
+    # this walk runs on Decimals for more than a batch, then on ints
+    chain = descent_chain(DescentFamily.sqrt2(), *convergents(2, 1500)[-1], MAX_CHAIN_STEPS)
+    assert chain.steps[_BATCH].pair_in[1].bit_length() >= _INT_BITS > chain.steps[-1].pair_in[1].bit_length()
+    last = chain.steps[-1]
+    altered = chain._replace(steps=chain.steps[:-1] + (last._replace(defect_out=2 * last.defect_out),))
+    monkeypatch.setattr(irrgeo.render_report, "descent_chain", lambda *args: altered)
+    with pytest.raises(AssertionError, match="not at the last step"):
+        cli_main(["chain", "--family", "sqrt2", "--convergent", "1500", "--max-steps", "10000"])
+    assert decimal.getcontext() is before
 
 
 def test_an_empty_path_is_refused(capsys):
