@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from types import GeneratorType
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .descent import (
@@ -62,7 +61,7 @@ def surd_str(x: Surd) -> str:
     return f"{frac_str(x.rat)} + {frac_str(x.coef)}*sqrt({x.radicand})"
 
 
-def report_envelope(runs: list[dict] | GeneratorType) -> dict:
+def report_envelope(runs: list[dict]) -> dict:
     return {"version": SCHEMA_VERSION, "runs": runs}
 
 
@@ -175,17 +174,17 @@ def build_range_run(result: RangeCheckResult) -> dict:
     }
 
 
-def render_json(report: dict, write: Callable[[str], object]) -> None:
-    """Pass write, piece by piece, the report as the json module writes it
-    with indent=2, plus a final newline, byte for byte, for the types
-    reports hold: dicts with str keys, lists (or generators, drawn as they
-    are written), str, int, bool and None; anything else raises TypeError.
+def render_json(report: dict) -> str:
+    """The report's text as json.dumps(report, indent=2) gives it, plus a
+    final newline, byte for byte, for the types reports hold: dicts with
+    str keys, lists, str, int, bool and None; others raise TypeError.
 
     With an indent the json module falls back to its pure-Python encoder;
     this writer does the same work without its generality.
     """
-    _write_value(report, "\n", write)
-    write("\n")
+    parts: list[str] = []
+    _write_value(report, "\n", parts.append)
+    return "".join(parts) + "\n"
 
 
 def _write_value(x, newline: str, write: Callable[[str], object]) -> None:
@@ -211,7 +210,7 @@ def _write_value(x, newline: str, write: Callable[[str], object]) -> None:
             _write_value(value, inner, write)
             sep = "," + inner
         write("{}" if sep[0] == "{" else newline + "}")
-    elif isinstance(x, (list, GeneratorType)):
+    elif isinstance(x, list):
         inner = newline + "  "
         sep = "[" + inner
         for value in x:
@@ -281,16 +280,13 @@ class _ParserExit(Exception):
     """argparse ended the line after printing help; args[0] is the status."""
 
 
-# A report or SVG goes to its file piece by piece, up to 17.9 MB in all (the
-# chain of triangular n = 4 from convergent 1561); a 1 MiB buffer hands it
-# to the system in few writes, where the default 8 KB one makes a write
-# every 8 KB.
+# A report or SVG goes to its file in whole pieces (a report, a range run,
+# a chain batch, an SVG polygon), up to 17.9 MB in all (the chain of
+# triangular n = 4 from convergent 1561); a 1 MiB buffer hands it to the
+# system in few writes, where the default 8 KB one makes one every 8 KB.
+# The file is write-through: each piece is encoded into the buffer as it
+# is written, not held as a str until 8192 characters pile up.
 _FILE_BUFFER = 1 << 20
-# Before its buffer, a text file keeps each str it is given as an object
-# until they hold _CHUNK_SIZE characters, 8192 by default.  render_json
-# gives it about one str per token, so 8192 characters of them held about
-# 50 kB; 1024 characters hold a few kB, and the buffer gets the same bytes.
-_TEXT_CHUNK = 1024
 
 
 @contextmanager
@@ -299,7 +295,7 @@ def _writing(path: str):
     or close it becomes a one-line error for the CLI."""
     try:
         with open(path, "w", buffering=_FILE_BUFFER) as fh:
-            fh._CHUNK_SIZE = _TEXT_CHUNK
+            fh.reconfigure(write_through=True)
             yield fh
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -521,11 +517,10 @@ def _resolve_figure(
 
 
 def _write_json(path: Optional[str], report: dict) -> None:
-    """Write the report to path, if one is given, as render_json makes it,
-    so no string of the whole report is built."""
+    """Write render_json's text of the report to path, if one is given."""
     if path is not None:
         with _writing(path) as fh:
-            render_json(report, fh.write)
+            fh.write(render_json(report))
 
 
 def _print_head(run: dict, family: DescentFamily, a: int, b: int) -> None:
@@ -578,7 +573,14 @@ def _cmd_chain(args) -> int:
     if not 0 <= args.max_steps <= MAX_CHAIN_STEPS:
         raise _UsageError(f"--max-steps must be in 0..{MAX_CHAIN_STEPS}, got {args.max_steps}")
     chain = descent_chain(family, a, b, args.max_steps)
-    with _chain_report(args.json, chain) as report:
+    run = _run_head("chain", family) | {
+        "input_pair": list(chain.start),
+        "steps": [],
+        "stop_reason": chain.stop_reason,
+        "final_pair": list(chain.final_pair),
+        "pass": True,
+    }
+    with _list_report(args.json, report_envelope([run]), "steps") as report:
         _print(f"family {family.title}  start ({a}, {b})\n")
         if chain.steps:
             _chain_steps(chain, report)
@@ -587,7 +589,7 @@ def _cmd_chain(args) -> int:
 
 
 def _chain_steps(chain: ChainResult, report) -> None:
-    """Print chain's kept steps, and write them to report unless it is None,
+    """Print chain's kept steps, and pass them to report unless it is None,
     a batch of _BATCH steps at a time with one write to each.
 
     A walk of the family's map from the start reaches each step's a', b'
@@ -604,7 +606,6 @@ def _chain_steps(chain: ChainResult, report) -> None:
     a_in, b_in, d_in = str(a), str(b), str(d)
     _, (ca, cb), (da, db) = _MAPS[chain.family.kind](chain.family.n)
     ca, cb, da, db, m, a, b, d = map(Decimal, (ca, cb, da, db, steps[0].multiplier, a, b, d))
-    sep = "\n        "
     # one exact context for the whole walk: int arithmetic, str() and the
     # writes do not read it
     with localcontext(_EXACT):
@@ -619,43 +620,39 @@ def _chain_steps(chain: ChainResult, report) -> None:
                 if report is not None:
                     # one step object of runs[0].steps as render_json writes it
                     objects.append(
-                        f'{sep}{{\n          "pair_in": [\n            {a_in},\n            {b_in}\n          ],\n'
+                        f'{{\n          "pair_in": [\n            {a_in},\n            {b_in}\n          ],\n'
                         f'          "pair_out": [\n            {a_out},\n            {b_out}\n          ],\n'
                         f'          "defect_in": {d_in},\n          "defect_out": {d_out}\n        }}'
                     )
-                    sep = ",\n        "
                 a_in, b_in, d_in = a_out, b_out, d_out
             _print("".join(lines))
             if report is not None:
-                report.write("".join(objects))
+                report(",\n        ".join(objects))
     last = steps[-1]
     if (a, b) != last.pair_out or d != last.defect_out:
         raise AssertionError(f"{chain.family.title}: decimals end at ({a}, {b}), defect {d}, not at the last step")
 
 
 @contextmanager
-def _chain_report(path: Optional[str], chain: ChainResult):
-    """Open chain's report at path, write what comes before its steps,
-    yield the file for them, and write what comes after; without a path,
-    yield None.  The report is the bytes render_json would give: it gives
-    the run around an empty steps list, and _cmd_chain writes the steps."""
+def _list_report(path: Optional[str], report: dict, key: str):
+    """Open report's file at path and yield a function that writes, with
+    one write, items of the empty list under key: their JSON text at its
+    depth, joined by commas.  The file gets the bytes render_json gives
+    report with those items in the list.  Without a path, yield None."""
     if path is None:
         yield None
         return
-    run = _run_head("chain", chain.family) | {
-        "input_pair": list(chain.start),
-        "steps": [],
-        "stop_reason": chain.stop_reason,
-        "final_pair": list(chain.final_pair),
-        "pass": True,
-    }
-    parts: list[str] = []
-    render_json(report_envelope([run]), parts.append)
-    head, tail = "".join(parts).split('"steps": []')
+    head, _, tail = render_json(report).partition(f'"{key}": []')
+    newline = head[head.rindex("\n"):]
+    sep = "[" + newline + "  "
     with _writing(path) as fh:
-        fh.write(head + '"steps": [')
-        yield fh
-        fh.write(("\n      ]" if chain.steps else "]") + tail)
+        def write(items: str) -> None:
+            nonlocal sep
+            fh.write(sep + items)
+            sep = "," + newline + "  "
+        fh.write(f'{head}"{key}": ')
+        yield write
+        fh.write(("[]" if sep[0] == "[" else newline + "]") + tail)
 
 
 def _print(text: str) -> None:
@@ -679,20 +676,17 @@ def _cmd_range(args) -> int:
     except BadIndex:  # range reads the index from --n-max, not from --n
         raise _UsageError(f"range --family {args.family} {'takes no' if sweep else 'needs'} --n-max")
     works: list[int] = []  # the n whose map shrinks pairs: four at most (criterion 2)
-
-    def decided():  # prints and yields each run as it is decided
-        for n in indices:
+    with _list_report(args.json, report_envelope([]), "runs") as report:
+        for n in indices:  # each run is printed and written as it is decided
             result = range_check(_resolve_family(args.family, n))
             if result.works:
                 works.append(n)
             verdict = "works" if result.works else "fails"
             _print(f"n={n}: {verdict}\n" if sweep else f"{result.family.title}: {verdict}\n")
-            yield build_range_run(result)
-
-    runs = decided()
-    _write_json(args.json, report_envelope(runs))
-    for _ in runs:  # without --json, only this loop draws them
-        pass
+            if report is not None:
+                parts: list[str] = []
+                _write_value(build_range_run(result), "\n    ", parts.append)
+                report("".join(parts))
     if sweep:  # each summary line is written one n at a time
         for verdict, ns in (("works", works), ("fails", (n for n in indices if n not in works))):
             sep = f"{verdict}: "
@@ -744,6 +738,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     unknown one, top-level help) goes to the top-level parser.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
+    if sys.stdout is None:  # Python started with file descriptor 1 closed
+        print("cannot write stdout: Bad file descriptor", file=sys.stderr)
+        return 1
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     try:

@@ -113,10 +113,8 @@ def test_build_verify_run_window_fail_is_shallow():
 
 
 def _json_text(x) -> str:
-    """The text render_json passes its writer for x."""
-    parts: list[str] = []
-    render_json(x, parts.append)
-    return "".join(parts)
+    """The text render_json returns for x."""
+    return render_json(x)
 
 
 def test_render_json_round_trip_and_determinism():
@@ -340,6 +338,26 @@ def test_cli_stdout_to_closed_pipe(unbuffered):
     finally:
         os.close(write_end)
     assert (code, err) == (1, "cannot write stdout: Broken pipe\n")
+
+
+def test_cli_with_stdout_closed():
+    # with file descriptor 1 closed, Python sets sys.stdout to None; each
+    # command, and help, exits 1 with one line on stderr, no traceback
+    for argv in (
+        ["verify", "--family", "sqrt2", "--a", "7", "--b", "5"],
+        ["chain", "--family", "sqrt2", "--a", "17", "--b", "12"],
+        ["range", "--family", "triangular", "--n-max", "10"],
+        ["--help"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "irrgeo", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (1, "cannot write stdout: Bad file descriptor\n"), argv
 
 
 def test_cli_figure_size_limit(capsys, tmp_path):
@@ -705,7 +723,7 @@ def test_render_json_matches_json_module_on_random_trees():
 @pytest.mark.parametrize("bad", [1.5, (1, 2), {3}, [1, 2.0], {"x": (1,)}, {"y": [{"z": {4}}]}, {1: 2}])
 def test_render_json_refuses_other_types(bad):
     with pytest.raises(TypeError, match="reports hold no|report keys are str"):
-        render_json(bad, [].append)
+        render_json(bad)
 
 
 class _Level(enum.IntEnum):
@@ -745,41 +763,7 @@ def test_render_json_contract_beyond_plain_types():
         assert _json_text(x) == _reference_json(x)
     for bad in ([1, 2.5], [True, 1.0], {1: [1, 2]}, {_Level.LOW: 1}, [[1, 2], (3, 4)], _List([1.0])):
         with pytest.raises(TypeError, match="reports hold no|report keys are str"):
-            render_json(bad, [].append)
-
-
-def _as_generators(x):
-    """x with every list, at every depth, made a generator of its items."""
-    if isinstance(x, dict):
-        return {key: _as_generators(value) for key, value in x.items()}
-    if isinstance(x, list):
-        return (_as_generators(value) for value in x)
-    return x
-
-
-def test_render_json_writes_a_generator_as_its_list():
-    # a generator is written as the list it yields, an empty one as [],
-    # and each item is drawn only once the one before it is written
-    rng = random.Random(9)
-    for tree in [_random_tree(rng, 0) for _ in range(300)] + _WRITER_CONTRACT:
-        assert _json_text(_as_generators(tree)) == _reference_json(tree)
-    parts: list[str] = []
-    drawn = []
-
-    def items():
-        for i in range(3):
-            drawn.append("".join(parts))
-            yield [i]
-
-    render_json({"runs": items()}, parts.append)
-    assert drawn == [
-        '{\n  "runs": ',
-        '{\n  "runs": [\n    [\n      0\n    ]',
-        '{\n  "runs": [\n    [\n      0\n    ],\n    [\n      1\n    ]',
-    ]
-    assert "".join(parts) == _reference_json({"runs": [[0], [1], [2]]})
-    with pytest.raises(TypeError, match="reports hold no float"):
-        render_json({"runs": (x for x in [1, 2.5])}, [].append)
+            render_json(bad)
 
 
 def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
@@ -806,9 +790,9 @@ def test_every_json_report_goes_through_render_json(capsys, monkeypatch, tmp_pat
     # file, which keeps the json module's bytes of the whole report
     calls = []
 
-    def counting(report, write):
+    def counting(report):
         calls.append(report)
-        render_json(report, write)
+        return render_json(report)
 
     monkeypatch.setattr("irrgeo.render_report.render_json", counting)
     sqrt2 = DescentFamily.sqrt2()
@@ -873,20 +857,24 @@ def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
 def test_range_is_written_as_it_is_decided(tmp_path):
     # range prints and writes each run as it decides it, so its peak memory,
     # less the file's buffer, grows with --n-max only by the summary's
-    # lists of n (about 60 B per n), not by a list of runs (1.5 kB per n)
+    # lists of n (about 60 B per n), not by a list of runs (1.5 kB per n);
+    # so does range without --json, whose summary is written one n at a
+    # time (a line joined first would grow it by about 67 B per n)
     out = tmp_path / "range.json"
     peaks = {}
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         cli_main(["range", "--family", "triangular", "--n-max", "3"])  # the parser is built outside the measurement
-        for n_max in (1000, 4000):
-            tracemalloc.start()
-            try:
-                assert cli_main(["range", "--family", "triangular", "--n-max", str(n_max), "--json", str(out)]) == 0
-                peaks[n_max] = tracemalloc.get_traced_memory()[1] - _FILE_BUFFER
-            finally:
-                tracemalloc.stop()
+        for report in (["--json", str(out)], []):
+            for n_max in (1000, 4000):
+                tracemalloc.start()
+                try:
+                    assert cli_main(["range", "--family", "triangular", "--n-max", str(n_max), *report]) == 0
+                    peaks[n_max, bool(report)] = tracemalloc.get_traced_memory()[1] - (_FILE_BUFFER if report else 0)
+                finally:
+                    tracemalloc.stop()
     assert len(json.loads(out.read_text())["runs"]) == 3999
-    assert peaks[4000] - peaks[1000] < 10 * 3000, peaks
+    for report in (True, False):
+        assert peaks[4000, report] - peaks[1000, report] < 10 * 3000, peaks
 
 
 # range and chain print while their report is being written, so a failed
