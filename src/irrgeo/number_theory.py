@@ -63,8 +63,9 @@ _RHO_STEPS = 1 << 18
 def _is_prime(m: int) -> bool:
     """Miller-Rabin over _MR_BASES for an odd m > 41.
 
-    False is a proof that m is composite; True is one only below psi_13, so
-    a larger m that passes every base raises ValueError instead.
+    False is a proof that m is composite; True is one only below
+    _MR_EXACT_BELOW, so a larger m that passes every base raises ValueError
+    instead.
     """
     d = m - 1
     s = (d & -d).bit_length() - 1
@@ -113,11 +114,9 @@ def factorize(n: int) -> dict[int, int]:
     2 and 3 are divided out first, then the primes 5..997 that divide
     gcd(n, their product).  A cofactor below 1000**2 is then 1 or a prime.
     A larger one is split, at its square root if it is a square and by
-    Pollard's rho otherwise, until Miller-Rabin over the bases 2..41 proves
-    every piece prime.  That proof holds below psi_13 =
-    3317044064679887385961981 (Sorenson & Webster, 2017); a piece at or
-    above it that the test cannot show composite raises ValueError, and so
-    does one that rho does not split in _RHO_STEPS steps.
+    Pollard's rho otherwise, until _is_prime proves every piece prime.  A
+    piece it can neither prove prime nor show composite raises ValueError,
+    and so does one that rho does not split in _RHO_STEPS steps.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
@@ -218,16 +217,17 @@ def convergents(radicand: int, count: int) -> list[tuple[int, int]]:
 def square_triangular(limit: int) -> list[int]:
     """All n <= limit whose triangular number is a perfect square.
 
-    Generated by the second-order recurrence n' = 6n - n_prev + 2 from
-    (0, 1); each emitted index is checked against the direct definition.
+    Walks the pairs (n, m) with T_n = m**2 by (n, m) -> (3n + 4m + 1,
+    2n + 3m + 1) from (0, 0); each pair is checked against the exact
+    identity n*(n + 1) == 2*m*m before its n is kept.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     out: list[int] = []
-    prev, cur = 0, 1
-    while prev <= limit:
-        if not is_perfect_square(triangular(prev)):
-            raise AssertionError(f"recurrence gave {prev}, but T_{prev} is not a square")
-        out.append(prev)
-        prev, cur = cur, 6 * cur - prev + 2
+    n, m = 0, 0
+    while n <= limit:
+        if n * (n + 1) != 2 * m * m:
+            raise AssertionError(f"the walk gave (n, m) = ({n}, {m}), but T_n != m**2")
+        out.append(n)
+        n, m = 3 * n + 4 * m + 1, 2 * n + 3 * m + 1
     return out

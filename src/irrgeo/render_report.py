@@ -453,7 +453,7 @@ MAX_CONVERGENT = 2048
 # --max-steps asks.  The largest report (triangular n = 4 from convergent
 # 1561: 2644 steps, 17.9 MB) takes 0.17-0.31 s on a shared Xeon core
 # under CPython 3.11 at 21.1-21.3 MB peak RSS, each batch of 16 steps'
-# text joined and written at once (20.8-21.0 MB with one write per step).
+# text joined and written at once.
 MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.

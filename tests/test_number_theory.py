@@ -229,8 +229,8 @@ def test_convergent_invariants():
 
 def _dist_sq_cmp(p1: int, q1: int, p2: int, q2: int, radicand: int) -> int:
     """Exact sign of |q1*sqrt(N) - p1| - |q2*sqrt(N) - p2| via squared surds."""
-    d1 = Surd(Fraction(q1 * q1 * radicand + p1 * p1), Fraction(-2 * p1 * q1), radicand)
-    d2 = Surd(Fraction(q2 * q2 * radicand + p2 * p2), Fraction(-2 * p2 * q2), radicand)
+    d1 = Surd(q1 * q1 * radicand + p1 * p1, -2 * p1 * q1, radicand)
+    d2 = Surd(q2 * q2 * radicand + p2 * p2, -2 * p2 * q2, radicand)
     return (d1 - d2).sign()
 
 

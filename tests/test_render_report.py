@@ -79,8 +79,8 @@ def test_frac_str():
 
 def test_surd_str():
     assert surd_str(Surd(5, -1, 21)) == "5/1 + -1/1*sqrt(21)"
-    assert surd_str(Surd(Fraction(3, 2), 0, 2)) == "3/2"
-    assert surd_str(Surd(0, Fraction(1, 2), 6)) == "0/1 + 1/2*sqrt(6)"
+    assert surd_str(Surd(3, 0, 2)) == "3/1"
+    assert surd_str(Surd(0, -2, 6)) == "0/1 + -2/1*sqrt(6)"
 
 
 def test_build_verify_run_structure():
