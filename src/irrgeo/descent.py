@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .exact_arith import Surd
-from .number_theory import triangular
+from .number_theory import _square_difference, triangular
 
 
 class BadIndex(ValueError):
@@ -143,12 +143,6 @@ def _steps(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int)
         # DescentStep._make without its field count check: six are given
         yield tuple.__new__(DescentStep, (family, (a, b), (a_out, b_out), d_in, d_out, m))
         a, b, d_in = a_out, b_out, d_out
-
-
-def _square_difference(c, p, q, d, r, s) -> tuple:
-    """The coefficients of a**2, a*b and b**2 in
-    c*(p*a + q*b)**2 - d*(r*a + s*b)**2."""
-    return c * p * p - d * r * r, 2 * (c * p * q - d * r * s), c * q * q - d * s * s
 
 
 def defect_multiplier(family: DescentFamily) -> int:

@@ -81,7 +81,7 @@ class Surd(_SurdFields):
         return self.radicand
 
     def __add__(self, other: "Surd | int") -> "Surd":
-        if isinstance(other, int):
+        if type(other) is int:
             return Surd(self.rat + other, self.coef, self.radicand)
         if isinstance(other, Surd):
             radicand = self._merge_radicand(other)
@@ -92,7 +92,8 @@ class Surd(_SurdFields):
         return Surd(-self.rat, -self.coef, self.radicand)
 
     def __sub__(self, other: "Surd | int") -> "Surd":
-        return self + -other
+        # a bool is refused before it is negated: -True is the int -1
+        return NotImplemented if type(other) is bool else self + -other
 
     def sign(self) -> int:
         """Exact sign in integers.

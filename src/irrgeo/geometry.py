@@ -29,7 +29,8 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .descent import DescentFamily, FamilyKind, _square_difference
+from .descent import DescentFamily, FamilyKind
+from .number_theory import _square_difference
 
 ORTHOGONAL = "orthogonal"
 TRIANGULAR = "triangular"

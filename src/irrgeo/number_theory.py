@@ -1,6 +1,7 @@
 """Integer-side support: factorization, squarefree decomposition, square
-counting, continued-fraction convergents, and the square triangular
-numbers.
+counting, continued-fraction convergents, the square triangular numbers,
+and `_square_difference`, the one expansion of a difference of two squared
+linear forms from which every quadratic identity here is proved.
 
 `factorize` removes the primes below 1000 with one gcd against their
 product, then splits what is left with Pollard's rho (BIT 15, 1975) and
@@ -22,11 +23,10 @@ class SquareRadicand(ValueError):
     """A radicand that must not be a perfect square was one."""
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
+def _square_difference(c, p, q, d, r, s) -> tuple:
+    """The coefficients of a**2, a*b and b**2 in
+    c*(p*a + q*b)**2 - d*(r*a + s*b)**2."""
+    return c * p * p - d * r * r, 2 * (c * p * q - d * r * s), c * q * q - d * s * s
 
 
 def triangular(n: int) -> int:
@@ -194,11 +194,10 @@ def convergents(radicand: int, count: int) -> list[tuple[int, int]]:
     Uses the integer recurrence for the periodic expansion of a quadratic
     irrational; radicand must be a non-square integer >= 2.
     """
-    if radicand < 2 or is_perfect_square(radicand):
+    if radicand < 2 or (a0 := isqrt(radicand)) * a0 == radicand:
         raise SquareRadicand(f"sqrt({radicand}) is not irrational")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    a0 = isqrt(radicand)
     # state for the partial quotients of (sqrt(N) + m) / d
     m, d, a = 0, 1, a0
     p_prev, q_prev = 1, 0
@@ -214,20 +213,29 @@ def convergents(radicand: int, count: int) -> list[tuple[int, int]]:
     return out[:count]
 
 
+# the rows of (x, y) -> (3x + 4y, 2x + 3y): x + y*sqrt(2) times 3 + 2*sqrt(2)
+_PELL_STEP = ((3, 4), (2, 3))
+
+
 def square_triangular(limit: int) -> list[int]:
     """All n <= limit whose triangular number is a perfect square.
 
-    Walks the pairs (n, m) with T_n = m**2 by (n, m) -> (3n + 4m + 1,
-    2n + 3m + 1) from (0, 0); each pair is checked against the exact
-    identity n*(n + 1) == 2*m*m before its n is kept.
+    T_n == m**2 is x**2 - 2*y**2 == 1 in x = 2n + 1, y = 2m.  Every
+    solution with x > 0 and y >= 0 is x + y*sqrt(2) == (3 + 2*sqrt(2))**k
+    for some k >= 0, and each has x odd and y even, so the walk from
+    (1, 0) by _PELL_STEP, (x, y) -> (3x + 4y, 2x + 3y), meets every n in
+    increasing order and misses none.  That the step keeps x**2 - 2*y**2
+    is proved once per call from its coefficients; (1, 0) has
+    x**2 - 2*y**2 == 1, so every term has T_n == m**2.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
+    (p, q), (r, s) = _PELL_STEP
+    if _square_difference(1, p, q, 2, r, s) != (1, 0, -2):
+        raise AssertionError(f"(x, y) -> ({p}x + {q}y, {r}x + {s}y) does not keep x**2 - 2*y**2")
     out: list[int] = []
-    n, m = 0, 0
-    while n <= limit:
-        if n * (n + 1) != 2 * m * m:
-            raise AssertionError(f"the walk gave (n, m) = ({n}, {m}), but T_n != m**2")
+    x, y = 1, 0
+    while (n := x >> 1) <= limit:
         out.append(n)
-        n, m = 3 * n + 4 * m + 1, 2 * n + 3 * m + 1
+        x, y = p * x + q * y, r * x + s * y
     return out

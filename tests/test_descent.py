@@ -34,7 +34,13 @@ from irrgeo.geometry import (
     verify_figure,
     window_inequalities,
 )
-from irrgeo.number_theory import convergents, squarefree_decompose, triangular
+from irrgeo.number_theory import (
+    _PELL_STEP,
+    _square_difference,
+    convergents,
+    squarefree_decompose,
+    triangular,
+)
 
 
 def test_family_constructors():
@@ -175,6 +181,17 @@ def test_defect_multiplier_matches_symbolic_reference():
         m = defect_multiplier(family)
         assert type(m) is int
         assert m == _reference_multiplier(family), family
+
+
+def test_pell_step_keeps_its_form_by_evaluation():
+    # square_triangular's proof, checked without _square_difference's
+    # algebra: the image form (3x + 4y)**2 - 2*(2x + 3y)**2 equals both
+    # the expanded triple and x**2 - 2*y**2 at every point of _FORM_POINTS
+    (p, q), (r, s) = _PELL_STEP
+    coeffs = _square_difference(1, p, q, 2, r, s)
+    for x, y in _FORM_POINTS:
+        image = (p * x + q * y) ** 2 - 2 * (r * x + s * y) ** 2
+        assert _form_at(coeffs, x, y) == image == x * x - 2 * y * y, (x, y)
 
 
 # sqrt2 forms whose defect is no multiple of a**2 - 2*b**2, each failing

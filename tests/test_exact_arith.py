@@ -163,7 +163,8 @@ def test_surd_sign_matches_a_fraction_oracle_on_large_int_parts():
 def test_surd_refuses_non_int_parts():
     # p and q are ints: bool, Fraction, float and str parts are refused by
     # both constructors, a perfect-square Surd.of included, where rat and
-    # coef fold into one part; a Surd adds only an int or a Surd
+    # coef fold into one part; a Surd adds or subtracts only an int or a
+    # Surd, and a bool is no int here either, though -True is the int -1
     calls = []
     for bad in (Fraction(1, 2), Fraction(3), 0.5, 1.0, "1", True, False):
         for make in (Surd, Surd.of):
@@ -172,7 +173,8 @@ def test_surd_refuses_non_int_parts():
     for make, *args in calls:
         with pytest.raises(TypeError):
             make(*args)
-    with pytest.raises(TypeError):
-        Surd(1, 1, 2) + Fraction(1, 2)
-    with pytest.raises(TypeError):
-        Surd(1, 1, 2) - Fraction(1, 2)
+    for bad in (Fraction(1, 2), True):
+        with pytest.raises(TypeError):
+            Surd(1, 1, 2) + bad
+        with pytest.raises(TypeError):
+            Surd(1, 1, 2) - bad

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -5,12 +6,12 @@ from math import gcd, isqrt
 
 import pytest
 
+from irrgeo import number_theory
 from irrgeo.exact_arith import Surd
 from irrgeo.number_theory import (
     SquareRadicand,
     convergents,
     factorize,
-    is_perfect_square,
     square_density,
     square_triangular,
     squarefree_decompose,
@@ -20,7 +21,7 @@ from irrgeo.number_theory import (
 
 def test_triangular_values():
     assert [triangular(n) for n in range(9)] == [0, 1, 3, 6, 10, 15, 21, 28, 36]
-    assert triangular(8) == 36 and is_perfect_square(triangular(8))
+    assert triangular(8) == 36 == isqrt(triangular(8)) ** 2
 
 
 def test_factorize():
@@ -259,5 +260,18 @@ def test_square_triangular_examples():
 
 def test_square_triangular_brute_force():
     limit = 10**4
-    brute = [n for n in range(limit + 1) if is_perfect_square(triangular(n))]
+    brute = [n for n in range(limit + 1) if isqrt(triangular(n)) ** 2 == triangular(n)]
     assert square_triangular(limit) == brute
+
+
+def test_square_triangular_proof_catches_each_coefficient_off_by_one(monkeypatch):
+    # the once-per-call proof that the Pell step keeps x**2 - 2*y**2 must
+    # refuse each of its four coefficients one too high or too low; it
+    # raises AssertionError itself, so it holds under python -O as well
+    rows = number_theory._PELL_STEP
+    for i, j, e in itertools.product((0, 1), (0, 1), (1, -1)):
+        bad = [list(row) for row in rows]
+        bad[i][j] += e
+        monkeypatch.setattr(number_theory, "_PELL_STEP", bad)
+        with pytest.raises(AssertionError, match="does not keep"):
+            square_triangular(10)

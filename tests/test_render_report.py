@@ -1,6 +1,7 @@
 import contextlib
 import decimal
 import enum
+import hashlib
 import itertools
 import json
 import math
@@ -505,6 +506,15 @@ def test_cli_sequence(capsys):
     code = cli_main(["sequence", "--limit", "300"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0 1 8 49 288"
+
+
+def test_cli_sequence_at_its_cap(capsys):
+    # 4300 nines is the largest int argparse reads; the terms up to it must
+    # print with the stdout digest the CI step "the largest accepted svg and
+    # sequence" checks
+    assert cli_main(["sequence", "--limit", "9" * 4300]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "b8534aca48a0f85def5ced766499c59a"
 
 
 def test_cli_density(capsys):
