@@ -43,7 +43,7 @@ from .geometry import (
     verify_figure,
     window_inequalities,
 )
-from .number_theory import SquareRadicand, convergents, square_density, square_triangular
+from .number_theory import _PELL_STEP, SquareRadicand, convergents, square_density, square_triangular
 
 if TYPE_CHECKING:
     import argparse
@@ -280,22 +280,12 @@ class _ParserExit(Exception):
     """argparse ended the line after printing help; args[0] is the status."""
 
 
-# A report or SVG goes to its file in whole pieces (a report, a range run,
-# a chain batch, an SVG polygon), up to 17.9 MB in all (the chain of
-# triangular n = 4 from convergent 1561); a 1 MiB buffer hands it to the
-# system in few writes, where the default 8 KB one makes one every 8 KB.
-# The file is write-through: each piece is encoded into the buffer as it
-# is written, not held as a str until 8192 characters pile up.
-_FILE_BUFFER = 1 << 20
-
-
 @contextmanager
 def _writing(path: str):
     """Open path for writing and yield the file; a failure to open, write
     or close it becomes a one-line error for the CLI."""
     try:
-        with open(path, "w", buffering=_FILE_BUFFER) as fh:
-            fh.reconfigure(write_through=True)
+        with open(path, "w") as fh:
             yield fh
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -451,19 +441,20 @@ MAX_CONVERGENT = 2048
 # The longest chains measured from pairs below 2**4096 end by themselves
 # after about 3200 steps (sqrt2); the cap bounds the work whatever
 # --max-steps asks.  The largest report (triangular n = 4 from convergent
-# 1561: 2644 steps, 17.9 MB) takes 0.17-0.31 s on a shared Xeon core
-# under CPython 3.11 at 21.1-21.3 MB peak RSS, each batch of 16 steps'
+# 1561: 2644 steps, 17.9 MB) takes 0.17-0.22 s on a shared Xeon core
+# under CPython 3.11 at 20.2-20.3 MB peak RSS, each batch of 16 steps'
 # text joined and written at once.
 MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
 # n = 64 at convergent 584 (a 998-bit pair, an 11.6 MB SVG written to its
-# file as it is drawn) takes 0.24-0.26 s and 26.3 MB peak RSS on one Xeon
-# core under CPython 3.11.
+# file as it is drawn) takes 0.24-0.25 s and 25.7-26.0 MB peak RSS on one
+# Xeon core under CPython 3.11.
 MAX_SVG_BITS = 1000
 # range --n-max checks every n from 2 up, factoring each T_n; n-max =
-# 10000 takes 0.93-1.22 s and 17.3 MB peak RSS with --json, 16.2 MB without
-# (each run is printed and written as it is decided), on one Xeon core.
+# 10000 takes 0.86-0.89 s and 16.2-16.4 MB peak RSS with --json, about
+# as much without (each run is printed and written as it is decided), on
+# one Xeon core.
 MAX_RANGE_N = 10_000
 
 
@@ -698,11 +689,25 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
+    """Print the terms of square_triangular, which proves its walk, from
+    the same walk on exact Decimals: str() of a Decimal takes time linear
+    in its digits, of an int quadratic on CPython 3.10 and 3.11.  Each
+    term is written as it is reached, and the last must be the int walk's."""
     if args.limit < 0:
         raise _UsageError("--limit must be nonnegative")
-    # print converts and writes one term at a time, so no string of the
-    # whole line is built
-    print(*square_triangular(args.limit))
+    terms = square_triangular(args.limit)
+    (p, q), (r, s) = _PELL_STEP
+    p, q, r, s, x, y = map(Decimal, (p, q, r, s, 1, 0))
+    sep = ""
+    with localcontext(_EXACT):
+        for _ in terms:
+            n = (x - 1) / 2  # x is odd, so under _EXACT this is exact
+            sys.stdout.write(f"{sep}{n}")
+            sep = " "
+            x, y = p * x + q * y, r * x + s * y
+    if n != terms[-1]:
+        raise AssertionError(f"the Decimal walk ends at {n}, not at {terms[-1]}")
+    sys.stdout.write("\n")
     return 0
 
 

@@ -34,7 +34,6 @@ from irrgeo.render_report import (
     DEPTH_FILL,
     SQRT3_HALF,
     _BATCH,
-    _FILE_BUFFER,
     _INT_BITS,
     _svg_num,
     _svg_points,
@@ -778,8 +777,8 @@ def test_render_json_contract_beyond_plain_types():
 
 def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
     # --json writes the report to its file piece by piece, so the largest
-    # report of a range sweep adds little to the run's peak memory beyond
-    # the file's fixed buffer
+    # report of a range sweep, over a megabyte, adds only a few kB to the
+    # run's peak memory
     argv = ["range", "--family", "triangular", "--n-max", "2000"]
     cli_main(argv[:-1] + ["3"])  # the parser is built outside the measurement
     peaks = []
@@ -792,7 +791,7 @@ def test_json_report_is_written_as_it_is_made(capsys, tmp_path):
         finally:
             tracemalloc.stop()
     assert (tmp_path / "range.json").stat().st_size > 1_000_000
-    assert peaks[1] - _FILE_BUFFER <= 1.25 * peaks[0], peaks
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
 
 def test_every_json_report_goes_through_render_json(capsys, monkeypatch, tmp_path):
@@ -845,10 +844,21 @@ def test_sequence_is_written_as_it_is_converted(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_sequence_digits_must_end_at_the_proved_walk(capsys, monkeypatch):
+    # sequence prints the digits of its own Decimal walk, and its last
+    # term must be the last of square_triangular's proved int walk; this
+    # raises AssertionError itself, so it holds under python -O as well
+    terms = square_triangular(10**40)
+    altered = terms[:-1] + [terms[-1] + 1]
+    monkeypatch.setattr(irrgeo.render_report, "square_triangular", lambda limit: altered)
+    with pytest.raises(AssertionError, match=f"ends at {terms[-1]}, not at {terms[-1] + 1}"):
+        cli_main(["sequence", "--limit", str(10**40)])
+    capsys.readouterr()
+
+
 def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
     # svg writes the drawing to its file polygon by polygon, so its peak
-    # memory, less the file's fixed buffer, stays near the census it draws
-    # from
+    # memory stays near the census it draws from
     pair = ["--family", "triangular", "--n", "32", "--convergent", "40"]
     cli_main(["census", "--family", "sqrt2", "--a", "7", "--b", "5"])  # the parser is built outside the measurement
     peaks = []
@@ -861,13 +871,13 @@ def test_svg_is_written_as_it_is_drawn(capsys, tmp_path):
         finally:
             tracemalloc.stop()
     assert (tmp_path / "x.svg").stat().st_size > 400_000
-    assert peaks[1] - _FILE_BUFFER <= 1.5 * peaks[0], peaks
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_range_is_written_as_it_is_decided(tmp_path):
-    # range prints and writes each run as it decides it, so its peak memory,
-    # less the file's buffer, grows with --n-max only by the summary's
-    # lists of n (about 60 B per n), not by a list of runs (1.5 kB per n);
+    # range prints and writes each run as it decides it, so its peak memory
+    # grows with --n-max only by the summary's lists of n (about 60 B per
+    # n), not by a list of runs (1.5 kB per n);
     # so does range without --json, whose summary is written one n at a
     # time (a line joined first would grow it by about 67 B per n)
     out = tmp_path / "range.json"
@@ -879,12 +889,15 @@ def test_range_is_written_as_it_is_decided(tmp_path):
                 tracemalloc.start()
                 try:
                     assert cli_main(["range", "--family", "triangular", "--n-max", str(n_max), *report]) == 0
-                    peaks[n_max, bool(report)] = tracemalloc.get_traced_memory()[1] - (_FILE_BUFFER if report else 0)
+                    peaks[n_max, bool(report)] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
     assert len(json.loads(out.read_text())["runs"]) == 3999
     for report in (True, False):
         assert peaks[4000, report] - peaks[1000, report] < 10 * 3000, peaks
+    # and the report file adds only its few kB of buffers
+    for n_max in (1000, 4000):
+        assert peaks[n_max, True] - peaks[n_max, False] <= 64 * 1024, peaks
 
 
 # range and chain print while their report is being written, so a failed
@@ -909,9 +922,8 @@ def test_range_report_leaves_stdout_failures_to_stdout(unbuffered, tmp_path):
 
 def test_chain_keeps_no_step_text(tmp_path):
     # chain prints and writes each step's decimals when it draws them, so
-    # its peak memory, less the file's buffer, is about that of the integer
-    # chain it prints: the largest accepted pair, 2644 steps and a 17.9 MB
-    # report
+    # its peak memory is about that of the integer chain it prints: the
+    # largest accepted pair, 2644 steps and a 17.9 MB report
     family, (a, b) = DescentFamily.triangular(4), convergents(10, 1561)[-1]
     argv = ["chain", "--family", "triangular", "--n", "4", "--convergent", "1561", "--max-steps", str(MAX_CHAIN_STEPS)]
     peaks = []
@@ -928,7 +940,7 @@ def test_chain_keeps_no_step_text(tmp_path):
             finally:
                 tracemalloc.stop()
     assert (tmp_path / "chain.json").stat().st_size > 17_000_000
-    assert peaks[1] - _FILE_BUFFER <= 1.2 * peaks[0], peaks
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_chain_leaves_the_decimal_context_as_it_was(capsys, monkeypatch, tmp_path):
