@@ -34,7 +34,6 @@ from .geometry import (
     census_to_descent,
     convex_intersection,
     coverage_census,
-    verify_eq1,
     verify_figure,
     window_inequalities,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "square_density",
     "square_triangular",
     "squarefree_decompose",
-    "verify_eq1",
     "verify_figure",
     "window_inequalities",
 ]

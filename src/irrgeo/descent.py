@@ -108,7 +108,6 @@ class DescentFamily(_FamilyFields):
 
 
 class DescentStep(NamedTuple):
-    family: DescentFamily
     pair_in: tuple[int, int]
     pair_out: tuple[int, int]
     defect_in: int
@@ -140,8 +139,8 @@ def _steps(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int)
         d_out = a_out * a_out - big_n * (b_out * b_out)
         if d_out != m * d_in:
             raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
-        # DescentStep._make without its field count check: six are given
-        yield tuple.__new__(DescentStep, (family, (a, b), (a_out, b_out), d_in, d_out, m))
+        # DescentStep._make without its field count check: five are given
+        yield tuple.__new__(DescentStep, ((a, b), (a_out, b_out), d_in, d_out, m))
         a, b, d_in = a_out, b_out, d_out
 
 

@@ -384,25 +384,6 @@ def _balance(fig: _Figure) -> tuple[int, int, int]:
     return _square_difference(excess, ta, tb, fig.blank_unit, sa, sb)
 
 
-class Eq1Certificate(NamedTuple):
-    """Eq1's left side, (n+1)*(n*b - a)**2 - (n/2)*(2*a - (n+1)*b)**2, as (a**2, a*b, b**2)
-    coefficients; ok says they are cofactor*(1, 0, -T_n), so Eq1 holds iff a**2 == T_n*b**2."""
-
-    n: int
-    difference: tuple[Fraction, Fraction, Fraction]
-    cofactor: int
-    ok: bool
-
-
-def verify_eq1(n: int) -> Eq1Certificate:
-    """Eq1's certificate: its left side is the triangle figure's balance over 2*(n-1)."""
-    family = DescentFamily.triangular(n)  # BadIndex for n < 2
-    difference = tuple(Fraction(c, 2 * (n - 1)) for c in _balance(_figure(family)))
-    cofactor = 1 - n
-    ok = difference == (cofactor, 0, -cofactor * family.radicand)
-    return Eq1Certificate(n=n, difference=difference, cofactor=cofactor, ok=ok)
-
-
 class WindowInequality(NamedTuple):
     name: str
     ok: bool
@@ -636,7 +617,7 @@ def census_to_descent(arr: Arrangement, census: CoverageCensus) -> tuple[int, in
     the figure table then fixes how (q*t, q*s) give the next (a, b).  No
     algebraic map is consulted, so agreement with descent_step is a real check.
     """
-    if not census.pair_regions:
+    if not census.distinct_pair_regions:
         raise ValueError("figure has no overlap regions to measure")
     fig = _figure(arr.family)
     e, e_den = _side(census.distinct_pair_regions[0])  # t = e/e_den

@@ -157,9 +157,8 @@ def factorize(n: int) -> dict[int, int]:
 
 
 class SquarefreeDecomposition(NamedTuple):
-    """n == squarefree * root**2 with squarefree squarefree."""
+    """A positive integer as squarefree * root**2, squarefree squarefree."""
 
-    n: int
     squarefree: int
     root: int
 
@@ -172,7 +171,7 @@ def squarefree_decompose(n: int) -> SquarefreeDecomposition:
         if e % 2:
             free *= p
         root *= p ** (e // 2)
-    return SquarefreeDecomposition(n=n, squarefree=free, root=root)
+    return SquarefreeDecomposition(squarefree=free, root=root)
 
 
 def square_density(x: int) -> tuple[int, Fraction]:

@@ -276,10 +276,6 @@ class _WriteError(Exception):
     pass
 
 
-class _ParserExit(Exception):
-    """argparse ended the line after printing help; args[0] is the status."""
-
-
 @contextmanager
 def _writing(path: str):
     """Open path for writing and yield the file; a failure to open, write
@@ -321,11 +317,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             raise _UsageError(message)
-
-        def exit(self, status=0, message=None):
-            # only the help action gets here (error is above), its text
-            # already printed; cli_main returns the status
-            raise _ParserExit(status)
 
         def _print_message(self, message, file=None):
             # argparse's own drops an OSError, so help sent to a full disk
@@ -750,12 +741,13 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     command = commands.get(argv[0]) if argv else None
     try:
         try:
-            args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+            try:
+                args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+            except SystemExit as exc:  # only help exits (error is overridden), its text printed
+                return exc.code
             return args.run(args)
         finally:
             sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
-    except _ParserExit as exc:
-        return exc.args[0]
     except _UsageError as exc:
         message = f"usage error: {exc}"
     except _WriteError as exc:

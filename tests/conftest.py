@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 from irrgeo import DescentFamily, convergents, window_inequalities
+from irrgeo.geometry import _balance, _figure
 
 
 def window_convergents(family: DescentFamily, count: int) -> list[tuple[int, int]]:
@@ -14,6 +17,20 @@ def window_convergents(family: DescentFamily, count: int) -> list[tuple[int, int
         if len(pairs) >= count:
             return pairs[:count]
         batch += count
+
+
+def eq1_difference(n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Eq1's left side, (n+1)*(n*b - a)**2 - (n/2)*(2*a - (n+1)*b)**2, as
+    (a**2, a*b, b**2) coefficients: the triangle figure's balance over
+    2*(n - 1).  BadIndex for n < 2."""
+    balance = _balance(_figure(DescentFamily.triangular(n)))
+    return tuple(Fraction(c, 2 * (n - 1)) for c in balance)
+
+
+def eq1_holds(n: int) -> bool:
+    """Whether eq1_difference(n) is (1 - n)*(1, 0, -T_n), T_n the family's
+    radicand, so that Eq1 holds iff a**2 == T_n*b**2."""
+    return eq1_difference(n) == (1 - n, 0, (n - 1) * DescentFamily.triangular(n).radicand)
 
 
 def all_figure_families() -> list[DescentFamily]:

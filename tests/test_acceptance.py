@@ -26,8 +26,9 @@ from irrgeo.geometry import (
     build_arrangement,
     census_to_descent,
     coverage_census,
-    verify_eq1,
     verify_figure,
+    _balance,
+    _figure,
     _side,
 )
 from irrgeo.number_theory import convergents, square_triangular
@@ -64,10 +65,11 @@ def figure_runs():
 def test_criterion_1_area_identity_certificate():
     with _criterion(1, "area identity certificate holds exactly for 2 <= n <= 50"):
         for n in range(2, 51):
-            cert = verify_eq1(n)
-            assert cert.ok
-            assert cert.cofactor == 1 - n
-            assert cert.difference[0] == 1 - n
+            family = DescentFamily.triangular(n)
+            # Eq1's left side is the triangle figure's balance over 2(n - 1);
+            # it is (1 - n)*(a**2 - T_n*b**2), zero iff a**2 == T_n*b**2
+            difference = tuple(Fraction(c, 2 * (n - 1)) for c in _balance(_figure(family)))
+            assert difference == (1 - n, 0, (n - 1) * family.radicand), n
 
 
 def test_criterion_2_parameter_range():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import irrgeo.descent
-from conftest import window_convergents
+from conftest import eq1_difference, eq1_holds, window_convergents
 from irrgeo.descent import (
     _MAPS,
     _Map,
@@ -30,12 +30,12 @@ from irrgeo.geometry import (
     _figure,
     build_arrangement,
     coverage_census,
-    verify_eq1,
     verify_figure,
     window_inequalities,
 )
 from irrgeo.number_theory import (
     _PELL_STEP,
+    SquarefreeDecomposition,
     _square_difference,
     convergents,
     squarefree_decompose,
@@ -135,6 +135,22 @@ def test_step_rejects_nonpositive():
         descent_step(DescentFamily.sqrt2(), 0, 1)
     with pytest.raises(ValueError):
         descent_step(DescentFamily.hex6(), 5, -2)
+
+
+def test_chain_rejects_nonpositive():
+    with pytest.raises(ValueError, match=r"need a positive pair, got \(0, 1\)"):
+        descent_chain(DescentFamily.sqrt2(), 0, 1, 5)
+
+
+def test_chain_rejects_negative_max_steps():
+    with pytest.raises(ValueError, match="max_steps must be nonnegative, got -1"):
+        descent_chain(DescentFamily.sqrt2(), 17, 12, -1)
+
+
+def test_step_and_decomposition_fields():
+    # a step's family is its chain's, a decomposition's input is its caller's
+    assert DescentStep._fields == ("pair_in", "pair_out", "defect_in", "defect_out", "multiplier")
+    assert SquarefreeDecomposition._fields == ("squarefree", "root")
 
 
 def test_defect_multiplier_closed_forms():
@@ -258,42 +274,35 @@ def _eq1_sides_at(n, a, b):
     return lhs, rhs
 
 
-def _check_eq1_certificate(n):
-    """The certificate's triple is the expanded left side of Eq1, checked
-    by evaluation at _FORM_POINTS, and Eq1 holds there."""
-    cert = verify_eq1(n)
-    assert cert.n == n and cert.ok
-    assert type(cert.cofactor) is int and cert.cofactor == 1 - n
-    assert len(cert.difference) == 3
-    assert all(type(c) is Fraction for c in cert.difference)
+def _check_eq1(n):
+    """The triangle figure's balance over 2*(n - 1) is the expanded left
+    side of Eq1, checked by evaluation at _FORM_POINTS, and Eq1 holds there."""
+    difference = eq1_difference(n)
+    assert eq1_holds(n)
     for a, b in _FORM_POINTS:
         lhs, rhs = _eq1_sides_at(n, a, b)
-        assert _form_at(cert.difference, a, b) == lhs == rhs, (n, a, b)
-    return cert
+        assert _form_at(difference, a, b) == lhs == rhs, (n, a, b)
+    return difference
 
 
 def test_verify_eq1_small_cases():
-    cert = _check_eq1_certificate(3)
-    assert cert.cofactor == -2
-    assert cert.difference == (-2, 0, 12)
-    assert _check_eq1_certificate(2).cofactor == -1
-    cert = _check_eq1_certificate(5)
-    assert cert.cofactor == -4
-    assert cert.difference == (-4, 0, 60)
+    assert _check_eq1(2) == (-1, 0, 3)
+    assert _check_eq1(3) == (-2, 0, 12)
+    assert _check_eq1(5) == (-4, 0, 60)
 
 
 def test_verify_eq1_range():
     for n in range(2, 51):
-        _check_eq1_certificate(n)
+        _check_eq1(n)
     with pytest.raises(BadIndex):
-        verify_eq1(1)
+        eq1_difference(1)
 
 
 def test_verify_eq1_can_fail(monkeypatch):
-    # with a wrong T_n the certificate must say no
+    # with a wrong T_n, Eq1 must not hold
     monkeypatch.setattr("irrgeo.descent.triangular", lambda n: triangular(n) + 1)
     for n in range(2, 51):
-        assert verify_eq1(n).ok is False, n
+        assert not eq1_holds(n), n
 
 
 def test_symbolic_ratio_check():
@@ -494,7 +503,7 @@ def _records() -> dict:
     census = coverage_census(arr)
     checks = verify_figure(arr, census)
     records = (
-        chain.steps[0], chain, result, result.witnesses[0], verify_eq1(3),
+        chain.steps[0], chain, result, result.witnesses[0],
         squarefree_decompose(12),
         window_inequalities(family, 7, 5)[0], checks[0], _figure(family),
         arr.big, family, arr, census, result.witnesses[0].value,
@@ -503,7 +512,7 @@ def _records() -> dict:
 
 
 _RECORD_NAMES = [
-    "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness", "Eq1Certificate",
+    "DescentStep", "ChainResult", "RangeCheckResult", "InequalityWitness",
     "SquarefreeDecomposition",
     "WindowInequality", "IdentityCheck", "_Figure", "LatticePolygon",
     "DescentFamily", "Arrangement", "CoverageCensus", "Surd",

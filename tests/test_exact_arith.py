@@ -88,6 +88,18 @@ def test_surd_mixed_radicands():
     assert Surd(5, 0, 2) - Surd(0, 1, 3) == Surd(5, -1, 3)
 
 
+def test_surd_plus_rational_surd_keeps_its_radicand():
+    # the right operand has coef 0, so the sum takes the left radicand
+    assert Surd(1, 2, 3) + Surd(5, 0, 2) == Surd(6, 2, 3)
+    assert Surd(1, 2, 3) - Surd(5, 0, 2) == Surd(-4, 2, 3)
+
+
+def test_surd_of_rejects_nonpositive_radicand():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"radicand must be positive, got {bad}"):
+            Surd.of(1, 1, bad)
+
+
 def test_surd_comparisons():
     # a Surd is a tuple, but it neither multiplies nor orders: products
     # would otherwise repeat the tuple and orderings compare its fields

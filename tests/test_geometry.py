@@ -11,7 +11,7 @@ import pytest
 
 import irrgeo.geometry as geometry
 from _lattice import LatticePoint, corner_points, corner_polygon
-from conftest import all_figure_families, window_convergents
+from conftest import all_figure_families, eq1_holds, window_convergents
 from irrgeo.descent import BadIndex, DescentFamily, FamilyKind, descent_step
 from irrgeo.geometry import (
     Arrangement,
@@ -25,7 +25,6 @@ from irrgeo.geometry import (
     census_to_descent,
     convex_intersection,
     coverage_census,
-    verify_eq1,
     verify_figure,
     window_inequalities,
     _alcove,
@@ -804,11 +803,14 @@ def test_balance_is_the_area_identity():
 
 
 def test_balance_is_twice_n_minus_1_times_eq1():
+    # Eq1's left side as the paper writes it, at the three points where a
+    # form A*a**2 + B*a*b + C*b**2 takes the values A, C and A + B + C
     for n in range(2, 201):
-        cert = verify_eq1(n)
-        assert cert.ok and cert.cofactor == 1 - n
-        balance = geometry._balance(_figure(DescentFamily.triangular(n)))
-        assert balance == tuple(2 * (n - 1) * c for c in cert.difference), n
+        big_a, big_b, big_c = geometry._balance(_figure(DescentFamily.triangular(n)))
+        for a, b in ((1, 0), (0, 1), (1, 1)):
+            lhs = (n + 1) * (n * b - a) ** 2 - Fraction(n, 2) * (2 * a - (n + 1) * b) ** 2
+            assert big_a * a * a + big_b * a * b + big_c * b * b == 2 * (n - 1) * lhs, (n, a, b)
+        assert eq1_holds(n), n
 
 
 @pytest.mark.parametrize(
@@ -822,14 +824,14 @@ def test_balance_is_twice_n_minus_1_times_eq1():
     ],
 )
 def test_verify_eq1_reads_the_figure_table(monkeypatch, field, change):
-    # verify_eq1 is the table's balance, so a wrong table entry must fail it
+    # Eq1 is checked on the table's balance, so a wrong table entry must fail it
     def corrupt(n):
         fig = geometry._triangle_figure(n)
         return fig._replace(**{field: change(getattr(fig, field))})
 
     monkeypatch.setitem(geometry._FIGURES, FamilyKind.TRIANGULAR, corrupt)
     for n in range(2, 51):
-        assert verify_eq1(n).ok is False, (field, n)
+        assert not eq1_holds(n), (field, n)
 
 
 def test_build_tennenbaum():
@@ -845,6 +847,13 @@ def test_build_tennenbaum():
     assert exc.value.inequality == "a > b"
     with pytest.raises(OutOfWindow):
         build_arrangement(DescentFamily.sqrt2(), 3, 3)
+
+
+def test_build_rejects_nonpositive():
+    for a, b in ((0, 1), (3, 0), (-7, -5)):
+        with pytest.raises(OutOfWindow) as exc:
+            build_arrangement(DescentFamily.sqrt2(), a, b)
+        assert exc.value.inequality == "a, b > 0"
 
 
 def test_build_hexagon6():
@@ -957,6 +966,12 @@ def test_arrangement_rejects_escapees():
     outside = square(3, 3, 2)
     with pytest.raises(ValueError):
         Arrangement(big=big, smalls=(outside,), family=DescentFamily.sqrt2(), a=4, b=2)
+
+
+def test_arrangement_rejects_a_small_on_another_basis():
+    big = square(0, 0, 4)
+    with pytest.raises(BasisMismatch, match="small 1 on triangular, big on orthogonal"):
+        Arrangement(big=big, smalls=(square(0, 0, 1), tri(0, 0, 1)), family=DescentFamily.sqrt2(), a=4, b=1)
 
 
 def test_census_tennenbaum_7_5():
@@ -1499,6 +1514,22 @@ def test_census_to_descent_examples():
     assert census_to_descent(arr, coverage_census(arr)) == (2, 1)
     arr = build_arrangement(DescentFamily.triangular(4), 19, 6)
     assert census_to_descent(arr, coverage_census(arr)) == (16, 5)
+
+
+def test_census_to_descent_needs_an_overlap():
+    smalls = (square(0, 0, 3), square(5, 5, 3))
+    arr = Arrangement(big=square(0, 0, 10), smalls=smalls, family=DescentFamily.sqrt2(), a=10, b=3)
+    with pytest.raises(ValueError, match="no overlap regions to measure"):
+        census_to_descent(arr, coverage_census(arr))
+
+
+def test_census_to_descent_refuses_a_non_integral_pair():
+    # the 7, 5 figure at half scale: t = 3/2 and s = 1
+    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
+    half = lambda p: LatticePolygon(p.basis, 2 * p.den, *p[2:])
+    arr = arr._replace(big=half(arr.big), smalls=tuple(map(half, arr.smalls)))
+    with pytest.raises(ValueError, match=r"measured pair \(3/2, 1\) is not integral"):
+        census_to_descent(arr, coverage_census(arr))
 
 
 def test_census_matches_descent_on_50_convergents_per_family():

@@ -24,6 +24,11 @@ def test_triangular_values():
     assert triangular(8) == 36 == isqrt(triangular(8)) ** 2
 
 
+def test_triangular_rejects_negative():
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        triangular(-1)
+
+
 def test_factorize():
     assert factorize(1) == {}
     assert factorize(2026) == {2: 1, 1013: 1}
@@ -206,6 +211,11 @@ def test_convergents_fields_and_count():
     assert len(convergents(6, 1)) == 1
 
 
+def test_convergents_rejects_negative_count():
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        convergents(6, -1)
+
+
 def test_convergents_rejects_squares():
     for bad in (1, 4, 9, 36, 1225):
         with pytest.raises(SquareRadicand):
@@ -256,6 +266,11 @@ def test_square_triangular_examples():
     assert square_triangular(1) == [0, 1]
     assert square_triangular(7) == [0, 1]
     assert square_triangular(8) == [0, 1, 8]
+
+
+def test_square_triangular_rejects_negative():
+    with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
+        square_triangular(-1)
 
 
 def test_square_triangular_brute_force():

@@ -70,6 +70,41 @@ def test_package_all_is_exact():
     assert public == listed
 
 
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of each line of README's "Command line" example block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split() for line in block.splitlines() if line.startswith("irrgeo ")]
+    assert lines
+    return [argv[1:] for argv in lines]
+
+
+def test_readme_command_lines_call_every_exported_function(tmp_path, monkeypatch, capsys):
+    # a function in __all__ that no documented command runs is exported
+    # for the tests alone; the profile hook records every Python call
+    monkeypatch.chdir(tmp_path)
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [cli_main(argv) for argv in _readme_command_lines()]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(codes)
+    functions = {name: getattr(irrgeo, name) for name in irrgeo.__all__}
+    never = sorted(
+        name for name, value in functions.items()
+        if isinstance(value, types.FunctionType) and value.__code__ not in called
+    )
+    assert never == []
+
+
 def test_frac_str():
     assert frac_str(Fraction(3, 2)) == "3/2"
     assert frac_str(7) == "7/1"
