@@ -61,12 +61,15 @@ class DescentFamily(_FamilyFields):
     """One descent map: pair (a, b) -> (a', b') by fixed linear forms.
 
     kind selects the map; n is the row count for the triangular family
-    and None otherwise.  The constructor checks n; _make and _replace do not.
+    and None otherwise.  The constructor checks both, kind before n: a kind
+    that is no FamilyKind member is a TypeError.  _make and _replace do not.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: FamilyKind, n: int | None = None) -> "DescentFamily":
+        if type(kind) is not FamilyKind:
+            raise TypeError(f"a family kind must be a FamilyKind, got {type(kind).__name__}")
         if kind is not FamilyKind.TRIANGULAR:
             if n is not None:
                 raise BadIndex(f"{kind.value} takes no index n")

@@ -24,13 +24,15 @@ bounds to find the pairs worth clipping.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .descent import DescentFamily, FamilyKind
 from .number_theory import _square_difference
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ORTHOGONAL = "orthogonal"
 TRIANGULAR = "triangular"
@@ -99,7 +101,10 @@ class LatticePolygon(_Bounds):
     @property
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The corners as Fractions; the program draws from ints, and only
-        the benchmark's coordinate size count reads these."""
+        the benchmark's coordinate size count reads these, so only they
+        import fractions."""
+        from fractions import Fraction
+
         den = self.den
         return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.ints)
 
@@ -113,13 +118,20 @@ class LatticePolygon(_Bounds):
         return (lw - lu - lv, hu + lv - lw, hw - hu - lv, hu + hv - hw, hw - hv - lu, hv + lu - lw)
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, den > 0, as str of a Fraction writes it: reduced p/q, or p
+    when q = 1."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _rational_sqrt(num: int, den: int) -> tuple[int, int]:
     """(p, q) in lowest terms with (p/q)**2 = num/den, den > 0; ValueError
     if num/den is not the square of a rational, as no negative one is."""
     g = gcd(num, den)
     p, q = isqrt(abs(num) // g), isqrt(den // g)
     if p * p * g != num or q * q * g != den:
-        raise ValueError(f"{Fraction(num, den)} is not a rational square")
+        raise ValueError(f"{_ratio_str(num, den)} is not a rational square")
     return p, q
 
 
@@ -411,27 +423,29 @@ def build_arrangement(family: DescentFamily, a: int, b: int) -> Arrangement:
 class CoverageCensus(NamedTuple):
     """Complete exact accounting of how the smalls cover the big figure.
 
-    All areas are lattice areas, summed in integers, each made a Fraction
-    once.  The pair and triple regions run in the order of their smalls'
-    index pairs and triples.  Depth is capped at 3 by construction
+    Each *_area is a lattice area times area_den, an integer: the areas
+    are summed in integers over the one denominator area_den = 2*den**2.
+    The pair and triple regions run in the order of their smalls' index
+    pairs and triples.  Depth is capped at 3 by construction
     (DepthExceeded otherwise).  coverage_census dedups the regions once, in
-    first-seen order; the doubly covered ones are the distinct pair regions
+    first-seen order; doubly_region_count counts the distinct pair regions
     that are no triple region.
     """
 
-    big_area: Fraction
-    total_small_area: Fraction
-    union_area: Fraction
-    blank_area: Fraction
-    excess_area: Fraction
-    exactly2_area: Fraction
-    exactly3_area: Fraction
+    big_area: int
+    total_small_area: int
+    union_area: int
+    blank_area: int
+    excess_area: int
+    exactly2_area: int
+    exactly3_area: int
+    area_den: int
     pair_regions: tuple[LatticePolygon, ...]
     triple_regions: tuple[LatticePolygon, ...]
     max_depth: int
     distinct_pair_regions: tuple[LatticePolygon, ...]
     distinct_triple_regions: tuple[LatticePolygon, ...]
-    doubly_covered_regions: tuple[LatticePolygon, ...]
+    doubly_region_count: int
 
 
 def _twice_area(polys: Iterable[LatticePolygon], den: int) -> int:
@@ -521,26 +535,27 @@ def coverage_census(arr: Arrangement) -> CoverageCensus:
     union = small - pair + triple
     blank = big - union
     exactly2 = pair - 3 * triple
-    whole = 2 * den * den
+    area_den = 2 * den * den
     if blank < 0 or exactly2 < 0:
-        raise AssertionError(f"negative census area over {whole}: blank {blank}, exactly2 {exactly2}")
+        raise AssertionError(f"negative census area over {area_den}: blank {blank}, exactly2 {exactly2}")
     max_depth = 3 if triples else (2 if pairs else 1)
     distinct_pairs = tuple(dict.fromkeys(pairs.values()))
     distinct_triples = dict.fromkeys(triples.values())  # an ordered set
     return CoverageCensus(
-        big_area=Fraction(big, whole),
-        total_small_area=Fraction(small, whole),
-        union_area=Fraction(union, whole),
-        blank_area=Fraction(blank, whole),
-        excess_area=Fraction(small - union, whole),
-        exactly2_area=Fraction(exactly2, whole),
-        exactly3_area=Fraction(triple, whole),
+        big_area=big,
+        total_small_area=small,
+        union_area=union,
+        blank_area=blank,
+        excess_area=small - union,
+        exactly2_area=exactly2,
+        exactly3_area=triple,
+        area_den=area_den,
         pair_regions=tuple(pairs.values()),
         triple_regions=tuple(triples.values()),
         max_depth=max_depth,
         distinct_pair_regions=distinct_pairs,
         distinct_triple_regions=tuple(distinct_triples),
-        doubly_covered_regions=tuple(r for r in distinct_pairs if r not in distinct_triples),
+        doubly_region_count=sum(1 for r in distinct_pairs if r not in distinct_triples),
     )
 
 
@@ -555,17 +570,9 @@ def _check(name: str, lhs: int, rhs: int) -> IdentityCheck:
     return IdentityCheck(name=name, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs)
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """num/den, den > 0, as str(Fraction(num, den)) writes it: reduced
-    p/q, or p when q = 1."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-def _area_check(name: str, x: Fraction, y: Fraction | int, num: int, den: int) -> IdentityCheck:
-    """x - y, a census area less another or 0, against num/den, den > 0, by
-    one integer cross-product; no Fraction is built."""
-    p, q = x.numerator * y.denominator - y.numerator * x.denominator, x.denominator * y.denominator
+def _area_check(name: str, p: int, q: int, num: int, den: int) -> IdentityCheck:
+    """p/q, a census area or the difference of two over area_den, against
+    num/den, q and den > 0, by one integer cross-product."""
     return IdentityCheck(name, _ratio_str(p, q), _ratio_str(num, den), p * den == num * q)
 
 
@@ -587,24 +594,24 @@ def verify_figure(arr: Arrangement, census: CoverageCensus) -> tuple[IdentityChe
     sides_ok = sum(1 for c in corners if c)
     basis, count = fig.overlap_shape
     shape_ok = sum(1 for r, c in zip(overlaps, corners) if c == count and r.basis == basis)
-    unit, sides_den = fig.unit_den, fig.unit_den * q * q
+    unit, sides_den, area_den = fig.unit_den, fig.unit_den * q * q, census.area_den
     balance = -fig.big_unit * (a * a - big_n * b * b)  # over unit
     exactly2 = fig.overlap_unit * fig.doubly_count * t * t
     exactly3 = fig.overlap_unit * fig.triple_count * t * t
     return (
         _check("small_count", len(arr.smalls), big_n),
-        _check("doubly_region_count", len(census.doubly_covered_regions), fig.doubly_count),
+        _check("doubly_region_count", census.doubly_region_count, fig.doubly_count),
         _check("triple_region_count", len(census.distinct_triple_regions), fig.triple_count),
         _check("overlap_sides_equal_t", sides_ok, len(overlaps)),
         _check("overlap_shapes", shape_ok, len(overlaps)),
-        _area_check("big_area", census.big_area, 0, fig.big_unit * a * a, unit),
-        _area_check("total_small_area", census.total_small_area, 0, fig.big_unit * big_n * b * b, unit),
-        _area_check("exactly2_area", census.exactly2_area, 0, exactly2, sides_den),
-        _area_check("exactly3_area", census.exactly3_area, 0, exactly3, sides_den),
-        _area_check("excess_area", census.excess_area, 0, exactly2 + 2 * exactly3, sides_den),
-        _area_check("blank_area", census.blank_area, 0, fig.blank_unit * s * s, sides_den),
-        _area_check("excess_minus_blank", census.excess_area, census.blank_area, balance, unit),
-        _area_check("raw_area_balance", census.total_small_area, census.big_area, balance, unit),
+        _area_check("big_area", census.big_area, area_den, fig.big_unit * a * a, unit),
+        _area_check("total_small_area", census.total_small_area, area_den, fig.big_unit * big_n * b * b, unit),
+        _area_check("exactly2_area", census.exactly2_area, area_den, exactly2, sides_den),
+        _area_check("exactly3_area", census.exactly3_area, area_den, exactly3, sides_den),
+        _area_check("excess_area", census.excess_area, area_den, exactly2 + 2 * exactly3, sides_den),
+        _area_check("blank_area", census.blank_area, area_den, fig.blank_unit * s * s, sides_den),
+        _area_check("excess_minus_blank", census.excess_area - census.blank_area, area_den, balance, unit),
+        _area_check("raw_area_balance", census.total_small_area - census.big_area, area_den, balance, unit),
         _check("max_depth", census.max_depth, 3 if fig.triple_count else 2),
     )
 
@@ -621,13 +628,12 @@ def census_to_descent(arr: Arrangement, census: CoverageCensus) -> tuple[int, in
         raise ValueError("figure has no overlap regions to measure")
     fig = _figure(arr.family)
     e, e_den = _side(census.distinct_pair_regions[0])  # t = e/e_den
-    blank = census.blank_area
-    r, r_den = _rational_sqrt(blank.numerator * fig.unit_den, blank.denominator * fig.blank_unit)  # s
+    r, r_den = _rational_sqrt(census.blank_area * fig.unit_den, census.area_den * fig.blank_unit)  # s
     (ta, sa), (tb, sb), d = fig.next_pair
     # q*t and q*s over e_den*r_den, and the pair over d times that
     q = fig.sides[2]
     t, s, den = q * e * r_den, q * r * e_den, d * e_den * r_den
     a_next, b_next = ta * t + sa * s, tb * t + sb * s
     if a_next % den or b_next % den:
-        raise ValueError(f"measured pair ({Fraction(a_next, den)}, {Fraction(b_next, den)}) is not integral")
+        raise ValueError(f"measured pair ({_ratio_str(a_next, den)}, {_ratio_str(b_next, den)}) is not integral")
     return a_next // den, b_next // den

@@ -4,8 +4,9 @@ and `_square_difference`, the one expansion of a difference of two squared
 linear forms from which every quadratic identity here is proved.
 
 `factorize` removes the primes below 1000 with one gcd against their
-product, then splits what is left with Pollard's rho (BIT 15, 1975) and
-proves each piece prime with Miller-Rabin over the 13 prime bases 2..41.
+product, then splits what is left at an exact square root or odd prime
+k-th root or with Pollard's rho (BIT 15, 1975) and proves each piece
+prime with Miller-Rabin over the 13 prime bases 2..41.
 That test is exact only below psi_13 = 3317044064679887385961981, the least
 strong pseudoprime to all 13 bases (Sorenson & Webster, Math. Comp. 86,
 2017); a larger piece it cannot prove composite is refused, and so is a
@@ -14,7 +15,6 @@ piece rho cannot split within a fixed number of steps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -48,6 +48,8 @@ def _primes_below(limit: int) -> list[int]:
 # the primes 5..997 and their product: one gcd finds which of them divide n
 _SMALL_PRIMES = _primes_below(1000)[2:]
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
+# the exponents _power_root tries: the odd primes below 1000
+_ROOT_EXPONENTS = (3, *_SMALL_PRIMES)
 # with no prime factor below 1000, a number below 1000**2 is 1 or a prime
 _SMALL_BOUND = 1000 * 1000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -108,15 +110,35 @@ def _rho_divisor(m: int) -> int:
     )
 
 
+def _power_root(m: int) -> int:
+    """r with r**k == m for an odd prime k < 1000, or 0 if there is none.
+
+    m has no prime factor below 1000, so such an r is above 1000 and only
+    k with 1000**k <= m can hold.  Each floor root is int Newton from
+    above, started at a power of 2 at least the root.
+    """
+    for k in _ROOT_EXPONENTS:
+        if 1000**k > m:
+            break
+        r = 1 << -(-m.bit_length() // k)
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == m:
+            return r
+    return 0
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}, primes in ascending order.
 
     2 and 3 are divided out first, then the primes 5..997 that divide
     gcd(n, their product).  A cofactor below 1000**2 is then 1 or a prime.
-    A larger one is split, at its square root if it is a square and by
-    Pollard's rho otherwise, until _is_prime proves every piece prime.  A
-    piece it can neither prove prime nor show composite raises ValueError,
-    and so does one that rho does not split in _RHO_STEPS steps.
+    A larger one is split, at its square root if it is a square, until
+    _is_prime proves every piece prime; a piece it shows composite is split
+    at its k-th root if it is a k-th power for an odd prime k (_power_root)
+    and by Pollard's rho otherwise.  A piece _is_prime can neither prove
+    prime nor show composite raises ValueError, and so does one that rho
+    does not split in _RHO_STEPS steps.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
@@ -149,7 +171,7 @@ def factorize(n: int) -> dict[int, int]:
         elif _is_prime(m):
             large.append(m)
         else:
-            d = _rho_divisor(m)
+            d = _power_root(m) or _rho_divisor(m)
             work += (d, m // d)
     for p in sorted(large):
         out[p] = out.get(p, 0) + 1
@@ -174,16 +196,12 @@ def squarefree_decompose(n: int) -> SquarefreeDecomposition:
     return SquarefreeDecomposition(squarefree=free, root=root)
 
 
-def square_density(x: int) -> tuple[int, Fraction]:
-    """Count perfect squares 1..x and their share of 1..x as a percentage.
-
-    Returns (count, percent) with percent exact; e.g. x = 100 gives
-    (10, Fraction(10)).
-    """
+def square_density(x: int) -> int:
+    """The number of perfect squares in 1..x; their share of 1..x is
+    that count over x."""
     if x < 1:
         raise ValueError(f"need a positive bound, got {x}")
-    count = isqrt(x)
-    return count, Fraction(100 * count, x)
+    return isqrt(x)
 
 
 def convergents(radicand: int, count: int) -> list[tuple[int, int]]:

@@ -13,8 +13,8 @@ import os
 import sys
 from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .descent import (
@@ -37,6 +37,7 @@ from .geometry import (
     LatticePolygon,
     ORTHOGONAL,
     OutOfWindow,
+    _ratio_str,
     build_arrangement,
     census_to_descent,
     coverage_census,
@@ -51,8 +52,10 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 
 
-def frac_str(x: Fraction | int) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def frac_str(num: int, den: int = 1) -> str:
+    """num/den, den > 0, reduced, as "p/q" with q = 1 kept."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def surd_str(x: Surd) -> str:
@@ -91,9 +94,9 @@ _CENSUS_AREAS = (
 
 
 def _census_block(census: CoverageCensus) -> dict:
-    return {key: frac_str(getattr(census, key)) for key in _CENSUS_AREAS} | {
+    return {key: frac_str(getattr(census, key), census.area_den) for key in _CENSUS_AREAS} | {
         "pair_region_count": len(census.distinct_pair_regions),
-        "doubly_region_count": len(census.doubly_covered_regions),
+        "doubly_region_count": census.doubly_region_count,
         "triple_region_count": len(census.distinct_triple_regions),
         "max_depth": census.max_depth,
     }
@@ -229,7 +232,7 @@ DEPTH_FILL = {0: "white", 1: "lightblue", 2: "orange", 3: "red"}
 
 
 def _svg_points(poly: LatticePolygon, orthogonal: bool) -> tuple[tuple[float, float], ...]:
-    """poly's corners in SVG coordinates; x / den is rounded once, as float(Fraction(x, den)) is."""
+    """poly's corners in SVG coordinates; x / den, int by int, is the quotient rounded once."""
     den = poly.den
     if orthogonal:
         return tuple((x / den, -(y / den)) for x, y in poly.ints)
@@ -540,7 +543,7 @@ def _cmd_census(args) -> int:
     if run["window"]["pass"]:
         c = run["census"]
         for key in _CENSUS_AREAS:
-            print(f"{key}: {c[key].removesuffix('/1')}")  # as str(Fraction) prints it
+            print(f"{key}: {c[key].removesuffix('/1')}")  # as _ratio_str writes it
         print(
             f"regions: {c['pair_region_count']} pairwise"
             f" ({c['doubly_region_count']} doubly, {c['triple_region_count']} triply)"
@@ -705,8 +708,8 @@ def _cmd_sequence(args) -> int:
 def _cmd_density(args) -> int:
     if args.x < 1:
         raise _UsageError("--x must be positive")
-    count, percent = square_density(args.x)
-    print(f"perfect squares up to {args.x}: {count} ({percent}% of all integers)")
+    count = square_density(args.x)
+    print(f"perfect squares up to {args.x}: {count} ({_ratio_str(100 * count, args.x)}% of all integers)")
     return 0
 
 

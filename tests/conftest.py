@@ -19,6 +19,12 @@ def window_convergents(family: DescentFamily, count: int) -> list[tuple[int, int
         batch += count
 
 
+def area(census, key: str) -> Fraction:
+    """The census area field key as the rational it stands for: the field
+    over census.area_den."""
+    return Fraction(getattr(census, key), census.area_den)
+
+
 def eq1_difference(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Eq1's left side, (n+1)*(n*b - a)**2 - (n/2)*(2*a - (n+1)*b)**2, as
     (a**2, a*b, b**2) coefficients: the triangle figure's balance over

@@ -14,7 +14,7 @@ from math import isqrt
 import pytest
 
 import conftest
-from conftest import all_figure_families, window_convergents
+from conftest import all_figure_families, area, window_convergents
 from irrgeo.descent import (
     DescentFamily,
     defect_multiplier,
@@ -131,15 +131,17 @@ def test_criterion_4_census_closed_forms(figure_runs):
                 triples = (n - 2) * (n - 1) // 2
                 blank = Fraction(n * (n - 1)) * s * s / 4
                 factor = Fraction(-1, 2)
-            assert len(census.doubly_covered_regions) == doubly
+            triple_set = set(census.distinct_triple_regions)
+            doubly_covered = [r for r in census.distinct_pair_regions if r not in triple_set]
+            assert census.doubly_region_count == len(doubly_covered) == doubly
             assert len(census.distinct_triple_regions) == triples
-            for region in census.doubly_covered_regions:
+            for region in doubly_covered:
                 assert Fraction(*_side(region)) == t
             for region in census.distinct_triple_regions:
                 assert Fraction(*_side(region)) == t
-            assert census.blank_area == blank
+            assert area(census, "blank_area") == blank
             defect = p * p - family.radicand * q * q
-            assert census.excess_area - census.blank_area == factor * defect
+            assert area(census, "excess_area") - area(census, "blank_area") == factor * defect
             assert all(c.passed for c in verify_figure(arr, census))
 
 

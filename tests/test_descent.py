@@ -64,6 +64,12 @@ def test_family_validation():
         DescentFamily(FamilyKind.SQRT2, 2)
     with pytest.raises(BadIndex, match="needs an index n >= 2, got None"):
         DescentFamily(FamilyKind.TRIANGULAR)
+    # a kind that is no FamilyKind member is refused before n is read, as
+    # Surd refuses a part that is no int
+    for kind in ("triangular", "sqrt2", None, 2):
+        for n in (None, 5):
+            with pytest.raises(TypeError, match=f"a family kind must be a FamilyKind, got {type(kind).__name__}"):
+                DescentFamily(kind, n)
 
 
 def test_family_equality_hash_and_repr():
@@ -548,6 +554,7 @@ def test_copy_and_pickle_rebuild_through_the_checks():
     arr = _records()["Arrangement"]
     unchecked = (
         (DescentFamily._make((FamilyKind.SQRT2, 2)), BadIndex, "sqrt2 takes no index n"),
+        (DescentFamily._make(("sqrt2", None)), TypeError, "a family kind must be a FamilyKind, got str"),
         (arr._replace(big=arr.smalls[0], smalls=(arr.big,)), ValueError, "small 0 is not inside the big figure"),
         (Surd._make((1, 1, 12)), ValueError, "radicand must be squarefree, got 12"),
         (LatticePolygon._make((TRIANGULAR, 1, 0, 5, 0, 1, 0, 1)), ValueError, "not attained"),

@@ -11,7 +11,7 @@ import pytest
 
 import irrgeo.geometry as geometry
 from _lattice import LatticePoint, corner_points, corner_polygon
-from conftest import all_figure_families, eq1_holds, window_convergents
+from conftest import all_figure_families, area, eq1_holds, window_convergents
 from irrgeo.descent import BadIndex, DescentFamily, FamilyKind, descent_step
 from irrgeo.geometry import (
     Arrangement,
@@ -977,13 +977,13 @@ def test_arrangement_rejects_a_small_on_another_basis():
 def test_census_tennenbaum_7_5():
     arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     census = coverage_census(arr)
-    assert census.big_area == 49
-    assert census.total_small_area == 50
-    assert census.union_area == 41
-    assert census.blank_area == 8
-    assert census.exactly2_area == 9
-    assert census.exactly3_area == 0
-    assert census.excess_area == 9
+    assert area(census, "big_area") == 49
+    assert area(census, "total_small_area") == 50
+    assert area(census, "union_area") == 41
+    assert area(census, "blank_area") == 8
+    assert area(census, "exactly2_area") == 9
+    assert area(census, "exactly3_area") == 0
+    assert area(census, "excess_area") == 9
     assert census.max_depth == 2
     assert len(census.distinct_pair_regions) == 1
     overlap = census.distinct_pair_regions[0]
@@ -996,18 +996,18 @@ def test_census_tennenbaum_3_2():
     census = coverage_census(arr)
     assert len(census.distinct_pair_regions) == 1
     assert side_of(census.distinct_pair_regions[0]) == 1
-    assert census.blank_area == 2  # two unit blank squares
+    assert area(census, "blank_area") == 2  # two unit blank squares
 
 
 def test_census_hexagon6_5_2():
     arr = build_arrangement(DescentFamily.hex6(), 5, 2)
     census = coverage_census(arr)
-    assert census.big_area == 75
-    assert census.total_small_area == 72
-    assert census.union_area == 66
-    assert census.blank_area == 9
-    assert census.exactly2_area == 6
-    assert census.exactly3_area == 0
+    assert area(census, "big_area") == 75
+    assert area(census, "total_small_area") == 72
+    assert area(census, "union_area") == 66
+    assert area(census, "blank_area") == 9
+    assert area(census, "exactly2_area") == 6
+    assert area(census, "exactly3_area") == 0
     assert census.max_depth == 2
     assert len(census.distinct_pair_regions) == 6
     for region in census.distinct_pair_regions:
@@ -1021,11 +1021,11 @@ def test_census_hexagon6_5_2():
 def test_census_triangular_2_7_4():
     arr = build_arrangement(DescentFamily.triangular(2), 7, 4)
     census = coverage_census(arr)
-    assert census.big_area == Fraction(49, 2)
-    assert census.total_small_area == 24
-    assert census.exactly2_area == Fraction(3, 2)
-    assert census.exactly3_area == 0
-    assert census.blank_area == 2
+    assert area(census, "big_area") == Fraction(49, 2)
+    assert area(census, "total_small_area") == 24
+    assert area(census, "exactly2_area") == Fraction(3, 2)
+    assert area(census, "exactly3_area") == 0
+    assert area(census, "blank_area") == 2
     assert census.max_depth == 2
     assert len(census.distinct_pair_regions) == 3
     for region in census.distinct_pair_regions:
@@ -1036,20 +1036,20 @@ def test_census_triangular_3_5_2():
     arr = build_arrangement(DescentFamily.triangular(3), 5, 2)
     census = coverage_census(arr)
     t = Fraction(1, 2)
-    assert census.exactly2_area == 6 * t * t / 2
-    assert census.exactly3_area == 1 * t * t / 2
-    assert census.blank_area == Fraction(3, 2)
+    assert area(census, "exactly2_area") == 6 * t * t / 2
+    assert area(census, "exactly3_area") == 1 * t * t / 2
+    assert area(census, "blank_area") == Fraction(3, 2)
     assert census.max_depth == 3
-    assert len(census.doubly_covered_regions) == 6
+    assert census.doubly_region_count == 6
     assert len(census.distinct_triple_regions) == 1
 
 
 def test_census_triangular_5_27_7():
     arr = build_arrangement(DescentFamily.triangular(5), 27, 7)
     census = coverage_census(arr)
-    assert len(census.doubly_covered_regions) == 12
+    assert census.doubly_region_count == 12
     assert len(census.distinct_triple_regions) == 6
-    assert census.blank_area == 45
+    assert area(census, "blank_area") == 45
     for region in census.distinct_pair_regions:
         assert side_of(region) == 2
     for region in census.distinct_triple_regions:
@@ -1200,12 +1200,12 @@ def _census_against_reference(arr: Arrangement):
         pts = poly.ints
         twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
         assert area_of(poly) == Fraction(twice, 2 * poly.den**2), poly
-    assert census.total_small_area == sum(area_of(s) for s in arr.smalls)
+    assert area(census, "total_small_area") == sum(area_of(s) for s in arr.smalls)
     pair_sum = sum(area_of(r) for r in census.pair_regions)
     triple_sum = sum(area_of(r) for r in census.triple_regions)
-    assert census.exactly3_area == triple_sum
-    assert census.exactly2_area == pair_sum - 3 * triple_sum
-    assert census.union_area == census.total_small_area - pair_sum + triple_sum
+    assert area(census, "exactly3_area") == triple_sum
+    assert area(census, "exactly2_area") == pair_sum - 3 * triple_sum
+    assert area(census, "union_area") == area(census, "total_small_area") - pair_sum + triple_sum
     return census
 
 
@@ -1361,10 +1361,10 @@ def test_census_matches_cell_count_oracle():
             depths = _cell_depths(arr)
             count = {d: depths.count(d) for d in range(5)}
             assert count[4] == 0 and max(depths) <= 3, (family, a, b)
-            assert census.blank_area == count[0] * cell, (family, a, b)
-            assert census.exactly2_area == count[2] * cell, (family, a, b)
-            assert census.exactly3_area == count[3] * cell, (family, a, b)
-            assert census.union_area == (len(depths) - count[0]) * cell, (family, a, b)
+            assert area(census, "blank_area") == count[0] * cell, (family, a, b)
+            assert area(census, "exactly2_area") == count[2] * cell, (family, a, b)
+            assert area(census, "exactly3_area") == count[3] * cell, (family, a, b)
+            assert area(census, "union_area") == (len(depths) - count[0]) * cell, (family, a, b)
             assert census.max_depth == max(depths), (family, a, b)
 
 
@@ -1406,18 +1406,19 @@ _CHECKS_READING = {
 def test_verify_figure_mismatch():
     arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
     census = coverage_census(arr)
-    corrupted = census._replace(blank_area=census.blank_area + 1)
+    corrupted = census._replace(blank_area=census.blank_area + census.area_den)
     failed = {c.name for c in verify_figure(arr, corrupted) if not c.passed}
     assert "blank_area" in failed
     assert "big_area" not in failed
     # verify_figure checks the areas the census reports, not areas of its
-    # own: one area off by 1 fails exactly the checks that read it
+    # own: one area off by 1 (area_den over area_den) fails exactly the
+    # checks that read it
     for family in all_figure_families():
         p, q = window_convergents(family, 1)[0]
         arr = build_arrangement(family, p, q)
         census = coverage_census(arr)
         for field, reading in _CHECKS_READING.items():
-            corrupted = census._replace(**{field: getattr(census, field) + 1})
+            corrupted = census._replace(**{field: getattr(census, field) + census.area_den})
             failed = {c.name for c in verify_figure(arr, corrupted) if not c.passed}
             assert failed == reading, (family, field, failed)
 
@@ -1434,14 +1435,14 @@ def _fraction_sides(arr: Arrangement, census) -> dict[str, tuple[Fraction, Fract
     exactly3 = fig.overlap_unit * fig.triple_count * t * t * unit
     balance = -fig.big_unit * (a * a - big_n * b * b) * unit
     return {
-        "big_area": (census.big_area, fig.big_unit * a * a * unit),
-        "total_small_area": (census.total_small_area, fig.big_unit * big_n * b * b * unit),
-        "exactly2_area": (census.exactly2_area, exactly2),
-        "exactly3_area": (census.exactly3_area, exactly3),
-        "excess_area": (census.excess_area, exactly2 + 2 * exactly3),
-        "blank_area": (census.blank_area, fig.blank_unit * s * s * unit),
-        "excess_minus_blank": (census.excess_area - census.blank_area, balance),
-        "raw_area_balance": (census.total_small_area - census.big_area, balance),
+        "big_area": (area(census, "big_area"), fig.big_unit * a * a * unit),
+        "total_small_area": (area(census, "total_small_area"), fig.big_unit * big_n * b * b * unit),
+        "exactly2_area": (area(census, "exactly2_area"), exactly2),
+        "exactly3_area": (area(census, "exactly3_area"), exactly3),
+        "excess_area": (area(census, "excess_area"), exactly2 + 2 * exactly3),
+        "blank_area": (area(census, "blank_area"), fig.blank_unit * s * s * unit),
+        "excess_minus_blank": (area(census, "excess_area") - area(census, "blank_area"), balance),
+        "raw_area_balance": (area(census, "total_small_area") - area(census, "big_area"), balance),
     }
 
 
@@ -1452,7 +1453,9 @@ def test_verify_figure_writes_and_compares_areas_as_fractions():
     seen = {"negative": 0, "integer": 0, "failed": 0}
     for arr in _reference_figures():
         census = coverage_census(arr)
-        moved = [census._replace(**{f: getattr(census, f) + d}) for f in _CHECKS_READING for d in (1, -1)]
+        moved = [
+            census._replace(**{f: getattr(census, f) + d * census.area_den}) for f in _CHECKS_READING for d in (1, -1)
+        ]
         for c in [census] + moved:
             sides = _fraction_sides(arr, c)
             checks = [check for check in verify_figure(arr, c) if check.name in sides]

@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -117,13 +116,17 @@ def test_factorize_refuses_what_miller_rabin_cannot_prove():
 
 
 def test_factorize_answers_or_refuses_in_bounded_time():
-    # a square piece splits at its root, where rho would need about 2**30
-    # steps; a piece whose least prime is above 2**60 (here two Mersenne
-    # primes) is refused once rho has taken its step budget
+    # a square piece splits at its root, and an odd prime power piece at
+    # its k-th root, where rho would need about 2**30 steps; a piece whose
+    # least prime is above 2**60 (here two Mersenne primes) is refused once
+    # rho has taken its step budget
     big = 2**61 - 1
     cases = (
         (5 * big**2, {5: 1, big: 2}),
         (big**2 * (2**31 - 1) ** 4, {2**31 - 1: 4, big: 2}),
+        (big**3, {big: 3}),
+        (big**5, {big: 5}),
+        (big**3 * (2**31 - 1), {2**31 - 1: 1, big: 3}),
         (big * (2**89 - 1), None),
     )
     for n, expected in cases:
@@ -174,10 +177,11 @@ def test_squarefree_exhaustive_to_1e5():
 
 
 def test_square_density():
-    assert square_density(100) == (10, Fraction(10))
-    assert square_density(1) == (1, Fraction(100))
-    assert square_density(2) == (1, Fraction(50))
-    assert square_density(10**6) == (1000, Fraction(1, 10))
+    assert square_density(100) == 10
+    assert square_density(1) == 1
+    assert square_density(2) == 1
+    assert square_density(10**6) == 1000
+    assert square_density(10**12 - 1) == 999999
     with pytest.raises(ValueError):
         square_density(0)
 

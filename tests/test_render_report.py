@@ -23,7 +23,7 @@ from conftest import all_figure_families
 from test_geometry import _random_arrangements, _reference_figures
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
-from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, coverage_census
+from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, _ratio_str, coverage_census
 from irrgeo.number_theory import convergents, square_triangular
 from irrgeo.render_report import (
     MAX_CHAIN_N,
@@ -106,10 +106,31 @@ def test_readme_command_lines_call_every_exported_function(tmp_path, monkeypatch
 
 
 def test_frac_str():
-    assert frac_str(Fraction(3, 2)) == "3/2"
+    assert frac_str(3, 2) == "3/2"
     assert frac_str(7) == "7/1"
-    assert frac_str(Fraction(-1, 3)) == "-1/3"
-    assert frac_str(Fraction(0)) == "0/1"
+    assert frac_str(-1, 3) == "-1/3"
+    assert frac_str(0) == "0/1"
+    assert frac_str(-6, 4) == "-3/2"
+    assert frac_str(0, 12) == "0/1"
+
+
+def test_frac_str_and_ratio_str_write_what_fraction_writes():
+    # no Fraction normalizes report text: frac_str writes numerator/denominator
+    # of Fraction(num, den) and _ratio_str writes str(Fraction(num, den)), on
+    # signed numerators up to 2**4096, denominators up to 2**64, and 0
+    rng = random.Random(4096)
+    nums = [0, 1, -1, 2**4096, -(2**4096)]
+    dens = [1, 2, 2**64, 2**64 - 1]
+    for _ in range(300):
+        nums.append(rng.choice((1, -1)) * rng.randrange(2 ** rng.randrange(1, 4097)))
+        dens.append(rng.randrange(1, 2 ** rng.randrange(1, 65) + 1))
+    pairs = list(itertools.product(nums[:5], dens[:4])) + list(zip(nums, dens))
+    # a common factor on both sides, so reduction has work to do
+    pairs += [(num * g, den * g) for (num, den), g in zip(pairs, itertools.cycle((6, 2**40, 1)))]
+    for num, den in pairs:
+        x = Fraction(num, den)
+        assert frac_str(num, den) == f"{x.numerator}/{x.denominator}", (num, den)
+        assert _ratio_str(num, den) == str(x), (num, den)
 
 
 def test_surd_str():
@@ -213,7 +234,7 @@ _OFF_BY_ONE = {
 def test_cli_verify_identity_failure(field, capsys, monkeypatch, tmp_path):
     def census_off_by_one(arr):
         census = coverage_census(arr)
-        return census._replace(**{field: getattr(census, field) + 1})
+        return census._replace(**{field: getattr(census, field) + census.area_den})
 
     monkeypatch.setattr("irrgeo.render_report.coverage_census", census_off_by_one)
     out = tmp_path / "report.json"
@@ -1145,13 +1166,14 @@ def test_cli_runs_under_python_OO():
         assert out == _run_alone(argv)[1], argv
 
 
-def test_import_loads_neither_argparse_nor_dataclasses():
-    # the parser is built on the first command line and every record is a
-    # NamedTuple; a plain import of the package (all of its modules) leaves
-    # argparse, dataclasses and the inspect module dataclasses imports unloaded
+def test_import_loads_no_argparse_dataclasses_or_fractions():
+    # the parser is built on the first command line, every record is a
+    # NamedTuple and every program path is on ints; a plain import of the
+    # package (all of its modules) leaves argparse, dataclasses, the inspect
+    # module dataclasses imports and fractions unloaded
     probe = (
         "import sys, irrgeo, irrgeo.render_report; "
-        "print([m for m in ('argparse', 'dataclasses', 'inspect') if m in sys.modules])"
+        "print([m for m in ('argparse', 'dataclasses', 'inspect', 'fractions') if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
