@@ -1,10 +1,15 @@
 """Descent maps on integer pairs (a, b) standing for a hypothetical
 rational square root a/b.
 
-Each family sends a pair to a strictly smaller one whenever a/b equals the
-target square root, which is impossible for positive integers; the modules
-here compute the maps, prove their defect identities coefficient by
-coefficient, and decide exactly for which parameters the shrinking
+Every family's map is (a, b) -> sign*(N*b - k*a, a - k*b), one classical
+descent of which Tennenbaum's sqrt2 figure is the k = 1 case; _MAPS gives
+(N, k, sign): sqrt2 (2, 1, +1), hex6 (6, 3, -1), triangular n (T_n, n, -1)
+for even n and (T_n, (n + 1)/2, +1) for odd n.  The map multiplies the
+defect a**2 - N*b**2 by k**2 - N, and at a/b == sqrt(N) it shrinks pairs
+iff N is no square and k is isqrt(N) (sign +1) or isqrt(N) + 1 (sign -1):
+triangular n = 6 fails, as k = 6 but isqrt(21) + 1 = 5.  The module
+computes the maps, proves their defect identities coefficient by
+coefficient, and decides exactly for which parameters the shrinking
 argument is valid.
 """
 
@@ -27,29 +32,19 @@ class FamilyKind(Enum):
     TRIANGULAR = "triangular"
 
 
-class _Map(NamedTuple):
-    """Radicand N and the integer forms a' = ca*a + cb*b, b' = da*a + db*b."""
-
-    radicand: int
-    numerator: tuple[int, int]
-    denominator: tuple[int, int]
-
-
-def _triangular_map(n: int) -> _Map:
-    """The n-th triangular map; odd n uses the integer (n+1)/2 where even n uses n."""
-    t = triangular(n)
-    if n % 2 == 0:
-        return _Map(t, (n, -t), (-1, n))
-    h = (n + 1) // 2
-    return _Map(t, (-h, t), (1, -h))
-
-
-# kind -> n -> the map; n is the triangular row count and None otherwise
+# kind -> n -> (N, k, sign); n is the triangular row count and None otherwise
 _MAPS = {
-    FamilyKind.SQRT2: lambda n: _Map(2, (-1, 2), (1, -1)),
-    FamilyKind.HEX6: lambda n: _Map(6, (3, -6), (-1, 3)),
-    FamilyKind.TRIANGULAR: _triangular_map,
+    FamilyKind.SQRT2: lambda n: (2, 1, 1),
+    FamilyKind.HEX6: lambda n: (6, 3, -1),
+    FamilyKind.TRIANGULAR: lambda n: (triangular(n), n, -1) if n % 2 == 0 else (triangular(n), (n + 1) // 2, 1),
 }
+
+
+def _forms(family: "DescentFamily") -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """N and the family map's integer forms a' = ca*a + cb*b, b' = da*a + db*b,
+    as (N, (ca, cb), (da, db)): sign*(N*b - k*a, a - k*b) in coefficients."""
+    big_n, k, sign = _MAPS[family.kind](family.n)
+    return big_n, (-sign * k, sign * big_n), (sign, -sign * k)
 
 
 class _FamilyFields(NamedTuple):
@@ -78,14 +73,6 @@ class DescentFamily(_FamilyFields):
         return tuple.__new__(cls, (kind, n))
 
     @classmethod
-    def sqrt2(cls) -> "DescentFamily":
-        return cls(FamilyKind.SQRT2)
-
-    @classmethod
-    def hex6(cls) -> "DescentFamily":
-        return cls(FamilyKind.HEX6)
-
-    @classmethod
     def triangular(cls, n: int) -> "DescentFamily":
         """Triangular family for any n >= 2; parity picks the map."""
         return cls(FamilyKind.TRIANGULAR, n)
@@ -107,7 +94,7 @@ class DescentFamily(_FamilyFields):
         triangular number (which may be a perfect square; range_check is
         what rules such n out).
         """
-        return _MAPS[self.kind](self.n).radicand
+        return _forms(self)[0]
 
 
 class DescentStep(NamedTuple):
@@ -127,11 +114,11 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
     """
     if a < 1 or b < 1:
         raise ValueError(f"need a positive pair, got ({a}, {b})")
-    fmap = _MAPS[family.kind](family.n)
-    return next(_steps(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * (b * b)))
+    fmap = _forms(family)
+    return next(_steps(family, fmap, defect_multiplier(family), a, b, a * a - fmap[0] * (b * b)))
 
 
-def _steps(family: DescentFamily, fmap: _Map, m: int, a: int, b: int, d_in: int) -> Iterator[DescentStep]:
+def _steps(family: DescentFamily, fmap: tuple, m: int, a: int, b: int, d_in: int) -> Iterator[DescentStep]:
     """The steps of fmap, with multiplier m, from (a, b) of defect d_in on,
     each from the last one's output pair and defect; each output defect is
     computed from squares and must be m times the input defect."""
@@ -154,7 +141,7 @@ def defect_multiplier(family: DescentFamily) -> int:
     its a**2 coefficient is m, its a*b coefficient must vanish and its
     b**2 coefficient must be -m*N.
     """
-    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    big_n, (ca, cb), (da, db) = _forms(family)
     m, ab, bb = _square_difference(1, ca, cb, big_n, da, db)
     if ab != 0 or bb != -m * big_n:
         raise AssertionError(f"defect of {family} is not a multiple of a^2 - N*b^2")
@@ -184,7 +171,7 @@ def range_check(family: DescentFamily) -> RangeCheckResult:
     0 < a' < sqrt(N) and 0 < b' < 1; each strict inequality is decided by
     an exact surd sign and returned as a witness.
     """
-    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    big_n, (ca, cb), (da, db) = _forms(family)
     # a' and b' at (a, b) = (sqrt(N), 1), and sqrt(N) itself
     a_out, b_out, sqrt_n = Surd.of(cb, ca, big_n), Surd.of(db, da, big_n), Surd.of(0, 1, big_n)
     conditions = (
@@ -222,10 +209,10 @@ def descent_chain(family: DescentFamily, a: int, b: int, max_steps: int) -> Chai
         raise ValueError(f"need a positive pair, got ({a}, {b})")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    fmap = _MAPS[family.kind](family.n)
+    fmap = _forms(family)
     # one record per kept step, each drawn only under the cap: the kernel
     # computes a step when it is drawn
-    kernel = _steps(family, fmap, defect_multiplier(family), a, b, a * a - fmap.radicand * (b * b))
+    kernel = _steps(family, fmap, defect_multiplier(family), a, b, a * a - fmap[0] * (b * b))
     steps: list[DescentStep] = []
     cur = (a, b)
     reason = "max_steps"

@@ -3,10 +3,11 @@ counting, continued-fraction convergents, the square triangular numbers,
 and `_square_difference`, the one expansion of a difference of two squared
 linear forms from which every quadratic identity here is proved.
 
-`factorize` removes the primes below 1000 with one gcd against their
-product, then splits what is left at an exact square root or odd prime
-k-th root or with Pollard's rho (BIT 15, 1975) and proves each piece
-prime with Miller-Rabin over the 13 prime bases 2..41.
+`factorize` refuses an n of _MAX_FACTOR_BITS bits or more at once.  It
+removes the primes below 1000 with one gcd against their product, then
+splits what is left at an exact square root or odd prime k-th root or
+with Pollard's rho (BIT 15, 1975) and proves each piece prime with
+Miller-Rabin over the 13 prime bases 2..41.
 That test is exact only below psi_13 = 3317044064679887385961981, the least
 strong pseudoprime to all 13 bases (Sorenson & Webster, Math. Comp. 86,
 2017); a larger piece it cannot prove composite is refused, and so is a
@@ -60,6 +61,11 @@ _MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
 # no piece takes more than 567.  2**18 steps on a 150-bit piece take about
 # 0.5 s on one Xeon core under CPython 3.11.
 _RHO_STEPS = 1 << 18
+# factorize refuses an n of this many bits or more before any test: one
+# Miller-Rabin base on 1009**997 (9949 bits) took 2.5 s.  Just below the
+# cap rho refuses a 511-bit product of two primes in 2.0 s (one Xeon core,
+# CPython 3.11); the largest T_n the CLI's range factors is below 2**26.
+_MAX_FACTOR_BITS = 512
 
 
 def _is_prime(m: int) -> bool:
@@ -138,10 +144,13 @@ def factorize(n: int) -> dict[int, int]:
     at its k-th root if it is a k-th power for an odd prime k (_power_root)
     and by Pollard's rho otherwise.  A piece _is_prime can neither prove
     prime nor show composite raises ValueError, and so does one that rho
-    does not split in _RHO_STEPS steps.
+    does not split in _RHO_STEPS steps, and any n of _MAX_FACTOR_BITS bits
+    or more, before any of this.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
+    if n.bit_length() >= _MAX_FACTOR_BITS:
+        raise ValueError(f"factorize takes fewer than {_MAX_FACTOR_BITS} bits, got {n.bit_length()}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

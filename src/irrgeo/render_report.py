@@ -27,7 +27,7 @@ from .descent import (
     descent_chain,
     descent_step,
     range_check,
-    _MAPS,
+    _forms,
 )
 from .exact_arith import Surd
 from .geometry import (
@@ -400,10 +400,11 @@ MAX_FIGURE_N = 64
 #   the defects below 2**(2*bits + 37)) and census areas, quadratic in a
 #   and b with small rational coefficients: all below 2**(2*bits + 64);
 # - chain (n <= 2**32, so N = T_n and every coefficient are below 2**64)
-#   prints the pairs and defects of the steps it keeps.  Every map has
-#   b' = da*a + db*b with da = +-1, so a kept step (0 < b' < b) had
-#   a < (1 + |db|)*b and gives a' < (|ca|*(1 + |db|) + |cb|)*b < 2**128*b;
-#   pairs stay below 2**(bits + 128), defects below 2**(2*(bits + 128)).
+#   prints the pairs and defects of the steps it keeps.  Every map is
+#   b' = +-(a - k*b), a' = +-(N*b - k*a) with k <= 2**32, so a kept step
+#   (0 < b' < b) had a < (k + 1)*b and gives |a'| < (N + k*(k + 1))*b
+#   < 2**128*b; pairs stay below 2**(bits + 128), defects below
+#   2**(2*(bits + 128)).
 # Every printed integer is below 2**(2*bits + 256), at 4096 bits far below
 # 2**14284.  A lower limit (PYTHONINTMAXSTRDIGITS or -X int_max_str_digits,
 # down to 640 digits) lowers the bound to what it still prints: 935 bits at
@@ -589,7 +590,7 @@ def _chain_steps(chain: ChainResult, report) -> None:
     steps = chain.steps
     (a, b), d = chain.start, steps[0].defect_in
     a_in, b_in, d_in = str(a), str(b), str(d)
-    _, (ca, cb), (da, db) = _MAPS[chain.family.kind](chain.family.n)
+    _, (ca, cb), (da, db) = _forms(chain.family)
     ca, cb, da, db, m, a, b, d = map(Decimal, (ca, cb, da, db, steps[0].multiplier, a, b, d))
     # one exact context for the whole walk: int arithmetic, str() and the
     # writes do not read it

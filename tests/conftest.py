@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from irrgeo import DescentFamily, convergents, window_inequalities
+from irrgeo import DescentFamily, FamilyKind, convergents, window_inequalities
 from irrgeo.geometry import _balance, _figure
 
 
@@ -41,8 +41,8 @@ def eq1_holds(n: int) -> bool:
 
 def all_figure_families() -> list[DescentFamily]:
     return [
-        DescentFamily.sqrt2(),
-        DescentFamily.hex6(),
+        DescentFamily(FamilyKind.SQRT2),
+        DescentFamily(FamilyKind.HEX6),
         DescentFamily.triangular(2),
         DescentFamily.triangular(3),
         DescentFamily.triangular(4),

@@ -17,6 +17,7 @@ import conftest
 from conftest import all_figure_families, area, window_convergents
 from irrgeo.descent import (
     DescentFamily,
+    FamilyKind,
     defect_multiplier,
     descent_step,
     range_check,
@@ -74,8 +75,8 @@ def test_criterion_1_area_identity_certificate():
 
 def test_criterion_2_parameter_range():
     with _criterion(2, "map shrinks pairs iff n in {2,3,4,5}; first failures 6 and 7"):
-        assert range_check(DescentFamily.sqrt2()).works
-        assert range_check(DescentFamily.hex6()).works
+        assert range_check(DescentFamily(FamilyKind.SQRT2)).works
+        assert range_check(DescentFamily(FamilyKind.HEX6)).works
         working = set()
         for n in range(2, 101):
             result = range_check(DescentFamily.triangular(n))
@@ -92,8 +93,8 @@ def test_criterion_2_parameter_range():
 def test_criterion_3_defect_multipliers():
     with _criterion(3, "defect multipliers match closed forms, symbolically and on 500 random pairs each"):
         expected = {
-            DescentFamily.sqrt2(): Fraction(-1),
-            DescentFamily.hex6(): Fraction(3),
+            DescentFamily(FamilyKind.SQRT2): Fraction(-1),
+            DescentFamily(FamilyKind.HEX6): Fraction(3),
             DescentFamily.triangular(2): Fraction(1),
             DescentFamily.triangular(4): Fraction(6),
             DescentFamily.triangular(3): Fraction(-2),

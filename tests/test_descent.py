@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,7 @@ import pytest
 import irrgeo.descent
 from conftest import eq1_difference, eq1_holds, window_convergents
 from irrgeo.descent import (
-    _MAPS,
-    _Map,
+    _forms,
     BadIndex,
     DescentFamily,
     DescentStep,
@@ -44,14 +44,14 @@ from irrgeo.number_theory import (
 
 
 def test_family_constructors():
-    assert DescentFamily.sqrt2().kind is FamilyKind.SQRT2
-    assert DescentFamily.sqrt2().radicand == 2
-    assert DescentFamily.hex6().radicand == 6
+    assert DescentFamily(FamilyKind.SQRT2).kind is FamilyKind.SQRT2
+    assert DescentFamily(FamilyKind.SQRT2).radicand == 2
+    assert DescentFamily(FamilyKind.HEX6).radicand == 6
     assert DescentFamily.triangular(4).kind is FamilyKind.TRIANGULAR
     assert DescentFamily.triangular(5).kind is FamilyKind.TRIANGULAR
     assert DescentFamily.triangular(5).radicand == 15
     assert DescentFamily.triangular(8).radicand == 36
-    assert DescentFamily.sqrt2().label == "sqrt2"
+    assert DescentFamily(FamilyKind.SQRT2).label == "sqrt2"
     assert DescentFamily.triangular(3).label == "triangular"
 
 
@@ -76,19 +76,19 @@ def test_family_equality_hash_and_repr():
     # a family compares, hashes and prints by its two fields, in either call form
     family = DescentFamily.triangular(5)
     assert family == DescentFamily(FamilyKind.TRIANGULAR, 5) == DescentFamily(kind=FamilyKind.TRIANGULAR, n=5)
-    assert family != DescentFamily.triangular(6) and DescentFamily.sqrt2() != DescentFamily.hex6()
+    assert family != DescentFamily.triangular(6) and DescentFamily(FamilyKind.SQRT2) != DescentFamily(FamilyKind.HEX6)
     assert hash(family) == hash((FamilyKind.TRIANGULAR, 5))
     assert repr(family) == "DescentFamily(kind=<FamilyKind.TRIANGULAR: 'triangular'>, n=5)"
     assert repr(DescentFamily(FamilyKind.SQRT2)) == "DescentFamily(kind=<FamilyKind.SQRT2: 'sqrt2'>, n=None)"
 
 
 def test_step_examples():
-    s = descent_step(DescentFamily.sqrt2(), 7, 5)
+    s = descent_step(DescentFamily(FamilyKind.SQRT2), 7, 5)
     assert s.pair_out == (3, 2)
     assert (s.defect_in, s.defect_out) == (-1, 1)
     assert s.multiplier == -1
 
-    s = descent_step(DescentFamily.hex6(), 5, 2)
+    s = descent_step(DescentFamily(FamilyKind.HEX6), 5, 2)
     assert s.pair_out == (3, 1)
     assert (s.defect_in, s.defect_out) == (1, 3)
     assert s.multiplier == 3
@@ -117,7 +117,7 @@ def test_step_defect_check_survives_python_O():
     code = (
         "import irrgeo.descent as d\n"
         "d.defect_multiplier = lambda family: 5\n"
-        "f = d.DescentFamily.sqrt2()\n"
+        "f = d.DescentFamily(d.FamilyKind.SQRT2)\n"
         "for call in (lambda: d.descent_step(f, 7, 5), lambda: d.descent_chain(f, 1, 1, 5)):\n"
         "    try:\n"
         "        call()\n"
@@ -130,27 +130,27 @@ def test_step_defect_check_survives_python_O():
 
 def test_step_accepts_out_of_window_and_non_coprime():
     # the map is total on positive pairs; windows only gate figures
-    s = descent_step(DescentFamily.sqrt2(), 10, 2)
+    s = descent_step(DescentFamily(FamilyKind.SQRT2), 10, 2)
     assert s.pair_out == (-6, 8)
-    s = descent_step(DescentFamily.sqrt2(), 14, 10)
+    s = descent_step(DescentFamily(FamilyKind.SQRT2), 14, 10)
     assert s.pair_out == (6, 4)
 
 
 def test_step_rejects_nonpositive():
     with pytest.raises(ValueError):
-        descent_step(DescentFamily.sqrt2(), 0, 1)
+        descent_step(DescentFamily(FamilyKind.SQRT2), 0, 1)
     with pytest.raises(ValueError):
-        descent_step(DescentFamily.hex6(), 5, -2)
+        descent_step(DescentFamily(FamilyKind.HEX6), 5, -2)
 
 
 def test_chain_rejects_nonpositive():
     with pytest.raises(ValueError, match=r"need a positive pair, got \(0, 1\)"):
-        descent_chain(DescentFamily.sqrt2(), 0, 1, 5)
+        descent_chain(DescentFamily(FamilyKind.SQRT2), 0, 1, 5)
 
 
 def test_chain_rejects_negative_max_steps():
     with pytest.raises(ValueError, match="max_steps must be nonnegative, got -1"):
-        descent_chain(DescentFamily.sqrt2(), 17, 12, -1)
+        descent_chain(DescentFamily(FamilyKind.SQRT2), 17, 12, -1)
 
 
 def test_step_and_decomposition_fields():
@@ -160,8 +160,8 @@ def test_step_and_decomposition_fields():
 
 
 def test_defect_multiplier_closed_forms():
-    assert defect_multiplier(DescentFamily.sqrt2()) == -1
-    assert defect_multiplier(DescentFamily.hex6()) == 3
+    assert defect_multiplier(DescentFamily(FamilyKind.SQRT2)) == -1
+    assert defect_multiplier(DescentFamily(FamilyKind.HEX6)) == 3
     for n in range(2, 21, 2):
         assert defect_multiplier(DescentFamily.triangular(n)) == Fraction(n * (n - 1), 2)
     for n in range(3, 22, 2):
@@ -184,7 +184,7 @@ def _reference_multiplier(family):
     """The multiplier by evaluation: m is the defect of the image of (1, 0),
     and the identity a'**2 - N*b'**2 == m*(a**2 - N*b**2) must then hold
     at every point of _FORM_POINTS."""
-    big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+    big_n, (ca, cb), (da, db) = _forms(family)
 
     def image_defect(a, b):
         return (ca * a + cb * b) ** 2 - big_n * (da * a + db * b) ** 2
@@ -196,7 +196,7 @@ def _reference_multiplier(family):
 
 
 def test_defect_multiplier_matches_symbolic_reference():
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
         DescentFamily.triangular(n) for n in range(2, 301)
     ]
     for family in families:
@@ -225,20 +225,20 @@ _BAD_SQRT2_FORMS = (((1, 4), (0, 3)), ((2, 0), (0, 1)))
 
 def test_defect_multiplier_rejects_non_multiple_forms(monkeypatch):
     for num, den in _BAD_SQRT2_FORMS:
-        monkeypatch.setitem(_MAPS, FamilyKind.SQRT2, lambda n, m=_Map(2, num, den): m)
+        monkeypatch.setattr(irrgeo.descent, "_forms", lambda family, m=(2, num, den): m)
         with pytest.raises(AssertionError, match="not a multiple"):
-            defect_multiplier(DescentFamily.sqrt2())
+            defect_multiplier(DescentFamily(FamilyKind.SQRT2))
         with pytest.raises(AssertionError):
-            descent_step(DescentFamily.sqrt2(), 7, 5)
+            descent_step(DescentFamily(FamilyKind.SQRT2), 7, 5)
 
 
 def test_defect_multiplier_rejection_survives_python_O():
     code = (
         "import irrgeo.descent as d\n"
         f"for num, den in {_BAD_SQRT2_FORMS!r}:\n"
-        "    d._MAPS[d.FamilyKind.SQRT2] = lambda n, m=d._Map(2, num, den): m\n"
+        "    d._forms = lambda family, m=(2, num, den): m\n"
         "    try:\n"
-        "        d.defect_multiplier(d.DescentFamily.sqrt2())\n"
+        "        d.defect_multiplier(d.DescentFamily(d.FamilyKind.SQRT2))\n"
         "    except AssertionError:\n"
         "        print(__debug__, 'raised')\n"
     )
@@ -248,7 +248,7 @@ def test_defect_multiplier_rejection_survives_python_O():
 
 def test_defect_multiplier_random_pairs():
     rng = random.Random(99)
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
         DescentFamily.triangular(n) for n in range(2, 13)
     ]
     for family in families:
@@ -264,13 +264,13 @@ def test_defect_multiplier_random_pairs():
 
 def test_multiplier_magnitude_one_pin():
     # regression pin: the only unit multipliers up to n = 20
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
         DescentFamily.triangular(n) for n in range(2, 21)
     ]
     units = {
         f for f in families if abs(defect_multiplier(f)) == 1
     }
-    assert units == {DescentFamily.sqrt2(), DescentFamily.triangular(2)}
+    assert units == {DescentFamily(FamilyKind.SQRT2), DescentFamily.triangular(2)}
 
 
 def _eq1_sides_at(n, a, b):
@@ -316,10 +316,10 @@ def test_symbolic_ratio_check():
     # b' = (da*sqrt(N) + db)*b, so a'/b' == sqrt(N) exactly when
     # ca == db and cb == da*N; perfect-square triangular numbers
     # (n = 8, 49) are in the range and keep the ratio too
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()]
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)]
     families += [DescentFamily.triangular(n) for n in range(2, 51)]
     for family in families:
-        big_n, (ca, cb), (da, db) = _MAPS[family.kind](family.n)
+        big_n, (ca, cb), (da, db) = _forms(family)
         assert (ca, cb) == (db, da * big_n), family
 
 
@@ -332,8 +332,8 @@ def test_range_check_exact_validity_sets():
     }
     assert even_works == {2, 4}
     assert odd_works == {3, 5}
-    assert range_check(DescentFamily.sqrt2()).works
-    assert range_check(DescentFamily.hex6()).works
+    assert range_check(DescentFamily(FamilyKind.SQRT2)).works
+    assert range_check(DescentFamily(FamilyKind.HEX6)).works
 
 
 def test_range_check_witnesses():
@@ -401,7 +401,7 @@ def test_range_witnesses_match_an_integer_oracle():
     from irrgeo.render_report import surd_str
 
     # the maps as the paper states them: a' = ca*a + cb*b, b' = da*a + db*b
-    cases = [(DescentFamily.sqrt2(), 2, 2, 1, (-1, 2), (1, -1)), (DescentFamily.hex6(), 6, 6, 1, (3, -6), (-1, 3))]
+    cases = [(DescentFamily(FamilyKind.SQRT2), 2, 2, 1, (-1, 2), (1, -1)), (DescentFamily(FamilyKind.HEX6), 6, 6, 1, (3, -6), (-1, 3))]
     for n in range(2, 20_001):
         # T_n = u * v with u and v coprime
         u, v = (n // 2, n + 1) if n % 2 == 0 else (n, (n + 1) // 2)
@@ -414,6 +414,8 @@ def test_range_witnesses_match_an_integer_oracle():
         assert big_n == f * r * r
         if f == 1:
             squares.append(family.n)
+        # each paper map is sign*(N*b - k*a, a - k*b), derived from (N, k, sign)
+        assert _forms(family) == (big_n, (ca, cb), (da, db)), family
         result = range_check(family)
         got = [(w.name, surd_str(w.value), w.sign) for w in result.witnesses]
         assert got == _witness_oracle(big_n, f, r, ca, cb, da, db), family
@@ -421,18 +423,22 @@ def test_range_witnesses_match_an_integer_oracle():
             assert type(w.value.rat) is int and type(w.value.coef) is int, (family, w)
             assert w.ok == (w.sign > 0 if w.require == "> 0" else w.sign < 0)
         assert result.works == all(w.ok for w in result.witnesses)
+        # the shrink rule: N is no square and k is isqrt(N) for sign +1,
+        # isqrt(N) + 1 for sign -1
+        sign, k, root = da, -ca * da, isqrt(big_n)
+        assert result.works == (root * root != big_n and k == root + (sign < 0)), family
     assert squares == [8, 49, 288, 1681, 9800]
 
 
 def test_chain_sqrt2_example():
-    chain = descent_chain(DescentFamily.sqrt2(), 17, 12, 32)
+    chain = descent_chain(DescentFamily(FamilyKind.SQRT2), 17, 12, 32)
     assert [s.pair_out for s in chain.steps] == [(7, 5), (3, 2), (1, 1)]
     assert chain.final_pair == (1, 1)
     assert chain.stop_reason == "nonpositive"
 
 
 def test_chain_hex6_example():
-    chain = descent_chain(DescentFamily.hex6(), 22, 9, 32)
+    chain = descent_chain(DescentFamily(FamilyKind.HEX6), 22, 9, 32)
     assert [s.pair_out for s in chain.steps] == [(12, 5), (6, 3)]
     assert chain.final_pair == (6, 3)
     assert chain.stop_reason == "nonpositive"
@@ -447,7 +453,7 @@ def test_chain_descent_failure():
 
 
 def test_chain_max_steps(monkeypatch):
-    family = DescentFamily.sqrt2()
+    family = DescentFamily(FamilyKind.SQRT2)
     chain = descent_chain(family, 99, 70, 2)
     assert len(chain.steps) == 2
     assert chain.stop_reason == "max_steps"
@@ -476,7 +482,7 @@ def _chain_starts(family: DescentFamily) -> list[tuple[int, int]]:
 def test_chain_equals_iterated_steps():
     # the chain carries each defect_out forward as the next defect_in; the
     # public descent_step recomputes everything from the pair
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
         DescentFamily.triangular(n) for n in range(2, 13)
     ]
     stops = set()
@@ -502,7 +508,7 @@ def test_chain_equals_iterated_steps():
 
 def _records() -> dict:
     """One instance of each record, by class name."""
-    family = DescentFamily.sqrt2()
+    family = DescentFamily(FamilyKind.SQRT2)
     chain = descent_chain(family, 17, 12, 32)
     result = range_check(family)
     arr = build_arrangement(family, 7, 5)
@@ -568,10 +574,10 @@ def test_copy_and_pickle_rebuild_through_the_checks():
 @pytest.mark.parametrize(
     "family, a, b, kept",
     [
-        (DescentFamily.sqrt2(), 17, 12, 3),
-        (DescentFamily.hex6(), 22, 9, 2),
+        (DescentFamily(FamilyKind.SQRT2), 17, 12, 3),
+        (DescentFamily(FamilyKind.HEX6), 22, 9, 2),
         (DescentFamily.triangular(6), 9, 2, 0),  # the first step stops the chain
-        (DescentFamily.sqrt2(), 1, 1, 0),
+        (DescentFamily(FamilyKind.SQRT2), 1, 1, 0),
     ],
     ids=["sqrt2", "hex6", "triangular6-first-step", "sqrt2-first-step"],
 )
@@ -598,11 +604,11 @@ def test_chain_decimals_are_the_chain_and_check_its_last_step(capsys, monkeypatc
     big = convergents(10, 1561)[-1]
     crossing = convergents(2, 1500)[-1]
     for family, (a, b), max_steps in (
-        (DescentFamily.sqrt2(), (17, 12), 32),
-        (DescentFamily.hex6(), (22, 9), 32),
+        (DescentFamily(FamilyKind.SQRT2), (17, 12), 32),
+        (DescentFamily(FamilyKind.HEX6), (22, 9), 32),
         (DescentFamily.triangular(4), big, 3),
         (DescentFamily.triangular(2**32), (2**33 - 1, 2), 32),
-        (DescentFamily.sqrt2(), crossing, 10_000),
+        (DescentFamily(FamilyKind.SQRT2), crossing, 10_000),
     ):
         chain = descent_chain(family, a, b, max_steps)
         assert chain.steps
@@ -637,8 +643,8 @@ def test_chain_decimals_are_the_chain_and_check_its_last_step(capsys, monkeypatc
 
 def test_strict_decrease_on_window_convergents():
     families = [
-        DescentFamily.sqrt2(),
-        DescentFamily.hex6(),
+        DescentFamily(FamilyKind.SQRT2),
+        DescentFamily(FamilyKind.HEX6),
         DescentFamily.triangular(2),
         DescentFamily.triangular(3),
         DescentFamily.triangular(4),

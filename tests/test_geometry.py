@@ -75,7 +75,7 @@ def side_of(poly: LatticePolygon) -> Fraction:
 def test_calibration_unit_shapes():
     assert area_of(tri(0, 0, 1)) == Fraction(1, 2)
     assert area_of(tri(0, 0, 5)) == Fraction(25, 2)
-    hexagon = build_arrangement(DescentFamily.hex6(), 5, 2).smalls[0]
+    hexagon = build_arrangement(DescentFamily(FamilyKind.HEX6), 5, 2).smalls[0]
     assert area_of(hexagon) == 3 * 4  # side 2 hexagon
     assert area_of(square(0, 0, 3)) == 9
     assert side_of(tri(0, 0, 5)) == 5
@@ -728,17 +728,17 @@ def test_random_alcoves_match_fraction_references():
 
 
 def test_window_inequalities_names():
-    fam = DescentFamily.sqrt2()
+    fam = DescentFamily(FamilyKind.SQRT2)
     assert [w.name for w in window_inequalities(fam, 7, 5)] == ["a > b", "a < 2b"]
     assert all(w.ok for w in window_inequalities(fam, 7, 5))
-    fam = DescentFamily.hex6()
+    fam = DescentFamily(FamilyKind.HEX6)
     assert [w.name for w in window_inequalities(fam, 22, 9)] == ["a > 2b", "a < 3b"]
     fam = DescentFamily.triangular(5)
     assert [w.name for w in window_inequalities(fam, 27, 7)] == ["2a > (n+1)b", "a < nb"]
 
 
 # every family with a figure: sqrt2, hex6 and triangular up to the CLI's n <= 64
-_FIGURE_FAMILIES = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+_FIGURE_FAMILIES = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
     DescentFamily.triangular(n) for n in range(2, 65)
 ]
 
@@ -793,13 +793,13 @@ def test_window_is_the_signs_of_the_sides():
 def test_balance_is_the_area_identity():
     # excess less blank, as (a**2, a*b, b**2) coefficients, is the big figure
     # less the N smalls: -big_unit*q**2*(a**2 - N*b**2)
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [DescentFamily.triangular(n) for n in range(2, 201)]
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [DescentFamily.triangular(n) for n in range(2, 201)]
     for family in families:
         fig, big_n = _figure(family), family.radicand
         q = fig.sides[2]
         assert geometry._balance(fig) == (-fig.big_unit * q * q, 0, fig.big_unit * q * q * big_n), family
-    assert geometry._balance(_figure(DescentFamily.sqrt2())) == (-1, 0, 2)
-    assert geometry._balance(_figure(DescentFamily.hex6())) == (-3, 0, 18)
+    assert geometry._balance(_figure(DescentFamily(FamilyKind.SQRT2))) == (-1, 0, 2)
+    assert geometry._balance(_figure(DescentFamily(FamilyKind.HEX6))) == (-3, 0, 18)
 
 
 def test_balance_is_twice_n_minus_1_times_eq1():
@@ -835,39 +835,39 @@ def test_verify_eq1_reads_the_figure_table(monkeypatch, field, change):
 
 
 def test_build_tennenbaum():
-    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
+    arr = build_arrangement(DescentFamily(FamilyKind.SQRT2), 7, 5)
     assert arr.big == square(0, 0, 7)
     assert arr.smalls == (square(0, 0, 5), square(2, 2, 5))
     # boundary a = 2b is out: the overlap square would vanish
     with pytest.raises(OutOfWindow) as exc:
-        build_arrangement(DescentFamily.sqrt2(), 4, 2)
+        build_arrangement(DescentFamily(FamilyKind.SQRT2), 4, 2)
     assert exc.value.inequality == "a < 2b"
     with pytest.raises(OutOfWindow) as exc:
-        build_arrangement(DescentFamily.sqrt2(), 2, 3)
+        build_arrangement(DescentFamily(FamilyKind.SQRT2), 2, 3)
     assert exc.value.inequality == "a > b"
     with pytest.raises(OutOfWindow):
-        build_arrangement(DescentFamily.sqrt2(), 3, 3)
+        build_arrangement(DescentFamily(FamilyKind.SQRT2), 3, 3)
 
 
 def test_build_rejects_nonpositive():
     for a, b in ((0, 1), (3, 0), (-7, -5)):
         with pytest.raises(OutOfWindow) as exc:
-            build_arrangement(DescentFamily.sqrt2(), a, b)
+            build_arrangement(DescentFamily(FamilyKind.SQRT2), a, b)
         assert exc.value.inequality == "a, b > 0"
 
 
 def test_build_hexagon6():
-    arr = build_arrangement(DescentFamily.hex6(), 5, 2)
+    arr = build_arrangement(DescentFamily(FamilyKind.HEX6), 5, 2)
     assert len(arr.smalls) == 6
     big_vertices = set(arr.big.vertices)
     for small in arr.smalls:
         shared = set(small.vertices) & big_vertices
         assert len(shared) == 1  # each small pins one big vertex
     with pytest.raises(OutOfWindow) as exc:
-        build_arrangement(DescentFamily.hex6(), 7, 2)
+        build_arrangement(DescentFamily(FamilyKind.HEX6), 7, 2)
     assert exc.value.inequality == "a < 3b"
     with pytest.raises(OutOfWindow) as exc:
-        build_arrangement(DescentFamily.hex6(), 4, 2)
+        build_arrangement(DescentFamily(FamilyKind.HEX6), 4, 2)
     assert exc.value.inequality == "a > 2b"
 
 
@@ -965,17 +965,17 @@ def test_arrangement_rejects_escapees():
     big = square(0, 0, 4)
     outside = square(3, 3, 2)
     with pytest.raises(ValueError):
-        Arrangement(big=big, smalls=(outside,), family=DescentFamily.sqrt2(), a=4, b=2)
+        Arrangement(big=big, smalls=(outside,), family=DescentFamily(FamilyKind.SQRT2), a=4, b=2)
 
 
 def test_arrangement_rejects_a_small_on_another_basis():
     big = square(0, 0, 4)
     with pytest.raises(BasisMismatch, match="small 1 on triangular, big on orthogonal"):
-        Arrangement(big=big, smalls=(square(0, 0, 1), tri(0, 0, 1)), family=DescentFamily.sqrt2(), a=4, b=1)
+        Arrangement(big=big, smalls=(square(0, 0, 1), tri(0, 0, 1)), family=DescentFamily(FamilyKind.SQRT2), a=4, b=1)
 
 
 def test_census_tennenbaum_7_5():
-    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
+    arr = build_arrangement(DescentFamily(FamilyKind.SQRT2), 7, 5)
     census = coverage_census(arr)
     assert area(census, "big_area") == 49
     assert area(census, "total_small_area") == 50
@@ -992,7 +992,7 @@ def test_census_tennenbaum_7_5():
 
 
 def test_census_tennenbaum_3_2():
-    arr = build_arrangement(DescentFamily.sqrt2(), 3, 2)
+    arr = build_arrangement(DescentFamily(FamilyKind.SQRT2), 3, 2)
     census = coverage_census(arr)
     assert len(census.distinct_pair_regions) == 1
     assert side_of(census.distinct_pair_regions[0]) == 1
@@ -1000,7 +1000,7 @@ def test_census_tennenbaum_3_2():
 
 
 def test_census_hexagon6_5_2():
-    arr = build_arrangement(DescentFamily.hex6(), 5, 2)
+    arr = build_arrangement(DescentFamily(FamilyKind.HEX6), 5, 2)
     census = coverage_census(arr)
     assert area(census, "big_area") == 75
     assert area(census, "total_small_area") == 72
@@ -1060,7 +1060,7 @@ def test_census_triangular_5_27_7():
 def test_depth_exceeded_on_artificial_stack():
     big = square(0, 0, 10)
     smalls = tuple(square(Fraction(i, 2), Fraction(i, 2), 3) for i in range(4))
-    arr = Arrangement(big=big, smalls=smalls, family=DescentFamily.sqrt2(), a=10, b=3)
+    arr = Arrangement(big=big, smalls=smalls, family=DescentFamily(FamilyKind.SQRT2), a=10, b=3)
     with pytest.raises(DepthExceeded):
         coverage_census(arr)
 
@@ -1069,7 +1069,7 @@ def _stack() -> Arrangement:
     """Four squares over denominators 1 and 2, each pushed half a unit up
     and right of the last: smalls 0..3 share a point set of positive area."""
     smalls = tuple(square(Fraction(i, 2), Fraction(i, 2), 3) for i in range(4))
-    return Arrangement(big=square(0, 0, 10), smalls=smalls, family=DescentFamily.sqrt2(), a=10, b=3)
+    return Arrangement(big=square(0, 0, 10), smalls=smalls, family=DescentFamily(FamilyKind.SQRT2), a=10, b=3)
 
 
 def test_arrangement_containment_matches_contains_polygon():
@@ -1083,7 +1083,7 @@ def test_arrangement_containment_matches_contains_polygon():
         inside = all(_ref_contains_point(corner_points(big), c) for c in corner_points(small))
         outcomes[inside] += 1
         try:
-            Arrangement(big=big, smalls=(big, small), family=DescentFamily.sqrt2(), a=2, b=1)
+            Arrangement(big=big, smalls=(big, small), family=DescentFamily(FamilyKind.SQRT2), a=2, b=1)
         except ValueError as exc:
             assert not inside and str(exc) == "small 1 is not inside the big figure", (big, small)
         else:
@@ -1209,7 +1209,7 @@ def _census_against_reference(arr: Arrangement):
     return census
 
 
-_REFERENCE_FAMILIES = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+_REFERENCE_FAMILIES = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
     DescentFamily.triangular(n) for n in range(2, 25)
 ]
 
@@ -1267,7 +1267,7 @@ def _random_arrangement(rng: random.Random) -> Arrangement:
         poly = corner_polygon([(x + side * du, y + side * dv) for du, dv in corners], basis)
         if convex_intersection(big, poly) == poly:
             smalls.append(poly)
-    return Arrangement(big=big, smalls=tuple(smalls), family=DescentFamily.sqrt2(), a=12, b=1)
+    return Arrangement(big=big, smalls=tuple(smalls), family=DescentFamily(FamilyKind.SQRT2), a=12, b=1)
 
 
 @functools.cache
@@ -1346,7 +1346,7 @@ def _small_window_pairs(family: DescentFamily, a_max: int) -> list[tuple[int, in
 
 def test_census_matches_cell_count_oracle():
     rng = random.Random(41)
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
         DescentFamily.triangular(n) for n in range(2, 7)
     ]
     for family in families:
@@ -1404,7 +1404,7 @@ _CHECKS_READING = {
 
 
 def test_verify_figure_mismatch():
-    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
+    arr = build_arrangement(DescentFamily(FamilyKind.SQRT2), 7, 5)
     census = coverage_census(arr)
     corrupted = census._replace(blank_area=census.blank_area + census.area_den)
     failed = {c.name for c in verify_figure(arr, corrupted) if not c.passed}
@@ -1473,7 +1473,7 @@ def test_figure_table_matches_fraction_closed_forms():
     # the table's integer forms against the paper's closed forms, written
     # here in Fractions: the sides t and s, the unit areas and the next pair
     rng = random.Random(1016)
-    families = [DescentFamily.sqrt2(), DescentFamily.hex6()] + [
+    families = [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [
         DescentFamily.triangular(n) for n in range(2, 65)
     ]
     for family in families:
@@ -1509,9 +1509,9 @@ def test_figure_table_matches_fraction_closed_forms():
 
 
 def test_census_to_descent_examples():
-    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
+    arr = build_arrangement(DescentFamily(FamilyKind.SQRT2), 7, 5)
     assert census_to_descent(arr, coverage_census(arr)) == (3, 2)
-    arr = build_arrangement(DescentFamily.hex6(), 22, 9)
+    arr = build_arrangement(DescentFamily(FamilyKind.HEX6), 22, 9)
     assert census_to_descent(arr, coverage_census(arr)) == (12, 5)
     arr = build_arrangement(DescentFamily.triangular(3), 5, 2)
     assert census_to_descent(arr, coverage_census(arr)) == (2, 1)
@@ -1521,14 +1521,14 @@ def test_census_to_descent_examples():
 
 def test_census_to_descent_needs_an_overlap():
     smalls = (square(0, 0, 3), square(5, 5, 3))
-    arr = Arrangement(big=square(0, 0, 10), smalls=smalls, family=DescentFamily.sqrt2(), a=10, b=3)
+    arr = Arrangement(big=square(0, 0, 10), smalls=smalls, family=DescentFamily(FamilyKind.SQRT2), a=10, b=3)
     with pytest.raises(ValueError, match="no overlap regions to measure"):
         census_to_descent(arr, coverage_census(arr))
 
 
 def test_census_to_descent_refuses_a_non_integral_pair():
     # the 7, 5 figure at half scale: t = 3/2 and s = 1
-    arr = build_arrangement(DescentFamily.sqrt2(), 7, 5)
+    arr = build_arrangement(DescentFamily(FamilyKind.SQRT2), 7, 5)
     half = lambda p: LatticePolygon(p.basis, 2 * p.den, *p[2:])
     arr = arr._replace(big=half(arr.big), smalls=tuple(map(half, arr.smalls)))
     with pytest.raises(ValueError, match=r"measured pair \(3/2, 1\) is not integral"):

@@ -139,6 +139,24 @@ def test_factorize_answers_or_refuses_in_bounded_time():
         assert time.perf_counter() - start < 5.0, n
 
 
+def test_factorize_refuses_512_bits_and_more_at_once():
+    # Miller-Rabin alone took 2-3 s on 1009**997 and did not end on
+    # (2**61 - 1)**997; the bit cap refuses both, and Surd.of, which
+    # factors its radicand, inherits the refusal
+    calls = (
+        lambda: factorize(1009**997),
+        lambda: factorize((2**61 - 1) ** 997),
+        lambda: factorize(2**511),
+        lambda: Surd.of(0, 1, 1009**997),
+    )
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="factorize takes fewer than 512 bits"):
+            call()
+        assert time.perf_counter() - start < 1.0
+    assert factorize(2**510) == {2: 510}
+
+
 def test_squarefree_examples():
     d = squarefree_decompose(8)
     assert (d.squarefree, d.root) == (2, 2)

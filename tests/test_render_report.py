@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import decimal
 import enum
@@ -70,6 +71,20 @@ def test_package_all_is_exact():
     assert public == listed
 
 
+def test_no_bare_assert_in_the_package():
+    # python -O strips assert statements, so none may guard an invariant:
+    # every check in the package raises explicitly
+    sources = sorted(Path(SRC, "irrgeo").glob("*.py"))
+    assert {path.name for path in sources} >= {"descent.py", "geometry.py", "number_theory.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def _readme_command_lines() -> list[list[str]]:
     """The argv of each line of README's "Command line" example block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -140,7 +155,7 @@ def test_surd_str():
 
 
 def test_build_verify_run_structure():
-    run = build_verify_run(DescentFamily.hex6(), 22, 9)
+    run = build_verify_run(DescentFamily(FamilyKind.HEX6), 22, 9)
     assert run["pass"] is True
     assert run["mode"] == "verify"
     assert run["family"] == "hex6"
@@ -161,7 +176,7 @@ def test_build_verify_run_structure():
 
 
 def test_build_verify_run_window_fail_is_shallow():
-    run = build_verify_run(DescentFamily.sqrt2(), 5, 2)
+    run = build_verify_run(DescentFamily(FamilyKind.SQRT2), 5, 2)
     assert run["pass"] is False
     assert run["window"]["violated"] == "a < 2b"
     assert "descent" not in run
@@ -174,9 +189,9 @@ def _json_text(x) -> str:
 
 
 def test_render_json_round_trip_and_determinism():
-    run = build_verify_run(DescentFamily.sqrt2(), 7, 5)
+    run = build_verify_run(DescentFamily(FamilyKind.SQRT2), 7, 5)
     text1 = _json_text(report_envelope([run]))
-    text2 = _json_text(report_envelope([build_verify_run(DescentFamily.sqrt2(), 7, 5)]))
+    text2 = _json_text(report_envelope([build_verify_run(DescentFamily(FamilyKind.SQRT2), 7, 5)]))
     assert text1 == text2
     assert text1.endswith("\n")
     parsed = json.loads(text1)
@@ -307,7 +322,7 @@ def test_cli_write_failure_exits_1(capsys, tmp_path):
         if reason == "No such file or directory":
             assert captured.out == ""
         else:
-            assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily.sqrt2(), 17, 12, 32))
+            assert captured.out == _reference_chain_stdout(build_chain_run(DescentFamily(FamilyKind.SQRT2), 17, 12, 32))
             assert captured.out.count("\nstep ") == 3 and captured.out.endswith("stop: nonpositive after 3 steps\n")
 
 
@@ -860,7 +875,7 @@ def test_every_json_report_goes_through_render_json(capsys, monkeypatch, tmp_pat
         return render_json(report)
 
     monkeypatch.setattr("irrgeo.render_report.render_json", counting)
-    sqrt2 = DescentFamily.sqrt2()
+    sqrt2 = DescentFamily(FamilyKind.SQRT2)
     cases = (
         (["verify", "--family", "sqrt2", "--a", "7", "--b", "5"], [build_verify_run(sqrt2, 7, 5)]),
         (["census", "--family", "sqrt2", "--a", "7", "--b", "5"], [build_census_run(sqrt2, 7, 5)]),
@@ -1013,7 +1028,7 @@ def test_chain_leaves_the_decimal_context_as_it_was(capsys, monkeypatch, tmp_pat
         assert cli_main(argv + [path]) == 1, path
         assert decimal.getcontext() is before, path
     # this walk runs on Decimals for more than a batch, then on ints
-    chain = descent_chain(DescentFamily.sqrt2(), *convergents(2, 1500)[-1], MAX_CHAIN_STEPS)
+    chain = descent_chain(DescentFamily(FamilyKind.SQRT2), *convergents(2, 1500)[-1], MAX_CHAIN_STEPS)
     assert chain.steps[_BATCH].pair_in[1].bit_length() >= _INT_BITS > chain.steps[-1].pair_in[1].bit_length()
     last = chain.steps[-1]
     altered = chain._replace(steps=chain.steps[:-1] + (last._replace(defect_out=2 * last.defect_out),))
@@ -1084,7 +1099,7 @@ def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
     n = MAX_CHAIN_N, whose coefficients have 64 bits; and two chains stopped
     by their first step."""
     cases = []
-    for family in [DescentFamily.sqrt2(), DescentFamily.hex6()] + [DescentFamily.triangular(n) for n in range(2, 8)]:
+    for family in [DescentFamily(FamilyKind.SQRT2), DescentFamily(FamilyKind.HEX6)] + [DescentFamily.triangular(n) for n in range(2, 8)]:
         cs = convergents(family.radicand, MAX_CONVERGENT)
         last = MAX_CONVERGENT if cs[-1][0].bit_length() <= MAX_PAIR_BITS else 1561
         for k in (1, 2, 3, 999, last):
@@ -1095,10 +1110,10 @@ def _chain_cases() -> list[tuple[DescentFamily, list[str], int, int, int]]:
     cases.append((DescentFamily.triangular(4), ["--convergent", "1561"], p, q, 3))
     for family, a, b, max_steps in (
         (DescentFamily.triangular(8), 37, 6, MAX_CHAIN_STEPS),
-        (DescentFamily.sqrt2(), 99, 70, 0),
+        (DescentFamily(FamilyKind.SQRT2), 99, 70, 0),
         (DescentFamily.triangular(MAX_CHAIN_N), 2 * MAX_CHAIN_N - 1, 2, MAX_CHAIN_STEPS),
         (DescentFamily.triangular(6), 9, 2, MAX_CHAIN_STEPS),
-        (DescentFamily.sqrt2(), 1, 1, MAX_CHAIN_STEPS),
+        (DescentFamily(FamilyKind.SQRT2), 1, 1, MAX_CHAIN_STEPS),
     ):
         cases.append((family, ["--a", str(a), "--b", str(b)], a, b, max_steps))
     return cases
