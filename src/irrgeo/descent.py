@@ -110,7 +110,7 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
 
     The forms have integer coefficients, so the output entries are
     integers; the defect a**2 - N*b**2 is multiplied by the family's fixed
-    constant, which is checked on every step.
+    constant, which is proved once per call, from the map's coefficients.
     """
     if a < 1 or b < 1:
         raise ValueError(f"need a positive pair, got ({a}, {b})")
@@ -120,15 +120,19 @@ def descent_step(family: DescentFamily, a: int, b: int) -> DescentStep:
 
 def _steps(family: DescentFamily, fmap: tuple, m: int, a: int, b: int, d_in: int) -> Iterator[DescentStep]:
     """The steps of fmap, with multiplier m, from (a, b) of defect d_in on,
-    each from the last one's output pair and defect; each output defect is
-    computed from squares and must be m times the input defect."""
+    each from the last one's output pair and defect.  That each output
+    defect is m times the input defect is proved once per call, from the
+    map's coefficients, when the first step is drawn: then
+    (ca*a + cb*b)**2 - N*(da*a + db*b)**2 == m*(a**2 - N*b**2) holds as a
+    polynomial identity, and each output defect is taken as m * d_in."""
     big_n, (ca, cb), (da, db) = fmap
+    form = _square_difference(1, ca, cb, big_n, da, db)
+    if form != (m, 0, -m * big_n):
+        raise AssertionError(f"{family.title} sends a**2 - N*b**2 to the form {form}, not {m} times it")
     while True:
         a_out = ca * a + cb * b
         b_out = da * a + db * b
-        d_out = a_out * a_out - big_n * (b_out * b_out)
-        if d_out != m * d_in:
-            raise AssertionError(f"{family.title} sent defect {d_in} to {d_out}, not {m} times it")
+        d_out = m * d_in
         # DescentStep._make without its field count check: five are given
         yield tuple.__new__(DescentStep, ((a, b), (a_out, b_out), d_in, d_out, m))
         a, b, d_in = a_out, b_out, d_out

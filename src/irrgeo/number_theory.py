@@ -10,8 +10,8 @@ with Pollard's rho (BIT 15, 1975) and proves each piece prime with
 Miller-Rabin over the 13 prime bases 2..41.
 That test is exact only below psi_13 = 3317044064679887385961981, the least
 strong pseudoprime to all 13 bases (Sorenson & Webster, Math. Comp. 86,
-2017); a larger piece it cannot prove composite is refused, and so is a
-piece rho cannot split within a fixed number of steps.
+2017); a larger piece it cannot prove composite is refused, and so is an n
+whose pieces rho cannot split within one fixed budget of steps in all.
 """
 
 from __future__ import annotations
@@ -55,15 +55,21 @@ _ROOT_EXPONENTS = (3, *_SMALL_PRIMES)
 _SMALL_BOUND = 1000 * 1000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # psi_13
-# rho's steps per piece, over all its restarts.  Rho finds a prime factor
-# p in about sqrt(p) steps, so this splits pieces whose least prime is
-# below about 2**34; over every T_n and its squarefree part for n <= 10**5
-# no piece takes more than 567.  2**18 steps on a 150-bit piece take about
-# 0.5 s on one Xeon core under CPython 3.11.
-_RHO_STEPS = 1 << 18
+# rho's work per factorize call, over all its pieces and restarts, in
+# steps times the 64-bit words of the piece stepped on.  A step's cost
+# grows about with the piece's words, so the budget bounds the call's
+# time, not only its steps; refusing a 150-bit piece took 0.53 s and a
+# 511-bit one 0.66 s, on one Xeon core under CPython 3.11.
+# Rho finds a prime factor p in about sqrt(p) steps, so a piece of at most
+# 128 bits splits if its least prime is below about 2**36 (psi_12, whose
+# least prime is 2**38.5, took 188,312 steps of 2 words); over every T_n
+# for n <= 10**5 no call takes more than 567 steps of 1 word.  With 2**18
+# steps for each piece the product of 15 primes from 2**33..2**34 (503
+# bits) took 4.5 s over its 14 splits.
+_RHO_BUDGET = 1 << 19
 # factorize refuses an n of this many bits or more before any test: one
 # Miller-Rabin base on 1009**997 (9949 bits) took 2.5 s.  Just below the
-# cap rho refuses a 511-bit product of two primes in 2.0 s (one Xeon core,
+# cap rho refuses a 511-bit product of two primes in 0.7 s (one Xeon core,
 # CPython 3.11); the largest T_n the CLI's range factors is below 2**26.
 _MAX_FACTOR_BITS = 512
 
@@ -96,23 +102,26 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _rho_divisor(m: int) -> int:
+def _rho_divisor(m: int, budget: int) -> tuple[int, int]:
     """A divisor 1 < d < m of an odd composite m, by Pollard's rho on
-    x**2 + c with Floyd's cycle detection; a run that closes its cycle on
-    m itself starts again with the next c.  ValueError after _RHO_STEPS
-    steps in all."""
+    x**2 + c with Floyd's cycle detection, and what is left of budget, of
+    which each step spends one unit per 64-bit word of m; a run that closes
+    its cycle on m itself starts again with the next c.  ValueError once
+    the budget is spent."""
+    cost = -(-m.bit_length() // 64)
     c, x, y = 1, 2, 2
-    for _ in range(_RHO_STEPS):
+    for step in range(1, budget // cost + 1):
         x = (x * x + c) % m
         y = (y * y + c) % m
         y = (y * y + c) % m
         d = gcd(x - y, m)
         if d != 1:
             if d != m:
-                return d
+                return d, budget - step * cost
             c, x, y = c + 1, 2, 2
     raise ValueError(
-        f"cannot split a {m.bit_length()}-bit factor: Pollard's rho found no divisor in {_RHO_STEPS} steps"
+        f"cannot split a {m.bit_length()}-bit factor: Pollard's rho found no divisor "
+        f"within the {_RHO_BUDGET} word-steps of one factorize call"
     )
 
 
@@ -143,9 +152,9 @@ def factorize(n: int) -> dict[int, int]:
     _is_prime proves every piece prime; a piece it shows composite is split
     at its k-th root if it is a k-th power for an odd prime k (_power_root)
     and by Pollard's rho otherwise.  A piece _is_prime can neither prove
-    prime nor show composite raises ValueError, and so does one that rho
-    does not split in _RHO_STEPS steps, and any n of _MAX_FACTOR_BITS bits
-    or more, before any of this.
+    prime nor show composite raises ValueError, and so does an n whose
+    pieces rho does not split within _RHO_BUDGET in all, and any n of
+    _MAX_FACTOR_BITS bits or more, before any of this.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
@@ -171,6 +180,7 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = e
     large: list[int] = []
     work = [n] if n > 1 else []
+    budget = _RHO_BUDGET
     while work:
         m = work.pop()
         if m < _SMALL_BOUND:
@@ -180,7 +190,9 @@ def factorize(n: int) -> dict[int, int]:
         elif _is_prime(m):
             large.append(m)
         else:
-            d = _power_root(m) or _rho_divisor(m)
+            d = _power_root(m)
+            if not d:
+                d, budget = _rho_divisor(m, budget)
             work += (d, m // d)
     for p in sorted(large):
         out[p] = out.get(p, 0) + 1

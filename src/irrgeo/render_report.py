@@ -436,9 +436,9 @@ MAX_CONVERGENT = 2048
 # The longest chains measured from pairs below 2**4096 end by themselves
 # after about 3200 steps (sqrt2); the cap bounds the work whatever
 # --max-steps asks.  The largest report (triangular n = 4 from convergent
-# 1561: 2644 steps, 17.9 MB) takes 0.17-0.22 s on a shared Xeon core
-# under CPython 3.11 at 20.2-20.3 MB peak RSS, each batch of 16 steps'
-# text joined and written at once.
+# 1561: 2644 steps, 17.9 MB) takes 0.17-0.27 s (ten runs) on a shared
+# Xeon core under CPython 3.11 at 20.1-20.3 MB peak RSS, each batch of 16
+# steps' text joined and written at once.
 MAX_CHAIN_STEPS = 10_000
 # SVG coordinates are floats, which overflow past 2**1024; a figure's
 # coordinates are at most 1.5*a, its viewBox at most 1.08 times that.
@@ -584,8 +584,9 @@ def _chain_steps(chain: ChainResult, report) -> None:
     step, until a batch starts below 2**_INT_BITS in b, then, converted
     once, on ints, which are cheaper there (b shrinks at every kept step,
     so the switch comes once).  The records only say where the switch
-    falls; the integer chain checked every defect, and the walk's last
-    pair and defect must equal its last step's.
+    falls; the integer chain's defects were proved once per call, from the
+    map's coefficients, and the walk's last pair and defect must equal its
+    last step's.
     """
     steps = chain.steps
     (a, b), d = chain.start, steps[0].defect_in

@@ -496,6 +496,8 @@ def test_chain_equals_iterated_steps():
                 assert step == descent_step(family, *cur)
                 a_in, b_in = step.pair_in
                 assert step.defect_in == a_in * a_in - radicand * b_in * b_in
+                a_out, b_out = step.pair_out
+                assert step.defect_out == a_out * a_out - radicand * b_out * b_out
                 cur = step.pair_out
             assert chain.final_pair == cur
             a_out, b_out = descent_step(family, *cur).pair_out
@@ -582,14 +584,35 @@ def test_copy_and_pickle_rebuild_through_the_checks():
     ids=["sqrt2", "hex6", "triangular6-first-step", "sqrt2-first-step"],
 )
 def test_chain_checks_every_step(monkeypatch, family, a, b, kept):
-    # with a wrong multiplier every attempted step must fail its check,
-    # the stopping one too; a kernel that took defect_out as m * defect_in
-    # would pass
+    # with a wrong multiplier the chain's first drawn step must fail the
+    # kernel's entry proof, the stopping one too when it is the first
     assert len(descent_chain(family, a, b, 32).steps) == kept
     m = defect_multiplier(family)
     monkeypatch.setattr(irrgeo.descent, "defect_multiplier", lambda family: m + 1)
     with pytest.raises(AssertionError, match="not .* times it"):
         descent_chain(family, a, b, 32)
+
+
+@pytest.mark.parametrize(
+    "rows, wrong",
+    [(((-1, 2), (1, 1)), (-1, -8, 2)), (((-1, -4), (1, 2)), (-1, 0, 8))],
+    ids=["ab-coefficient", "b2-coefficient"],
+)
+def test_chain_proves_the_whole_form_on_entry(monkeypatch, rows, wrong):
+    # a planted sqrt2 map whose a**2 coefficient is the true multiplier -1
+    # but whose a*b or b**2 coefficient is wrong: the kernel proves all
+    # three before its first step, so a chain that draws a step is refused
+    # and one capped at 0 steps is not
+    family = DescentFamily(FamilyKind.SQRT2)
+    (ca, cb), (da, db) = rows
+    m = defect_multiplier(family)
+    assert _square_difference(1, ca, cb, 2, da, db) == wrong != (m, 0, -2 * m) and wrong[0] == m
+    monkeypatch.setattr(irrgeo.descent, "_forms", lambda family: (2, *rows))
+    monkeypatch.setattr(irrgeo.descent, "defect_multiplier", lambda family: m)
+    with pytest.raises(AssertionError, match=f"not {m} times it"):
+        descent_chain(family, 17, 12, 1)
+    chain = descent_chain(family, 17, 12, 0)
+    assert chain.steps == () and chain.stop_reason == "max_steps"
 
 
 def test_chain_decimals_are_the_chain_and_check_its_last_step(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -137,6 +137,27 @@ def test_factorize_answers_or_refuses_in_bounded_time():
         else:
             _assert_factors(n, expected)
         assert time.perf_counter() - start < 5.0, n
+
+
+def test_factorize_spends_one_rho_budget_per_call():
+    # rho's step budget is one per factorize call, not one per split: this
+    # 503-bit product of 15 primes from 2**33..2**34 took 4.5 s when each of
+    # its 14 splits could spend a whole budget; it is now answered or
+    # refused in bounded time
+    rng = random.Random(7)
+    primes = []
+    while len(primes) < 15:
+        p = rng.randrange(2**33, 2**34) | 1
+        if factorize(p) == {p: 1}:
+            primes.append(p)
+    n = prod(primes)
+    assert n.bit_length() == 503
+    start = time.perf_counter()
+    try:
+        assert factorize(n) == {p: primes.count(p) for p in sorted(primes)}
+    except ValueError as error:
+        assert "Pollard's rho found no divisor" in str(error)
+    assert time.perf_counter() - start < 1.5
 
 
 def test_factorize_refuses_512_bits_and_more_at_once():
