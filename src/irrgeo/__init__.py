@@ -41,7 +41,6 @@ from .number_theory import (
     SquareRadicand,
     convergents,
     square_density,
-    square_triangular,
     squarefree_decompose,
 )
 from .render_report import cli_main, render_json, render_svg
@@ -79,7 +78,6 @@ __all__ = [
     "render_json",
     "render_svg",
     "square_density",
-    "square_triangular",
     "squarefree_decompose",
     "verify_figure",
     "window_inequalities",

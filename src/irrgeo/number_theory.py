@@ -1,7 +1,8 @@
 """Integer-side support: factorization, squarefree decomposition, square
-counting, continued-fraction convergents, the square triangular numbers,
-and `_square_difference`, the one expansion of a difference of two squared
-linear forms from which every quadratic identity here is proved.
+counting, continued-fraction convergents, the one walk of the square
+triangular indices, on ints or on exact Decimals, and `_square_difference`,
+the one expansion of a difference of two squared linear forms from which
+every quadratic identity here is proved.
 
 `factorize` refuses an n of _MAX_FACTOR_BITS bits or more at once.  It
 removes the primes below 1000 with one gcd against their product, then
@@ -125,8 +126,9 @@ def _rho_divisor(m: int, budget: int) -> tuple[int, int]:
     )
 
 
-def _power_root(m: int) -> int:
-    """r with r**k == m for an odd prime k < 1000, or 0 if there is none.
+def _power_root(m: int) -> tuple[int, int]:
+    """(r, k) with r**k == m for an odd prime k < 1000, or (0, 0) if there
+    is none.
 
     m has no prime factor below 1000, so such an r is above 1000 and only
     k with 1000**k <= m can hold.  Each floor root is int Newton from
@@ -139,8 +141,8 @@ def _power_root(m: int) -> int:
         while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
             r = s
         if r**k == m:
-            return r
-    return 0
+            return r, k
+    return 0, 0
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -151,10 +153,12 @@ def factorize(n: int) -> dict[int, int]:
     A larger one is split, at its square root if it is a square, until
     _is_prime proves every piece prime; a piece it shows composite is split
     at its k-th root if it is a k-th power for an odd prime k (_power_root)
-    and by Pollard's rho otherwise.  A piece _is_prime can neither prove
-    prime nor show composite raises ValueError, and so does an n whose
-    pieces rho does not split within _RHO_BUDGET in all, and any n of
-    _MAX_FACTOR_BITS bits or more, before any of this.
+    and by Pollard's rho otherwise.  Each piece is carried with its
+    exponent, so the root of a power is split once, not once per copy.
+    A piece _is_prime can neither prove prime nor show composite raises
+    ValueError, and so does an n whose pieces rho does not split within
+    _RHO_BUDGET in all, and any n of _MAX_FACTOR_BITS bits or more, before
+    any of this.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
@@ -178,24 +182,26 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
                 e += 1
             out[p] = e
-    large: list[int] = []
-    work = [n] if n > 1 else []
+    large: list[tuple[int, int]] = []
+    work = [(n, 1)] if n > 1 else []
     budget = _RHO_BUDGET
     while work:
-        m = work.pop()
+        m, e = work.pop()
         if m < _SMALL_BOUND:
-            large.append(m)
+            large.append((m, e))
         elif (r := isqrt(m)) * r == m:
-            work += (r, r)
+            work.append((r, 2 * e))
         elif _is_prime(m):
-            large.append(m)
+            large.append((m, e))
         else:
-            d = _power_root(m)
-            if not d:
+            r, k = _power_root(m)
+            if k:
+                work.append((r, k * e))
+            else:
                 d, budget = _rho_divisor(m, budget)
-            work += (d, m // d)
-    for p in sorted(large):
-        out[p] = out.get(p, 0) + 1
+                work += ((d, e), (m // d, e))
+    for p, e in sorted(large):
+        out[p] = out.get(p, 0) + e
     return out
 
 
@@ -255,8 +261,10 @@ def convergents(radicand: int, count: int) -> list[tuple[int, int]]:
 _PELL_STEP = ((3, 4), (2, 3))
 
 
-def square_triangular(limit: int) -> list[int]:
-    """All n <= limit whose triangular number is a perfect square.
+def _square_triangular(limit, one):
+    """Yield every n <= limit whose triangular number is a perfect square,
+    in increasing order, walking in the arithmetic of one, which is 1: an
+    int, or a Decimal under an exact context.
 
     T_n == m**2 is x**2 - 2*y**2 == 1 in x = 2n + 1, y = 2m.  Every
     solution with x > 0 and y >= 0 is x + y*sqrt(2) == (3 + 2*sqrt(2))**k
@@ -266,14 +274,10 @@ def square_triangular(limit: int) -> list[int]:
     is proved once per call from its coefficients; (1, 0) has
     x**2 - 2*y**2 == 1, so every term has T_n == m**2.
     """
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
     (p, q), (r, s) = _PELL_STEP
     if _square_difference(1, p, q, 2, r, s) != (1, 0, -2):
         raise AssertionError(f"(x, y) -> ({p}x + {q}y, {r}x + {s}y) does not keep x**2 - 2*y**2")
-    out: list[int] = []
-    x, y = 1, 0
-    while (n := x >> 1) <= limit:
-        out.append(n)
+    x, y = one, 0
+    while (n := (x - 1) // 2) <= limit:
+        yield n
         x, y = p * x + q * y, r * x + s * y
-    return out

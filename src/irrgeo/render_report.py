@@ -44,7 +44,7 @@ from .geometry import (
     verify_figure,
     window_inequalities,
 )
-from .number_theory import _PELL_STEP, SquareRadicand, convergents, square_density, square_triangular
+from .number_theory import SquareRadicand, _square_triangular, convergents, square_density
 
 if TYPE_CHECKING:
     import argparse
@@ -685,24 +685,17 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    """Print the terms of square_triangular, which proves its walk, from
-    the same walk on exact Decimals: str() of a Decimal takes time linear
-    in its digits, of an int quadratic on CPython 3.10 and 3.11.  Each
-    term is written as it is reached, and the last must be the int walk's."""
+    """Print the terms of number_theory's proved Pell walk, each as it is
+    reached.  The walk runs on exact Decimals: str() of a Decimal takes
+    time linear in its digits, of an int quadratic on CPython 3.10 and
+    3.11."""
     if args.limit < 0:
         raise _UsageError("--limit must be nonnegative")
-    terms = square_triangular(args.limit)
-    (p, q), (r, s) = _PELL_STEP
-    p, q, r, s, x, y = map(Decimal, (p, q, r, s, 1, 0))
     sep = ""
     with localcontext(_EXACT):
-        for _ in terms:
-            n = (x - 1) / 2  # x is odd, so under _EXACT this is exact
+        for n in _square_triangular(Decimal(args.limit), Decimal(1)):
             sys.stdout.write(f"{sep}{n}")
             sep = " "
-            x, y = p * x + q * y, r * x + s * y
-    if n != terms[-1]:
-        raise AssertionError(f"the Decimal walk ends at {n}, not at {terms[-1]}")
     sys.stdout.write("\n")
     return 0
 

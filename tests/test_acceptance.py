@@ -32,7 +32,7 @@ from irrgeo.geometry import (
     _figure,
     _side,
 )
-from irrgeo.number_theory import convergents, square_triangular
+from irrgeo.number_theory import _square_triangular, convergents
 from irrgeo.render_report import cli_main
 
 
@@ -162,7 +162,7 @@ def test_criterion_6_square_triangular_sequence():
             r = isqrt(t)
             if r * r == t:
                 brute.append(n)
-        assert square_triangular(limit) == brute
+        assert list(_square_triangular(limit, 1)) == brute
         assert {8, 49, 288} <= set(brute)
 
 

@@ -206,9 +206,10 @@ def test_defect_multiplier_matches_symbolic_reference():
 
 
 def test_pell_step_keeps_its_form_by_evaluation():
-    # square_triangular's proof, checked without _square_difference's
-    # algebra: the image form (3x + 4y)**2 - 2*(2x + 3y)**2 equals both
-    # the expanded triple and x**2 - 2*y**2 at every point of _FORM_POINTS
+    # the proof of number_theory's one Pell walk, the walk sequence prints,
+    # checked without _square_difference's algebra: the image form
+    # (3x + 4y)**2 - 2*(2x + 3y)**2 equals both the expanded triple and
+    # x**2 - 2*y**2 at every point of _FORM_POINTS
     (p, q), (r, s) = _PELL_STEP
     coeffs = _square_difference(1, p, q, 2, r, s)
     for x, y in _FORM_POINTS:

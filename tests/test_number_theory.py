@@ -9,13 +9,14 @@ from irrgeo import number_theory
 from irrgeo.exact_arith import Surd
 from irrgeo.number_theory import (
     SquareRadicand,
+    _square_triangular,
     convergents,
     factorize,
     square_density,
-    square_triangular,
     squarefree_decompose,
     triangular,
 )
+from irrgeo.render_report import cli_main
 
 
 def test_triangular_values():
@@ -137,6 +138,29 @@ def test_factorize_answers_or_refuses_in_bounded_time():
         else:
             _assert_factors(n, expected)
         assert time.perf_counter() - start < 5.0, n
+
+
+def test_factorize_splits_the_root_of_a_power_once(monkeypatch):
+    # a square or k-th power piece goes on as its root with the exponent,
+    # so rho splits the root once, not once per copy of it: this square
+    # took four rho runs, and psi_12's square and cube, whose every copy of
+    # psi_12 spent its own 188,312 steps of the one budget, were refused
+    runs = []
+    rho = number_theory._rho_divisor
+
+    def counting(m, budget):
+        runs.append(m)
+        return rho(m, budget)
+
+    monkeypatch.setattr(number_theory, "_rho_divisor", counting)
+    big, small = 2**61 - 1, 2**31 - 1
+    _assert_factors(big**2 * small**4, {small: 4, big: 2})
+    assert len(runs) == 2
+    p, q = 399165290221, 798330580441
+    for e in (2, 3):
+        runs.clear()
+        _assert_factors((p * q) ** e, {p: e, q: e})
+        assert runs == [p * q]
 
 
 def test_factorize_spends_one_rho_budget_per_call():
@@ -304,32 +328,31 @@ def test_convergents_are_best_approximations_small():
 
 
 def test_square_triangular_examples():
-    assert square_triangular(300) == [0, 1, 8, 49, 288]
-    assert square_triangular(0) == [0]
-    assert square_triangular(1) == [0, 1]
-    assert square_triangular(7) == [0, 1]
-    assert square_triangular(8) == [0, 1, 8]
-
-
-def test_square_triangular_rejects_negative():
-    with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
-        square_triangular(-1)
+    assert list(_square_triangular(300, 1)) == [0, 1, 8, 49, 288]
+    assert list(_square_triangular(0, 1)) == [0]
+    assert list(_square_triangular(1, 1)) == [0, 1]
+    assert list(_square_triangular(7, 1)) == [0, 1]
+    assert list(_square_triangular(8, 1)) == [0, 1, 8]
 
 
 def test_square_triangular_brute_force():
     limit = 10**4
     brute = [n for n in range(limit + 1) if isqrt(triangular(n)) ** 2 == triangular(n)]
-    assert square_triangular(limit) == brute
+    assert list(_square_triangular(limit, 1)) == brute
 
 
-def test_square_triangular_proof_catches_each_coefficient_off_by_one(monkeypatch):
+def test_square_triangular_proof_catches_each_coefficient_off_by_one(monkeypatch, capsys):
     # the once-per-call proof that the Pell step keeps x**2 - 2*y**2 must
-    # refuse each of its four coefficients one too high or too low; it
-    # raises AssertionError itself, so it holds under python -O as well
+    # refuse each of its four coefficients one too high or too low, on the
+    # int walk and on the walk sequence prints; it raises AssertionError
+    # itself, so it holds under python -O as well
     rows = number_theory._PELL_STEP
     for i, j, e in itertools.product((0, 1), (0, 1), (1, -1)):
         bad = [list(row) for row in rows]
         bad[i][j] += e
         monkeypatch.setattr(number_theory, "_PELL_STEP", bad)
         with pytest.raises(AssertionError, match="does not keep"):
-            square_triangular(10)
+            list(_square_triangular(10, 1))
+        with pytest.raises(AssertionError, match="does not keep"):
+            cli_main(["sequence", "--limit", "10"])
+    assert capsys.readouterr().out == ""

@@ -25,7 +25,7 @@ from test_geometry import _random_arrangements, _reference_figures
 from irrgeo.descent import DescentFamily, FamilyKind, descent_chain, range_check
 from irrgeo.exact_arith import Surd
 from irrgeo.geometry import ORTHOGONAL, TRIANGULAR, DepthExceeded, LatticePolygon, _ratio_str, coverage_census
-from irrgeo.number_theory import convergents, square_triangular
+from irrgeo.number_theory import _square_triangular, convergents
 from irrgeo.render_report import (
     MAX_CHAIN_N,
     MAX_CHAIN_STEPS,
@@ -488,6 +488,7 @@ def test_cli_rejects_oversized_integers(capsys, tmp_path):
         # range reads the triangular index from --n-max; it refuses --n
         "range --family triangular needs --n-max": [["range", "--family", "triangular"]],
         "range --family sqrt2 takes no --n-max": [["range", "--family", "sqrt2", "--n-max", "5"]],
+        "--limit must be nonnegative": [["sequence", "--limit", "-1"]],
     }
     for message, argvs in refused.items():
         for argv in argvs:
@@ -895,14 +896,14 @@ def test_every_json_report_goes_through_render_json(capsys, monkeypatch, tmp_pat
 
 
 def test_sequence_is_written_as_it_is_converted(capsys, tmp_path):
-    # sequence writes each term as it turns it into decimal, so its peak
-    # memory stays near that of the terms themselves
+    # sequence writes each term as the walk reaches it and keeps no list:
+    # its peak memory stays below a quarter of the int walk's list
     limit = int("9" * 1000)
     argv = ["sequence", "--limit", str(limit)]
     cli_main(["sequence", "--limit", "1"])  # the parser is built outside the measurement
     out = tmp_path / "sequence.txt"
     peaks = []
-    for run in (lambda: square_triangular(limit), lambda: cli_main(argv)):
+    for run in (lambda: list(_square_triangular(limit, 1)), lambda: cli_main(argv)):
         with open(out, "w") as fh, contextlib.redirect_stdout(fh):
             tracemalloc.start()
             try:
@@ -910,20 +911,8 @@ def test_sequence_is_written_as_it_is_converted(capsys, tmp_path):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    assert out.read_text() == " ".join(map(str, square_triangular(limit))) + "\n"
-    assert peaks[1] <= 2 * peaks[0], peaks
-    capsys.readouterr()
-
-
-def test_sequence_digits_must_end_at_the_proved_walk(capsys, monkeypatch):
-    # sequence prints the digits of its own Decimal walk, and its last
-    # term must be the last of square_triangular's proved int walk; this
-    # raises AssertionError itself, so it holds under python -O as well
-    terms = square_triangular(10**40)
-    altered = terms[:-1] + [terms[-1] + 1]
-    monkeypatch.setattr(irrgeo.render_report, "square_triangular", lambda limit: altered)
-    with pytest.raises(AssertionError, match=f"ends at {terms[-1]}, not at {terms[-1] + 1}"):
-        cli_main(["sequence", "--limit", str(10**40)])
+    assert out.read_text() == " ".join(map(str, _square_triangular(limit, 1))) + "\n"
+    assert 4 * peaks[1] < peaks[0], peaks
     capsys.readouterr()
 
 
